@@ -59,7 +59,8 @@ from .oracle import LinearShift, OracleConfig, factorization_error_sweep
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
                        SourceKind, carrier_wavenumbers, reduce_cpdc, reduce_topdc)
 from .rates import AlternativeAmplitudes, SourceModel
-from .spectra import Gaussian, Lorentzian, Separable, SincSquared, Tabulated
+from .spectra import (Gaussian, Lorentzian, Separable, SincSquared, Tabulated,
+                      joint_widths)
 
 _LENGTH_KEYS = [f"length_{t}_m" for t in
                 ("a1", "b1", "c1", "p1", "a2", "b2", "c2", "p2")]
@@ -372,10 +373,8 @@ def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
 
 def _validate_delays(config: RunConfig) -> list[DelayTriple]:
     src = config.source
-    pm = src.phase_matching
-    tau_p = 1.0 / src.pump.characteristic_width
-    tau_1 = 1.0 / pm.d1.characteristic_width
-    tau_2 = 1.0 / pm.d2.characteristic_width
+    w1, w2 = joint_widths(src.phase_matching)
+    tau_p, tau_1, tau_2 = 1.0 / src.pump.characteristic_width, 1.0 / w1, 1.0 / w2
     spec = config.validate
     fractions = np.linspace(0.0, spec.delay_span_widths, spec.n_delays)
     return [DelayTriple(f * tau_p, f * tau_1, f * tau_2) for f in fractions]

@@ -26,8 +26,12 @@ provides the error estimate.
 
 2D separable densities factor into two 1D transforms. 2D tabulated
 densities use a tensor trapezoid sum, Richardson-extrapolated over two
-grid halvings; an unresolved oscillation on a coarse table raises
-:class:`IntegrationError` rather than returning a quietly wrong number.
+grid halvings. A whole delay grid is evaluated at once: each of the
+full, half and quarter sums is one matrix product ``(W1*E1) V (W2*E2)^T``
+with the phase matrices ``E = exp(-i outer(delays, knots))``. An
+unresolved oscillation on a coarse table raises :class:`IntegrationError`
+naming the first failing cell rather than returning a quietly wrong
+number.
 """
 
 from __future__ import annotations
@@ -180,22 +184,24 @@ def gamma_pump(pump: SpectralDensity, delta_tau: float,
     return CoherenceValue.from_complex(transform_1d(pump, delta_tau, method))
 
 
-def _tabulated2d_transform(pm: Tabulated2D, dt_prime: float, dt_dprime: float,
-                           cell: tuple[int, int] | None = None) -> complex:
-    """Tensor trapezoid sum, Richardson-extrapolated over grid halving.
+def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarray:
+    """Tensor trapezoid sums over a delay grid, Richardson-extrapolated over
+    grid halving; element [i, j] is the transform at
+    (taus_prime[i], taus_dprime[j]).
 
     Two successive halvings give two extrapolants; their spread is the
     error estimate (exact-order reasoning assumes near-uniform grids, on
-    arbitrary grids it stays a serviceable consistency check).
+    arbitrary grids it stays a serviceable consistency check). The first
+    failing cell in row-major order is reported.
     """
     g1, g2, v = pm.grid1, pm.grid2, pm.values
-    e1 = np.exp(-1j * g1 * dt_prime)
-    e2 = np.exp(-1j * g2 * dt_dprime)
+    e1 = np.exp(-1j * np.outer(taus_prime, g1))
+    e2 = np.exp(-1j * np.outer(taus_dprime, g2))
 
     def trap(idx1, idx2):
-        w1 = _trapezoid_weights(g1[idx1])
-        w2 = _trapezoid_weights(g2[idx2])
-        return (w1 * e1[idx1]) @ v[np.ix_(idx1, idx2)] @ (w2 * e2[idx2])
+        a = _trapezoid_weights(g1[idx1]) * e1[:, idx1]
+        b = _trapezoid_weights(g2[idx2]) * e2[:, idx2]
+        return a @ v[np.ix_(idx1, idx2)] @ b.T
 
     n1, n2 = g1.size, g2.size
     i1_full, i2_full = np.arange(n1), np.arange(n2)
@@ -206,15 +212,16 @@ def _tabulated2d_transform(pm: Tabulated2D, dt_prime: float, dt_dprime: float,
                    i2_half[_half_indices(i2_half.size)])
     extrap = full + (full - half) / 3.0
     extrap_coarse = half + (half - quarter) / 3.0
-    err = abs(extrap - extrap_coarse)
-    if err > _TAB2D_ACCEPT * max(1.0, abs(extrap)):
-        where = f" at cell {cell}" if cell is not None else ""
+    err = np.abs(extrap - extrap_coarse)
+    bad = np.argwhere(err > _TAB2D_ACCEPT * np.maximum(1.0, np.abs(extrap)))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
         raise IntegrationError(
-            f"2D tabulated transform inconsistent under grid halving{where} "
-            f"(estimated error {err:.3e}); the table is too coarse for "
-            f"delays ({dt_prime:.3e}, {dt_dprime:.3e})",
-            value=complex(extrap), error_estimate=float(err))
-    return complex(extrap)
+            f"2D tabulated transform inconsistent under grid halving at cell "
+            f"{(i, j)} (estimated error {err[i, j]:.3e}); the table is too "
+            f"coarse for delays ({taus_prime[i]:.3e}, {taus_dprime[j]:.3e})",
+            value=complex(extrap[i, j]), error_estimate=float(err[i, j]))
+    return extrap
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -245,8 +252,8 @@ def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
     if isinstance(pm, Tabulated2D):
         if not pm.is_normalized:
             raise ValueError("density must be normalized (call normalize() first)")
-        return CoherenceValue.from_complex(
-            _tabulated2d_transform(pm, delta_tau_prime, delta_tau_dprime))
+        return CoherenceValue.from_complex(complex(
+            _tabulated2d_transform(pm, [delta_tau_prime], [delta_tau_dprime])[0, 0]))
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")
 
 
@@ -281,12 +288,6 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
     if isinstance(pm, Tabulated2D):
         if not pm.is_normalized:
             raise ValueError("density must be normalized (call normalize() first)")
-        out = []
-        for i, tp in enumerate(gp):
-            row = []
-            for j, td in enumerate(gd):
-                row.append(CoherenceValue.from_complex(
-                    _tabulated2d_transform(pm, tp, td, cell=(i, j))))
-            out.append(row)
-        return out
+        return [[CoherenceValue.from_complex(z) for z in row]
+                for row in _tabulated2d_transform(pm, gp, gd).tolist()]
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")

@@ -24,7 +24,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import InsufficientSamplingError, IntegrationError
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind
 from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_length
-from .spectra import Separable
+from .spectra import joint_widths
 
 
 class SweepVariable(Enum):
@@ -385,13 +385,8 @@ def category_iii_specs(source: SourceModel, amps: AlternativeAmplitudes,
     residual fringes and the extractor flags it.
     """
     n_points = n_points | 1  # odd, so the origin is sampled exactly
-    pm = source.phase_matching
-    if isinstance(pm, Separable):
-        w_prime = SPEED_OF_LIGHT / pm.d1.characteristic_width
-        w_dprime = SPEED_OF_LIGHT / pm.d2.characteristic_width
-    else:
-        w_prime = SPEED_OF_LIGHT / (0.5 * float(pm.grid1[-1] - pm.grid1[0]))
-        w_dprime = SPEED_OF_LIGHT / (0.5 * float(pm.grid2[-1] - pm.grid2[0]))
+    w1, w2 = joint_widths(source.phase_matching)
+    w_prime, w_dprime = SPEED_OF_LIGHT / w1, SPEED_OF_LIGHT / w2
     fixed = ReducedParameters(0.0, 0.0, 0.0, delta_phi)
     spec_p = SweepSpec(SweepVariable.DELTA_L_PRIME, -widths * w_prime,
                        widths * w_prime, n_points, fixed, source, amps)

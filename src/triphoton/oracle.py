@@ -10,9 +10,17 @@ pump detuning. With the coupling off, the 3D sum must converge to the
 factorized product; with it on, the difference quantifies how fast the
 factorization degrades as the pump stops being narrowband.
 
-Trapezoid tensor quadrature is used deliberately: it shares no code or
-method with the adaptive engine in :mod:`triphoton.coherence`, so a
-disagreement localizes a bug instead of hiding it. Sums are plain numpy
+The double-prime axis is contracted first, leaving a profile over the
+prime detuning. A bilinear table is linear in the prime detuning between
+its knots, so its profile is the exact linear interpolation of the
+contracted column at the prime knots; the coupled prime sum then
+evaluates that profile at every shifted prime detuning in one array, with
+no loop over the pump axis. Memory stays O(n_pump * n_prime).
+
+Trapezoid tensor quadrature is used deliberately: it shares no method
+with the adaptive engine in :mod:`triphoton.coherence` (only the
+trapezoid-weight helper), so a disagreement localizes a bug instead of
+hiding it. Sums are plain numpy
 reductions (pairwise, deterministic at a fixed grid and single thread).
 """
 
@@ -23,10 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherence import DelayTriple
+from .coherence import DelayTriple, _trapezoid_weights
 from .pathgeom import carrier_omegas
 from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_time
-from .spectra import Separable, Tabulated2D
+from .spectra import Separable, Tabulated2D, joint_widths
 
 # Zero-delay magnitude of the interference term (2 * g * g' * cos with
 # everything at 1); relative errors are quoted against this scale.
@@ -97,14 +105,6 @@ class RatioErrorRow:
     rel_error: float
 
 
-def _trap_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.zeros(grid.size)
-    d = np.diff(grid)
-    w[:-1] += d / 2
-    w[1:] += d / 2
-    return w
-
-
 def _axes(source: SourceModel, cfg: OracleConfig):
     """Integration axes for (pump, prime, dprime) detunings.
 
@@ -143,32 +143,25 @@ def _axes(source: SourceModel, cfg: OracleConfig):
 def _triple_sum(source: SourceModel, delays: DelayTriple, cfg: OracleConfig) -> complex:
     """Tensor trapezoid of pump(w) pm(w'-s*w, w'') exp(-i(w dt + w' dt' + w'' dt''))."""
     pump_axis, prime_axis, dprime_axis = _axes(source, cfg)
-    s = cfg.slope
-    wp = _trap_weights(pump_axis)
-    w1 = _trap_weights(prime_axis)
-    w2 = _trap_weights(dprime_axis)
-    fp = np.asarray(source.pump.evaluate(pump_axis))
-    ep = wp * fp * np.exp(-1j * pump_axis * delays.delta_tau)
-    e1 = w1 * np.exp(-1j * prime_axis * delays.delta_tau_prime)
-    e2 = w2 * np.exp(-1j * dprime_axis * delays.delta_tau_dprime)
+    ep = (_trapezoid_weights(pump_axis) * np.asarray(source.pump.evaluate(pump_axis))
+          * np.exp(-1j * pump_axis * delays.delta_tau))
+    e1 = _trapezoid_weights(prime_axis) * np.exp(-1j * prime_axis * delays.delta_tau_prime)
+    e2 = _trapezoid_weights(dprime_axis) * np.exp(-1j * dprime_axis * delays.delta_tau_dprime)
 
+    # the dprime sum is taken first; what remains is a profile over the
+    # prime detuning, which the pump couples to only through the shift
+    shifted = prime_axis[None, :] - cfg.slope * pump_axis[:, None]
     pm = source.phase_matching
     if isinstance(pm, Separable):
-        # the dprime sum factors out; the prime sum couples to the pump
-        # axis only through the shift
         s2 = complex(np.asarray(pm.d2.evaluate(dprime_axis)) @ e2)
-        shifted = prime_axis[None, :] - s * pump_axis[:, None]
-        m = np.asarray(pm.d1.evaluate(shifted))
-        return complex(ep @ (m @ e1)) * s2
-    if s == 0.0:
-        v = np.asarray(pm.evaluate(prime_axis[:, None], dprime_axis[None, :]))
-        return complex((e1 @ v @ e2) * np.sum(ep))
-    total = 0.0 + 0.0j
-    for i in range(pump_axis.size):
-        v = np.asarray(pm.evaluate(prime_axis[:, None] - s * pump_axis[i],
-                                   dprime_axis[None, :]))
-        total += ep[i] * (e1 @ v @ e2)
-    return complex(total)
+        profile = np.asarray(pm.d1.evaluate(shifted)) * s2
+    else:
+        # bilinear: linear in the prime detuning between knots, so the
+        # column summed at the prime knots interpolates exactly
+        col = np.asarray(pm.evaluate(pm.grid1[:, None], dprime_axis[None, :])) @ e2
+        profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
+                   + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
+    return complex(ep @ (profile @ e1))
 
 
 def interference_term_3d(source: SourceModel, delays: DelayTriple,
@@ -206,13 +199,6 @@ def factorized_interference_term(source: SourceModel, delays: DelayTriple,
     return 2.0 * r.gamma_mag * r.gamma_prime_mag * math.cos(r.cosine_argument)
 
 
-def _pm_prime_width(source: SourceModel) -> float:
-    pm = source.phase_matching
-    if isinstance(pm, Separable):
-        return pm.d1.characteristic_width
-    return 0.5 * float(pm.grid1[-1] - pm.grid1[0])
-
-
 def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
                               ratios: list[float],
                               cfg: OracleConfig) -> list[RatioErrorRow]:
@@ -224,7 +210,7 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
-    pm_width = _pm_prime_width(source)
+    pm_width, _ = joint_widths(source.phase_matching)
     rows: list[RatioErrorRow] = []
     for ratio in ratios:
         factor = ratio * pm_width / source.pump.characteristic_width

@@ -375,8 +375,10 @@ class Tabulated(SpectralDensity):
         return (float(self.grid[0]), float(self.grid[-1]))
 
     def with_width_scaled(self, factor: float) -> "Tabulated":
+        # scaled about the peak, like the analytic shapes, which keep their center
         _check_width("factor", factor)
-        return Tabulated(self.grid * factor, self.values / factor)
+        c = self.center
+        return Tabulated(c + (self.grid - c) * factor, self.values / factor)
 
 
 @dataclass(frozen=True)
@@ -462,3 +464,17 @@ class Tabulated2D:
 
 
 JointSpectralDensity = Separable | Tabulated2D
+
+
+def joint_widths(pm: JointSpectralDensity) -> tuple[float, float]:
+    """Prime and double-prime axis widths (rad/s) of a joint density.
+
+    The characteristic widths of a separable density's factors; the grid
+    half-spans of a tabulated one.
+    """
+    if isinstance(pm, Separable):
+        return pm.d1.characteristic_width, pm.d2.characteristic_width
+    if isinstance(pm, Tabulated2D):
+        return (0.5 * float(pm.grid1[-1] - pm.grid1[0]),
+                0.5 * float(pm.grid2[-1] - pm.grid2[0]))
+    raise TypeError(f"unsupported joint density type {type(pm).__name__}")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
                                  gamma_prime, gamma_pump, transform_1d)
@@ -231,6 +233,38 @@ class TestSurfaceErrors:
         pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
         with pytest.raises(IntegrationError, match=r"cell \(1, 0\)"):
             coherence_surface(pm, [0.0, 1e4], [0.0])
+        # (0, 1), (1, 1), (2, 0) and (2, 1) fail; row-major order comes first
+        with pytest.raises(IntegrationError, match=r"cell \(0, 1\)"):
+            coherence_surface(pm, [0.0, 0.0, 1e4], [0.0, 1e4])
+
+
+def correlated_table(rho):
+    # spans +-8 sigma: on a table cut where the density is still ~1e-6 the
+    # Richardson step moves g'(0, 0) off 1 by ~1e-8 (the sampled continuum's
+    # truncated area), a property of the trapezoid model, not of the batching
+    g = np.linspace(-8, 8, 97)
+    x, y = g[:, None], g[None, :]
+    return Tabulated2D(g, g, np.exp(-(x * x - 2 * rho * x * y + y * y)
+                                    / (2 * (1 - rho * rho)))).normalize()
+
+
+_delays = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6)
+
+
+class TestTabulated2DSurfaceProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.floats(-0.7, 0.7), taus_prime=_delays, taus_dprime=_delays)
+    def test_surface_matches_pointwise_and_is_bounded(self, rho, taus_prime,
+                                                      taus_dprime):
+        pm = correlated_table(rho)
+        taus_prime, taus_dprime = [0.0] + taus_prime, [0.0] + taus_dprime
+        surf = coherence_surface(pm, taus_prime, taus_dprime)
+        assert surf[0][0].as_complex() == pytest.approx(1.0, abs=1e-9)
+        for i, tp in enumerate(taus_prime):
+            for j, td in enumerate(taus_dprime):
+                z = surf[i][j].as_complex()
+                assert abs(z) <= 1 + 1e-9
+                assert abs(z - gamma_prime(pm, tp, td).as_complex()) <= 1e-12
 
 
 class TestValueTypes:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from triphoton import oracle
 from triphoton.coherence import DelayTriple
 from triphoton.oracle import (INTERFERENCE_SCALE, LinearShift, OracleConfig,
                               factorization_error_sweep,
@@ -200,3 +201,30 @@ class TestTabulated2DJoint:
         t = interference_term_3d(src, DelayTriple(0, 0, 0), 0.0, cfg)
         # narrow pump: the coupling shift is tiny, the term stays near 2
         assert t.value == pytest.approx(2.0, abs=1e-2)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.7])
+    def test_coupled_sum_matches_per_pump_row_loop(self, slope):
+        # reference: the table evaluated on the full shifted (prime, dprime)
+        # grid once per pump row, with no interpolation of partial sums
+        g1 = 0.3 * SIGMA_PM + np.linspace(-8 * SIGMA_PM, 8 * SIGMA_PM, 97)
+        g2 = np.linspace(-6 * SIGMA_PM, 6 * SIGMA_PM, 81)
+        x, y = g1[:, None] / SIGMA_PM, g2[None, :] / (0.7 * SIGMA_PM)
+        pm2d = Tabulated2D(g1, g2, np.exp(-(x * x - 1.2 * x * y + y * y) / 1.28)).normalize()
+        src = SourceModel.cpdc(Gaussian(sigma=1e12, center_offset=2e11), pm2d, CENTRALS)
+        cfg = OracleConfig(n_pump=41, n_prime=65, n_dprime=49,
+                           pump_coupling=LinearShift(slope))
+        d = DelayTriple(0.6e-12, 0.35 / SIGMA_PM, -0.5 / SIGMA_PM)
+
+        pump_axis, prime_axis, dprime_axis = oracle._axes(src, cfg)
+        ep = (oracle._trapezoid_weights(pump_axis) * src.pump.evaluate(pump_axis)
+              * np.exp(-1j * pump_axis * d.delta_tau))
+        e1 = oracle._trapezoid_weights(prime_axis) * np.exp(-1j * prime_axis * d.delta_tau_prime)
+        e2 = oracle._trapezoid_weights(dprime_axis) * np.exp(-1j * dprime_axis * d.delta_tau_dprime)
+        ref = 0.0 + 0.0j
+        for i in range(pump_axis.size):
+            v = pm2d.evaluate(prime_axis[:, None] - slope * pump_axis[i], dprime_axis[None, :])
+            ref += ep[i] * (e1 @ v @ e2)
+
+        got = oracle._triple_sum(src, d, cfg)
+        assert abs(ref) > 0.1
+        assert abs(got - ref) <= 1e-12 * INTERFERENCE_SCALE

@@ -5,7 +5,7 @@ import pytest
 
 from triphoton.errors import NormalizationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
-                               Tabulated, Tabulated2D)
+                               Tabulated, Tabulated2D, joint_widths)
 
 ALL_SHAPES = [Gaussian(sigma=1.0), Lorentzian(gamma=1.0), SincSquared(width=1.0)]
 
@@ -129,6 +129,25 @@ def test_width_scaling_preserves_area():
             1.0, abs=1e-6)
     t = Tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]).with_width_scaled(2.0)
     assert t.area == pytest.approx(1.0, rel=1e-12)
+
+
+def test_tabulated_width_scaling_keeps_off_carrier_peak():
+    grid = np.linspace(-3e12, 3e12, 201)
+    t = Tabulated(grid, np.exp(-grid ** 2 / (2 * 1e24)), center_offset=2e12).normalize()
+    scaled = t.with_width_scaled(0.5)
+    assert scaled.center == pytest.approx(2e12, rel=1e-12)
+    assert scaled.characteristic_width == pytest.approx(
+        0.5 * t.characteristic_width, rel=1e-9)
+    assert scaled.area == pytest.approx(1.0, rel=1e-12)
+
+
+def test_joint_widths():
+    pm = Separable(Gaussian(sigma=2.0), Lorentzian(gamma=3.0))
+    assert joint_widths(pm) == (2.0, 3.0)
+    tab = Tabulated2D(np.linspace(-1, 3, 5), np.linspace(-6, 2, 9), np.ones((5, 9)))
+    assert joint_widths(tab) == (2.0, 4.0)
+    with pytest.raises(TypeError):
+        joint_widths(Gaussian(sigma=1.0))
 
 
 def test_separable_is_pointwise_product():
