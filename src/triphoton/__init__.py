@@ -23,7 +23,7 @@ from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
 from .coherence import (CoherenceValue, DelayTriple, coherence_surface,
                         gamma_prime, gamma_pump, transform_1d)
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
-                    rate_general, rate_length, rate_time)
+                    rate_length, rate_time)
 from .oracle import (LinearShift, OracleConfig, OracleTerm, RatioErrorRow,
                      factorization_error_sweep, factorized_interference_term,
                      interference_term_3d, max_error_by_ratio)
@@ -51,8 +51,8 @@ __all__ = [
     "CoherenceValue", "DelayTriple", "coherence_surface", "gamma_prime",
     "gamma_pump", "transform_1d",
     # rates
-    "AlternativeAmplitudes", "RateResult", "SourceModel", "rate_general",
-    "rate_length", "rate_time",
+    "AlternativeAmplitudes", "RateResult", "SourceModel", "rate_length",
+    "rate_time",
     # oracle
     "LinearShift", "OracleConfig", "OracleTerm", "RatioErrorRow",
     "factorization_error_sweep", "factorized_interference_term",

@@ -110,8 +110,11 @@ def _segmented_fourier(f, knots: np.ndarray, delay: float) -> tuple[complex, flo
     widths = np.diff(knots)
     n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE)
                        .astype(int))
-    piece_lo = np.repeat(knots[:-1], n_sub) + np.concatenate(
-        [w * np.arange(k) / k for w, k in zip(widths, n_sub)])
+    # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
+    first = np.cumsum(n_sub) - n_sub
+    j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)
+    piece_lo = np.repeat(knots[:-1], n_sub) + (
+        np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub))
     piece_w = np.repeat(widths / n_sub, n_sub)
 
     def rule(nodes_weights):

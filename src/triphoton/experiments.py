@@ -7,9 +7,11 @@ varies the asymmetry lengths (fringeless dip or hump tracing the
 phase-matching coherence envelope, the three-photon analog of a
 Hong-Ou-Mandel scan).
 
-Sweeps produce plain tables of (parameter value, rate result) rows;
-metric extraction works on the tables alone so it applies equally to the
-CLI's CSV pipeline.
+Sweeps produce plain tables of (parameter value, rate result) rows. A
+sweep computes each coherence factor once per distinct delay, so a phase
+scan pays for its two factors once rather than once per row. Metric
+extraction works on the tables alone so it applies equally to the CLI's
+CSV pipeline.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import InsufficientSamplingError, IntegrationError
-from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind
-from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_length
+from .coherence import DelayTriple, gamma_prime, gamma_pump
+from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
+                       carrier_omegas)
+from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
+                    _assemble_rate, _native_pm_delays)
 from .spectra import joint_widths
 
 
@@ -90,17 +95,40 @@ def _apply(params: ReducedParameters, variable: SweepVariable,
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the rate across the sweep; aborts on the first bad row."""
+    """Evaluate the rate across the sweep; aborts on the first bad row.
+
+    Each coherence factor is computed once per distinct delay (g per
+    collective delay, g' per native asymmetry-delay pair), lazily in row
+    order, so the sweep fails at the row where :func:`rate_length` would.
+    Every row is the assembly :func:`rate_length` performs, bit for bit.
+    """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
+    source, choice = spec.source, spec.fixed.topdc_choice
+    carriers = carrier_omegas(source.centrals, source.kind, choice)
+    amplitude_visibility, baseline = spec.amps.amplitude_visibility, spec.amps.baseline
+    # +0.0 and -0.0 share a key; a zero delay comes from a single row or has
+    # the same sign in every row, so no row reads a factor of the other sign
+    g_memo, gp_memo = {}, {}
     results = []
     for i, v in enumerate(values):
         params = _apply(spec.fixed, spec.variable, float(v))
+        delays = DelayTriple.from_lengths(params.delta_l, params.delta_l_prime,
+                                          params.delta_l_dprime)
+        pm_delays = _native_pm_delays(source.kind, choice, delays.delta_tau_prime,
+                                      delays.delta_tau_dprime)
         try:
-            results.append(rate_length(spec.source, params, spec.amps))
+            g = g_memo.get(delays.delta_tau)
+            if g is None:
+                g = g_memo[delays.delta_tau] = gamma_pump(source.pump, delays.delta_tau)
+            gp = gp_memo.get(pm_delays)
+            if gp is None:
+                gp = gp_memo[pm_delays] = gamma_prime(source.phase_matching, *pm_delays)
         except IntegrationError as e:
             raise IntegrationError(
                 f"sweep row {i} ({spec.variable.value} = {v!r}): {e}",
                 value=e.value, error_estimate=e.error_estimate) from e
+        results.append(_assemble_rate(delays, params.delta_phi, g, gp, carriers,
+                                      amplitude_visibility, baseline))
     return SweepTable(variable=spec.variable, values=values, results=tuple(results))
 
 

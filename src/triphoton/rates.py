@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coherence import DelayTriple, gamma_pump, gamma_prime
+from .coherence import CoherenceValue, DelayTriple, gamma_pump, gamma_prime
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind, carrier_omegas
 from .spectra import JointSpectralDensity, SpectralDensity
 
@@ -129,34 +129,31 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
     """Rate as a function of the three delays (s) and the phase difference.
 
     With equal amplitudes this is the C [1 + g g' cos(...)] form; unequal
-    amplitudes give the general bracket (see :func:`rate_general`).
+    amplitudes give the general bracket with its 2|K1||K2| factor.
     """
     g = gamma_pump(source.pump, delays.delta_tau, method=method)
     u, v = _native_pm_delays(source.kind, choice,
                              delays.delta_tau_prime, delays.delta_tau_dprime)
     gp = gamma_prime(source.phase_matching, u, v, method=method)
-    w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind, choice)
+    return _assemble_rate(delays, delta_phi, g, gp,
+                          carrier_omegas(source.centrals, source.kind, choice),
+                          amps.amplitude_visibility, amps.baseline)
+
+
+def _assemble_rate(delays: DelayTriple, delta_phi: float, g: CoherenceValue,
+                   gp: CoherenceValue, carriers: tuple[float, float, float],
+                   amplitude_visibility: float, baseline: float) -> RateResult:
+    """The rate bracket from its two coherence factors and the constants
+    (carrier omegas, amplitude visibility, baseline) of the setup."""
+    w_p0, w0_prime, w0_dprime = carriers
     arg = (w_p0 * delays.delta_tau
            + w0_prime * delays.delta_tau_prime
            + w0_dprime * delays.delta_tau_dprime
            + delta_phi + g.phase + gp.phase)
-    vis = amps.amplitude_visibility * g.magnitude * gp.magnitude
-    baseline = amps.baseline
+    vis = amplitude_visibility * g.magnitude * gp.magnitude
     rate = baseline * (1.0 + vis * math.cos(arg))
     return RateResult(rate=rate, gamma_mag=g.magnitude, gamma_prime_mag=gp.magnitude,
                       cosine_argument=arg, visibility_bound=vis, baseline=baseline)
-
-
-def rate_general(source: SourceModel, delays: DelayTriple, delta_phi: float,
-                 amps: AlternativeAmplitudes, *, choice: int = 1,
-                 method: str = "auto") -> RateResult:
-    """General unequal-amplitude rate bracket.
-
-    The interference term carries the factor 2|K1||K2| that makes the
-    equal-amplitude limit exact: K1 == K2 reproduces :func:`rate_time`
-    to the last bit (it is the same assembly).
-    """
-    return rate_time(source, delays, delta_phi, amps, choice=choice, method=method)
 
 
 def rate_length(source: SourceModel, lengths: ReducedParameters,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triphoton import coherence
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
                                  gamma_prime, gamma_pump, transform_1d)
 from triphoton.constants import SPEED_OF_LIGHT
@@ -225,6 +226,45 @@ class TestOscillatorySafeguard:
     def test_huge_delay_tabulated(self):
         z = transform_1d(asym_tabulated(), 2e4)
         assert abs(z) <= 1e-6  # coherence long gone at such delays
+
+
+def _segmented_fourier_listcomp(f, knots, delay):
+    # the piece layout built by a Python loop over the knots; the array
+    # layout must reproduce its nodes, and so its sums, bit for bit
+    widths = np.diff(knots)
+    n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths
+                                  / coherence._MAX_PHASE_PER_PIECE).astype(int))
+    piece_lo = np.repeat(knots[:-1], n_sub) + np.concatenate(
+        [w * np.arange(k) / k for w, k in zip(widths, n_sub)])
+    piece_w = np.repeat(widths / n_sub, n_sub)
+
+    def rule(nodes_weights):
+        x_ref, w_ref = nodes_weights
+        x = piece_lo[:, None] + (0.5 * piece_w)[:, None] * (x_ref[None, :] + 1.0)
+        w = (0.5 * piece_w)[:, None] * w_ref[None, :]
+        vals = np.asarray(f(x)) * np.exp(-1j * x * delay)
+        return complex(np.sum(w * vals))
+
+    z_hi = rule(coherence._GL_HI)
+    z_lo = rule(coherence._GL_LO)
+    return z_hi, abs(z_hi - z_lo)
+
+
+class TestSegmentedFourierLayout:
+    def test_matches_per_knot_layout_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, 61)) * 0.1
+        grid -= grid[0] + 2.0
+        vals = np.exp(-grid ** 2) * (1.0 + rng.uniform(0.0, 0.3, grid.size))
+        density = Tabulated(grid, vals).normalize()
+        widths = np.diff(density.grid)
+        mixed = 1.6 / float(np.median(widths))  # splits only the wider pieces
+        n_sub = np.ceil(mixed * widths / coherence._MAX_PHASE_PER_PIECE)
+        assert n_sub.min() == 1 and n_sub.max() > 1
+        for delay in (0.0, -0.0, 0.3, mixed, -mixed, 3.7 * mixed, 2e4):
+            assert (coherence._segmented_fourier(density.evaluate, density.grid, delay)
+                    == _segmented_fourier_listcomp(density.evaluate, density.grid,
+                                                   delay))
 
 
 class TestSurfaceErrors:

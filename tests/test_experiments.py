@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triphoton import coherence
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.coherence import gamma_pump
-from triphoton.errors import InsufficientSamplingError
+from triphoton.errors import InsufficientSamplingError, IntegrationError
 from triphoton.experiments import (ExtremumKind, SweepSpec, SweepTable,
                                    SweepVariable, category_i_spec,
                                    category_ii_spec, category_iii_specs,
@@ -14,9 +18,10 @@ from triphoton.experiments import (ExtremumKind, SweepSpec, SweepTable,
                                    extract_fringe_metrics, fringe_visibility_at,
                                    pump_coherence_length, run_sweep)
 from triphoton.pathgeom import CentralFrequencies, ReducedParameters, SourceKind
-from triphoton.rates import AlternativeAmplitudes, RateResult, SourceModel
+from triphoton.rates import (AlternativeAmplitudes, RateResult, SourceModel,
+                             rate_length)
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
-                               Tabulated2D)
+                               Tabulated, Tabulated2D)
 
 AMPS = AlternativeAmplitudes.balanced(1.0)
 
@@ -71,6 +76,33 @@ class TestRunSweep:
         with pytest.raises(Exception, match="sweep row 0"):
             run_sweep(spec)
 
+    def test_first_failing_row_is_reported(self):
+        # the memoized factors must fail at the row rate_length fails at
+        # first, here past row 0 since the zero delay is always resolved
+        g = np.linspace(-1e12, 1e12, 9)
+        pm = Tabulated2D(
+            g, g, np.outer(1 - np.abs(g) / 1e12, 1 - np.abs(g) / 1e12)).normalize()
+        src = SourceModel.cpdc(Gaussian(sigma=1e11), pm,
+                               CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
+        spec = SweepSpec(SweepVariable.DELTA_L_PRIME, 0.0, 1e-4, 9,
+                         ReducedParameters(0.0, 0.0, 0.0, 0.0), src, AMPS)
+        expected = _rows_by_rate_length(spec)
+        k = len(expected)
+        assert 0 < k < spec.n_points
+        with pytest.raises(IntegrationError, match=rf"^sweep row {k} \("):
+            run_sweep(spec)
+
+    def test_phase_sweep_computes_each_factor_once(self, monkeypatch):
+        calls = []
+        transform = coherence.transform_1d
+        monkeypatch.setattr(coherence, "transform_1d",
+                            lambda *a, **k: calls.append(a[1]) or transform(*a, **k))
+        spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 2 * math.pi, 9,
+                         ReducedParameters(1.3 * _L, -0.4 * _L, 0.7 * _L),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        run_sweep(spec)
+        assert len(calls) == 3  # pump, then both phase-matching axes
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.DELTA_PHI, 0.0, 1.0, 2,
@@ -78,6 +110,120 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.DELTA_PHI, 1.0, 0.0, 9,
                       ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
+
+
+_W = 1e13  # rad/s, spectral width scale of the property-test sources
+_L = SPEED_OF_LIGHT / _W  # matching length scale (m)
+_CENTRALS = {SourceKind.CPDC: CentralFrequencies(2.4e15, 1.3e15, 1.1e15),
+             SourceKind.TOPDC: CentralFrequencies(1.1e15, 1.3e15, 0.9e15)}
+_SWEPT = {SweepVariable.DELTA_PHI: ("delta_phi",),
+          SweepVariable.DELTA_L: ("delta_l",),
+          SweepVariable.DELTA_L_PRIME: ("delta_l_prime",),
+          SweepVariable.DELTA_L_DPRIME: ("delta_l_dprime",),
+          SweepVariable.DIAGONAL: ("delta_l_prime", "delta_l_dprime")}
+
+
+def _two_peak_table(seed, width):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, 1.5, 41))
+    x = (x - x.mean()) * (8.0 / (x[-1] - x[0]))
+    vals = np.exp(-(x - 1.0) ** 2) + 0.5 * np.exp(-2.0 * (x + 1.5) ** 2)
+    return Tabulated(x * width, vals, center_offset=0.3 * width).normalize()
+
+
+def analytic_source(kind):
+    return SourceModel(kind, Gaussian(sigma=_W, center_offset=0.2 * _W),
+                       Separable(Lorentzian(gamma=2 * _W),
+                                 SincSquared(width=1.5 * _W)), _CENTRALS[kind])
+
+
+def tabulated_source(kind):
+    return SourceModel(kind, _two_peak_table(1, _W),
+                       Separable(_two_peak_table(2, 2 * _W),
+                                 _two_peak_table(3, 1.5 * _W)), _CENTRALS[kind])
+
+
+def tabulated2d_source(kind):
+    g = np.linspace(-8, 8, 161)
+    x, y = g[:, None], g[None, :]
+    pm = Tabulated2D(g * 2 * _W, g * 1.5 * _W,
+                     np.exp(-(x * x - x * y + y * y) / 1.5)).normalize()
+    return SourceModel(kind, _two_peak_table(1, _W), pm, _CENTRALS[kind])
+
+
+SOURCES = {"analytic": analytic_source, "tabulated": tabulated_source,
+           "tabulated2d": tabulated2d_source}
+
+
+def _rows_by_rate_length(spec):
+    """rate_length on each row's parameters, up to the first failing row."""
+    rows = []
+    for v in np.linspace(spec.start, spec.stop, spec.n_points):
+        params = replace(spec.fixed, **dict.fromkeys(_SWEPT[spec.variable], float(v)))
+        try:
+            rows.append(rate_length(spec.source, params, spec.amps))
+        except IntegrationError:
+            break
+    return rows
+
+
+def assert_sweep_matches_rate_length(spec):
+    expected = _rows_by_rate_length(spec)
+    if len(expected) < spec.n_points:
+        with pytest.raises(IntegrationError, match=rf"^sweep row {len(expected)} \("):
+            run_sweep(spec)
+        return
+    table = run_sweep(spec)
+    assert len(table) == len(expected)
+    for got, want in zip(table.results, expected):
+        assert got == want
+        assert repr(got) == repr(want)  # signed zeros too
+
+
+_lengths = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+class TestSweepMatchesRateLength:
+    @settings(max_examples=100, deadline=None)
+    @given(variable=st.sampled_from(list(SweepVariable)),
+           labeling=st.sampled_from([(SourceKind.CPDC, 1), (SourceKind.TOPDC, 1),
+                                     (SourceKind.TOPDC, 2), (SourceKind.TOPDC, 3)]),
+           source=st.sampled_from(list(SOURCES)),
+           fixed=st.tuples(_lengths, _lengths, _lengths, st.floats(0.0, 6.3)),
+           symmetric=st.booleans(), lo=st.floats(-3.0, 2.5),
+           span=st.floats(0.1, 3.0), half_points=st.integers(1, 4),
+           amps=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+                          st.floats(0.1, 3.0)))
+    def test_every_row_equals_rate_length(self, variable, labeling, source, fixed,
+                                          symmetric, lo, span, half_points, amps):
+        kind, choice = labeling
+        scale = 1.0 if variable is SweepVariable.DELTA_PHI else _L
+        start, stop = (-span, span) if symmetric else (lo, lo + span)
+        dl, dlp, dldp, dphi = fixed
+        params = ReducedParameters(dl * _L, dlp * _L, dldp * _L, dphi,
+                                   topdc_choice=choice)
+        spec = SweepSpec(variable, start * scale, stop * scale, 2 * half_points + 1,
+                         params, SOURCES[source](kind), AlternativeAmplitudes(*amps))
+        assert_sweep_matches_rate_length(spec)
+
+    @pytest.mark.parametrize("choice", [2, 3])
+    def test_cpdc_rejects_topdc_choices_before_any_row(self, choice):
+        spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 1.0, 3,
+                         ReducedParameters(0.0, 0.0, 0.0, topdc_choice=choice),
+                         analytic_source(SourceKind.CPDC), AMPS)
+        with pytest.raises(ValueError, match="CPDC"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("choice", [1, 2, 3])
+    @pytest.mark.parametrize("variable", list(SweepVariable))
+    def test_zero_crossing_scans(self, variable, choice):
+        # choices 2 and 3 negate a zero delay into -0.0; the memo keys
+        # compare +0.0 and -0.0 equal, so the origin row must still match
+        spec = SweepSpec(variable, -2.0 * _L, 2.0 * _L, 9,
+                         ReducedParameters(0.0, 0.0, 0.0, 0.5, topdc_choice=choice),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        assert 0.0 in np.linspace(spec.start, spec.stop, spec.n_points)
+        assert_sweep_matches_rate_length(spec)
 
 
 class TestCategoryI:

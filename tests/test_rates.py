@@ -7,8 +7,8 @@ from triphoton.coherence import DelayTriple
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
                                 SourceKind, reduce_topdc)
-from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_general,
-                             rate_length, rate_time)
+from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
+                             rate_time)
 from triphoton.spectra import Gaussian, Lorentzian, Separable
 from test_pathgeom import random_config
 
@@ -90,22 +90,15 @@ class TestLengthForm:
 class TestGeneralAmplitudes:
     def test_single_alternative_no_interference(self):
         amps = AlternativeAmplitudes(k1_mag=1.3, k2_mag=0.0, c_mag_sq=0.7)
-        r = rate_general(gaussian_cpdc(), ZERO, 0.3, amps)
+        r = rate_time(gaussian_cpdc(), ZERO, 0.3, amps)
         assert r.rate == pytest.approx(0.7 * 1.3 ** 2, rel=1e-12)
         assert r.visibility_bound == 0.0
-
-    def test_equal_amplitude_specialization(self):
-        amps_eq = AlternativeAmplitudes(0.5, 0.5, 2.0)
-        delays = DelayTriple(3e-13, 1e-13, -2e-13)
-        a = rate_general(gaussian_cpdc(), delays, 0.9, amps_eq)
-        b = rate_time(gaussian_cpdc(), delays, 0.9, amps_eq)
-        assert a == b
 
     def test_unequal_amplitude_bracket_value(self):
         # K1=1, K2=1/2 at the fully destructive point:
         # 1 + 1/4 + 2*(1/2)*(-1) = 1/4
         amps = AlternativeAmplitudes(k1_mag=1.0, k2_mag=0.5, c_mag_sq=1.0)
-        r = rate_general(gaussian_cpdc(), ZERO, math.pi, amps)
+        r = rate_time(gaussian_cpdc(), ZERO, math.pi, amps)
         assert r.gamma_mag == pytest.approx(1.0, abs=1e-12)
         assert r.gamma_prime_mag == pytest.approx(1.0, abs=1e-12)
         assert r.rate == pytest.approx(0.25, abs=1e-12)
@@ -119,7 +112,7 @@ class TestGeneralAmplitudes:
             delays = DelayTriple(rng.uniform(-3e-12, 3e-12),
                                  rng.uniform(-3e-13, 3e-13),
                                  rng.uniform(-3e-13, 3e-13))
-            r = rate_general(src, delays, rng.uniform(0, 2 * math.pi), amps)
+            r = rate_time(src, delays, rng.uniform(0, 2 * math.pi), amps)
             assert r.rate >= -1e-12
             assert 0.0 <= r.visibility_bound <= 1.0 + 1e-9
 
