@@ -142,10 +142,13 @@ class _KeyStore:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise ParseError(f"{key}: {raw!r} is not a number",
-                             line_no=self.entries[key][1]) from None
+            value = math.nan
+        if not math.isfinite(value):  # no quantity of the format may be inf or nan
+            raise ParseError(f"{key}: {raw!r} is not a finite number",
+                             line_no=self.entries[key][1])
+        return value
 
     def get_int(self, key: str, default=None, required: bool = False):
         raw = self.get(key, required=required)
@@ -163,21 +166,22 @@ class _KeyStore:
             raise ValidationError(f"unknown key {key!r}")
 
 
+# analytic shape -> (density class, its width field, config key of the width)
+_SHAPES = {"gaussian": (Gaussian, "sigma", "sigma_rad_s"),
+           "lorentzian": (Lorentzian, "gamma", "gamma_rad_s"),
+           "sinc_squared": (SincSquared, "width", "width_rad_s")}
+
+
 def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
     shape = store.get(f"{prefix}.shape", required=True).lower()
     offset = store.get_float(f"{prefix}.center_offset_rad_s", default=0.0)
-    if shape == "gaussian":
-        width = store.get_float(f"{prefix}.sigma_rad_s", required=True)
-        _require_positive(f"{prefix}.sigma_rad_s", width)
-        return Gaussian(sigma=width, center_offset=offset)
-    if shape == "lorentzian":
-        width = store.get_float(f"{prefix}.gamma_rad_s", required=True)
-        _require_positive(f"{prefix}.gamma_rad_s", width)
-        return Lorentzian(gamma=width, center_offset=offset)
-    if shape == "sinc_squared":
-        width = store.get_float(f"{prefix}.width_rad_s", required=True)
-        _require_positive(f"{prefix}.width_rad_s", width)
-        return SincSquared(width=width, center_offset=offset)
+    if shape in _SHAPES:
+        cls, field, key = _SHAPES[shape]
+        width = store.get_float(f"{prefix}.{key}", required=True)
+        try:  # the density checks its own width and offset
+            return cls(**{field: width}, center_offset=offset)
+        except ValueError as e:
+            raise ValidationError(f"{prefix}: {e}") from e
     if shape == "tabulated":
         rel = store.get(f"{prefix}.file", required=True)
         path = Path(rel)
@@ -190,11 +194,6 @@ def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
         except (ValueError, NormalizationError) as e:
             raise ValidationError(f"{prefix}.file: {e}") from e
     raise ValidationError(f"{prefix}.shape: unknown shape {shape!r}")
-
-
-def _require_positive(key: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{key} must be positive, got {value!r}")
 
 
 def _build_geometry(store: _KeyStore, kind: SourceKind):
@@ -251,7 +250,8 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     wavelengths = {}
     for key in ("source.lambda_a_nm", "source.lambda_b_nm", "source.lambda_c_nm"):
         v = store.get_float(key, required=True)
-        _require_positive(key, v)
+        if not v > 0:
+            raise ValidationError(f"{key} must be positive, got {v!r}")
         wavelengths[key] = v
     centrals = CentralFrequencies.from_wavelengths_nm(
         wavelengths["source.lambda_a_nm"], wavelengths["source.lambda_b_nm"],
@@ -280,12 +280,11 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
         start = store.get_float("sweep.start", required=True)
         stop = store.get_float("sweep.stop", required=True)
         n = store.get_int("sweep.n_points", required=True)
-        if n < 3:
-            raise ValidationError("sweep.n_points must be at least 3")
-        if not start < stop:
-            raise ValidationError("sweep.start must be below sweep.stop")
-        sweep = SweepSpec(_SWEEP_VARIABLES[var_raw], start, stop, n,
-                          geometry, source, amps)
+        try:
+            sweep = SweepSpec(_SWEEP_VARIABLES[var_raw], start, stop, n,
+                              geometry, source, amps)
+        except ValueError as e:
+            raise ValidationError(f"sweep.{e}") from e  # names the sweep.* key
 
     ratios_raw = store.get("validate.ratios")
     if ratios_raw is not None:
@@ -325,33 +324,36 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     )
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+def _row_format(precision: int, n_fields: int, prefix: str = ""):
+    """Formatter of a CSV line: ``prefix``, then ``n_fields`` numbers, each
+    to ``precision`` significant digits."""
+    return (prefix + ",".join([f"{{:.{precision}g}}"] * n_fields)).format
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
+    """Write the header and one already joined line per row."""
+    lines = [",".join(header), *rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _sweep_metrics_rows(table: SweepTable, precision: int) -> list[list[str]]:
+def _sweep_metrics_rows(table: SweepTable, precision: int) -> list[str]:
     fringe_like = table.variable in (SweepVariable.DELTA_PHI, SweepVariable.DELTA_L)
+    num = _row_format(precision, 1)
     try:
         if fringe_like:
             m = extract_fringe_metrics(table)
-            return [["status", "ok"],
-                    ["visibility", _fmt(m.visibility, precision)],
-                    ["period", _fmt(m.period, precision)],
-                    ["envelope_halfwidth", _fmt(m.envelope_halfwidth, precision)]]
+            return ["status,ok",
+                    f"visibility,{num(m.visibility)}",
+                    f"period,{num(m.period)}",
+                    f"envelope_halfwidth,{num(m.envelope_halfwidth)}"]
         p = extract_dip_profile(table)
-        return [["status", "ok"],
-                ["extremum_kind", p.extremum_kind.value],
-                ["depth", _fmt(p.depth, precision)],
-                ["fwhm", _fmt(p.fwhm, precision)],
-                ["not_monotone", str(p.not_monotone).lower()]]
+        return ["status,ok",
+                f"extremum_kind,{p.extremum_kind.value}",
+                f"depth,{num(p.depth)}",
+                f"fwhm,{num(p.fwhm)}",
+                f"not_monotone,{str(p.not_monotone).lower()}"]
     except (InsufficientSamplingError, ValueError) as e:
-        return [["status", "extraction_failed"], ["reason", str(e)]]
+        return ["status,extraction_failed", f"reason,{e}"]
 
 
 def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
@@ -359,10 +361,10 @@ def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
         raise ValidationError("sweep subcommand requires a sweep section")
     table = run_sweep(config.sweep)
     prec = config.csv_precision
-    name = table.variable.value
-    rows = [[name, _fmt(v, prec), _fmt(r.rate, prec), _fmt(r.gamma_mag, prec),
-             _fmt(r.gamma_prime_mag, prec), _fmt(r.cosine_argument, prec)]
-            for v, r in zip(table.values, table.results)]
+    line = _row_format(prec, 5, table.variable.value + ",")
+    columns = (table.values, table.rates, table.gamma_mag, table.gamma_prime_mag,
+               table.cosine_argument)
+    rows = [line(*row) for row in zip(*(c.tolist() for c in columns))]
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, ["parameter_name", "parameter_value", "rate",
                             "gamma_mag", "gamma_prime_mag", "cosine_argument"], rows)
@@ -389,12 +391,10 @@ def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
                        pump_coupling=coupling)
     rows = factorization_error_sweep(config.source, _validate_delays(config),
                                      list(spec.ratios), cfg)
-    prec = config.csv_precision
-    out_rows = [[_fmt(r.ratio, prec), _fmt(r.delays.delta_tau, prec),
-                 _fmt(r.delays.delta_tau_prime, prec),
-                 _fmt(r.delays.delta_tau_dprime, prec),
-                 _fmt(r.factorized, prec), _fmt(r.oracle, prec),
-                 _fmt(r.rel_error, prec)] for r in rows]
+    line = _row_format(config.csv_precision, 7)
+    out_rows = [line(r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
+                     r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)
+                for r in rows]
     path = out_dir / "validate.csv"
     _write_csv(path, ["ratio", "delta_tau", "delta_tau_prime", "delta_tau_dprime",
                       "factorized", "oracle", "rel_error"], out_rows)

@@ -7,24 +7,26 @@ varies the asymmetry lengths (fringeless dip or hump tracing the
 phase-matching coherence envelope, the three-photon analog of a
 Hong-Ou-Mandel scan).
 
-Sweeps produce plain tables of (parameter value, rate result) rows. A
-sweep computes each coherence factor once per distinct delay, so a phase
-scan pays for its two factors once rather than once per row. Metric
-extraction works on the tables alone so it applies equally to the CLI's
-CSV pipeline.
+A sweep produces a table of numpy columns: the parameter values, the
+rate and its interference ingredients, one entry per row. The reduced
+parameters and delays are columns too, and the rate is assembled for all
+rows at once; only the coherence factors are computed per distinct delay,
+so a phase scan pays for its two factors once rather than once per row.
+Metric extraction works on the tables alone so it applies equally to the
+CLI's CSV pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import InsufficientSamplingError, IntegrationError
-from .coherence import DelayTriple, gamma_prime, gamma_pump
+from .coherence import gamma_prime, gamma_pump
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
@@ -61,75 +63,75 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Ascending parameter values with one rate result per row."""
+    """A sweep as numpy columns: ascending parameter values and, per row,
+    the :class:`RateResult` fields but the baseline, which all rows share."""
 
     variable: SweepVariable
     values: np.ndarray
-    results: tuple[RateResult, ...]
+    rates: np.ndarray
+    gamma_mag: np.ndarray
+    gamma_prime_mag: np.ndarray
+    cosine_argument: np.ndarray
+    visibility_bound: np.ndarray
+    baseline: float
 
     @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.rate for r in self.results])
-
-    @property
-    def baseline(self) -> float:
-        return self.results[0].baseline
+    def results(self) -> tuple[RateResult, ...]:
+        """The rows as :class:`RateResult` values with Python-float fields."""
+        columns = (self.rates, self.gamma_mag, self.gamma_prime_mag,
+                   self.cosine_argument, self.visibility_bound)
+        return tuple(RateResult(*row, float(self.baseline))
+                     for row in zip(*(c.tolist() for c in columns)))
 
     def __len__(self) -> int:
-        return len(self.results)
-
-
-def _apply(params: ReducedParameters, variable: SweepVariable,
-           value: float) -> ReducedParameters:
-    if variable is SweepVariable.DELTA_PHI:
-        return replace(params, delta_phi=value)
-    if variable is SweepVariable.DELTA_L:
-        return replace(params, delta_l=value)
-    if variable is SweepVariable.DELTA_L_PRIME:
-        return replace(params, delta_l_prime=value)
-    if variable is SweepVariable.DELTA_L_DPRIME:
-        return replace(params, delta_l_dprime=value)
-    if variable is SweepVariable.DIAGONAL:
-        return replace(params, delta_l_prime=value, delta_l_dprime=value)
-    raise ValueError(f"unknown sweep variable {variable!r}")
+        return len(self.values)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the rate across the sweep; aborts on the first bad row.
 
-    Each coherence factor is computed once per distinct delay (g per
-    collective delay, g' per native asymmetry-delay pair), lazily in row
-    order, so the sweep fails at the row where :func:`rate_length` would.
-    Every row is the assembly :func:`rate_length` performs, bit for bit.
+    Parameters and delays are numpy columns, and one array-valued assembly
+    makes every row. Each coherence factor is computed once per distinct
+    delay (g per collective delay, g' per native asymmetry-delay pair),
+    lazily in row order, so the sweep fails at the row where
+    :func:`rate_length` would; every row equals it bit for bit.
     """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
     source, choice = spec.source, spec.fixed.topdc_choice
     carriers = carrier_omegas(source.centrals, source.kind, choice)
-    amplitude_visibility, baseline = spec.amps.amplitude_visibility, spec.amps.baseline
+    swept = (("delta_l_prime", "delta_l_dprime")
+             if spec.variable is SweepVariable.DIAGONAL else (spec.variable.value,))
+    dl, dlp, dldp, dphi = (
+        values if name in swept
+        else np.full(values.size, float(getattr(spec.fixed, name)))
+        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"))
+    delays = tuple(x / SPEED_OF_LIGHT for x in (dl, dlp, dldp))
+    if not all(np.isfinite(d).all() for d in delays):
+        raise ValueError("delays must be finite")
+    u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
     # +0.0 and -0.0 share a key; a zero delay comes from a single row or has
     # the same sign in every row, so no row reads a factor of the other sign
-    g_memo, gp_memo = {}, {}
-    results = []
-    for i, v in enumerate(values):
-        params = _apply(spec.fixed, spec.variable, float(v))
-        delays = DelayTriple.from_lengths(params.delta_l, params.delta_l_prime,
-                                          params.delta_l_dprime)
-        pm_delays = _native_pm_delays(source.kind, choice, delays.delta_tau_prime,
-                                      delays.delta_tau_dprime)
+    g_memo, gp_memo, factors = {}, {}, []
+    for i, (dt, pm_key) in enumerate(zip(delays[0].tolist(),
+                                         zip(u.tolist(), v.tolist()))):
         try:
-            g = g_memo.get(delays.delta_tau)
+            g = g_memo.get(dt)
             if g is None:
-                g = g_memo[delays.delta_tau] = gamma_pump(source.pump, delays.delta_tau)
-            gp = gp_memo.get(pm_delays)
+                g = g_memo[dt] = gamma_pump(source.pump, dt)
+            gp = gp_memo.get(pm_key)
             if gp is None:
-                gp = gp_memo[pm_delays] = gamma_prime(source.phase_matching, *pm_delays)
+                gp = gp_memo[pm_key] = gamma_prime(source.phase_matching, *pm_key)
         except IntegrationError as e:
             raise IntegrationError(
-                f"sweep row {i} ({spec.variable.value} = {v!r}): {e}",
+                f"sweep row {i} ({spec.variable.value} = {values[i]!r}): {e}",
                 value=e.value, error_estimate=e.error_estimate) from e
-        results.append(_assemble_rate(delays, params.delta_phi, g, gp, carriers,
-                                      amplitude_visibility, baseline))
-    return SweepTable(variable=spec.variable, values=values, results=tuple(results))
+        factors.append((g.magnitude, g.phase, gp.magnitude, gp.phase))
+    g_mag, g_phase, gp_mag, gp_phase = np.array(factors).T
+    rates, arg, vis = _assemble_rate(delays, dphi, g_mag, g_phase, gp_mag, gp_phase,
+                                     carriers, spec.amps.amplitude_visibility,
+                                     spec.amps.baseline)
+    return SweepTable(spec.variable, values, rates, g_mag, gp_mag, arg, vis,
+                      float(spec.amps.baseline))
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,7 @@ def extract_fringe_metrics(table: SweepTable) -> FringeMetrics:
     period centered on the scan midpoint, decoupling it from envelope
     decay.
     """
-    x = np.asarray(table.values, dtype=float)
-    y = table.rates
+    x, y = table.values, table.rates
     span = x[-1] - x[0]
     step = span / (len(x) - 1)
 
@@ -239,20 +240,14 @@ def extract_fringe_metrics(table: SweepTable) -> FringeMetrics:
         raise InsufficientSamplingError(
             f"{period / step:.1f} points per period, need at least 16")
 
-    mid = 0.5 * (x[0] + x[-1])
-    central = (x >= mid - period / 2) & (x <= mid + period / 2)
-    hi, lo = float(np.max(y[central])), float(np.min(y[central]))
-    visibility = (hi - lo) / (hi + lo)
-
-    halfwidth = _envelope_halfwidth(x, y, period)
+    visibility = fringe_visibility_at(table, 0.5 * (x[0] + x[-1]), period)
     return FringeMetrics(visibility=visibility, period=period,
-                         envelope_halfwidth=halfwidth)
+                         envelope_halfwidth=_envelope_halfwidth(x, y, period))
 
 
 def fringe_visibility_at(table: SweepTable, value: float, period: float) -> float:
     """Fringe visibility from the one-period window centered on ``value``."""
-    x = np.asarray(table.values, dtype=float)
-    y = table.rates
+    x, y = table.values, table.rates
     sel = (x >= value - period / 2) & (x <= value + period / 2)
     if np.count_nonzero(sel) < 4:
         raise InsufficientSamplingError(
@@ -296,9 +291,7 @@ class DipProfile:
 
 def extract_dip_profile(table: SweepTable) -> DipProfile:
     """Kind, depth, FWHM and side-lobe flag of a single asymmetry scan."""
-    x = np.asarray(table.values, dtype=float)
-    y = table.rates
-    baseline = table.results[0].baseline
+    x, y, baseline = table.values, table.rates, table.baseline
     i0 = int(np.argmin(np.abs(x)))
     scale = max(abs(x[0]), abs(x[-1]))
     if abs(x[i0]) > 1e-9 * scale:

@@ -17,9 +17,11 @@ Entry points accept either a delay triple (seconds) or reduced lengths
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .coherence import CoherenceValue, DelayTriple, gamma_pump, gamma_prime
+import numpy as np
+
+from .coherence import DelayTriple, gamma_pump, gamma_prime
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind, carrier_omegas
 from .spectra import JointSpectralDensity, SpectralDensity
 
@@ -129,31 +131,35 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
     """Rate as a function of the three delays (s) and the phase difference.
 
     With equal amplitudes this is the C [1 + g g' cos(...)] form; unequal
-    amplitudes give the general bracket with its 2|K1||K2| factor.
+    amplitudes give the general bracket with its 2|K1||K2| factor. An
+    invalid labeling is rejected before any coherence factor is computed.
     """
+    carriers = carrier_omegas(source.centrals, source.kind, choice)
     g = gamma_pump(source.pump, delays.delta_tau, method=method)
     u, v = _native_pm_delays(source.kind, choice,
                              delays.delta_tau_prime, delays.delta_tau_dprime)
     gp = gamma_prime(source.phase_matching, u, v, method=method)
-    return _assemble_rate(delays, delta_phi, g, gp,
-                          carrier_omegas(source.centrals, source.kind, choice),
-                          amps.amplitude_visibility, amps.baseline)
+    rate, arg, vis = _assemble_rate(astuple(delays), delta_phi, g.magnitude, g.phase,
+                                    gp.magnitude, gp.phase, carriers,
+                                    amps.amplitude_visibility, amps.baseline)
+    return RateResult(float(rate), g.magnitude, gp.magnitude, float(arg),
+                      float(vis), float(amps.baseline))
 
 
-def _assemble_rate(delays: DelayTriple, delta_phi: float, g: CoherenceValue,
-                   gp: CoherenceValue, carriers: tuple[float, float, float],
-                   amplitude_visibility: float, baseline: float) -> RateResult:
-    """The rate bracket from its two coherence factors and the constants
-    (carrier omegas, amplitude visibility, baseline) of the setup."""
+def _assemble_rate(delays, delta_phi, g_mag, g_phase, gp_mag, gp_phase,
+                   carriers: tuple[float, float, float],
+                   amplitude_visibility: float, baseline: float):
+    """``(rate, cosine_argument, visibility_bound)`` from the delay triple,
+    the coherence factors in polar form and the setup's constants.
+    Elementwise: a sweep passes numpy columns and :func:`rate_time` one row
+    of floats, and both get the same operations in the same order."""
     w_p0, w0_prime, w0_dprime = carriers
-    arg = (w_p0 * delays.delta_tau
-           + w0_prime * delays.delta_tau_prime
-           + w0_dprime * delays.delta_tau_dprime
-           + delta_phi + g.phase + gp.phase)
-    vis = amplitude_visibility * g.magnitude * gp.magnitude
-    rate = baseline * (1.0 + vis * math.cos(arg))
-    return RateResult(rate=rate, gamma_mag=g.magnitude, gamma_prime_mag=gp.magnitude,
-                      cosine_argument=arg, visibility_bound=vis, baseline=baseline)
+    dt, dt_prime, dt_dprime = delays
+    arg = (w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime
+           + delta_phi + g_phase + gp_phase)
+    vis = amplitude_visibility * g_mag * gp_mag
+    rate = baseline * (1.0 + vis * np.cos(arg))
+    return rate, arg, vis
 
 
 def rate_length(source: SourceModel, lengths: ReducedParameters,

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from triphoton.cli import main, parse_config
 from triphoton.errors import ParseError, ValidationError
 from triphoton.experiments import SweepVariable
 from triphoton.pathgeom import SourceKind
+from triphoton.rates import rate_length
 
 MINIMAL_SOURCE = """\
 source.type = cpdc
@@ -73,6 +75,23 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="source.lambda_b_nm"):
             parse_config(text)
 
+    @pytest.mark.parametrize("line, message", [
+        ("source.pm1.sigma_rad_s = -2e12",
+         "source.pm1: sigma must be finite and positive, got -2000000000000.0"),
+        ("source.pump.sigma_rad_s = 0", "source.pump: sigma must be finite and "
+                                        "positive, got 0.0"),
+    ])
+    def test_bad_density_parameter_names_section(self, tmp_path, capsys, line,
+                                                  message):
+        key = line.split(" = ")[0]
+        text = "".join(l for l in CATEGORY_I.splitlines(keepends=True)
+                       if not l.startswith(key + " ")) + line + "\n"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="sweep.stpo"):
             parse_config(CATEGORY_I + "sweep.stpo = 1\n")
@@ -88,6 +107,35 @@ class TestParseConfig:
     def test_non_numeric_value(self):
         with pytest.raises(ParseError, match="sweep.start"):
             parse_config(CATEGORY_I.replace("sweep.start = 0", "sweep.start = zero"))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("sweep.n_points = 9", "sweep.n_points = 2",
+         "sweep.n_points must be at least 3"),
+        ("sweep.start = 0", "sweep.start = 7", "sweep.start must be below stop"),
+    ])
+    def test_sweep_range_names_key(self, tmp_path, capsys, old, new, message):
+        text = CATEGORY_I.replace(old, new)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
+    @pytest.mark.parametrize("old, new", [
+        ("sweep.stop = 6.283185307179586", "sweep.stop = inf"),
+        ("geometry.delta_phi_rad = 0", "geometry.delta_phi_rad = nan"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, old, new):
+        text = CATEGORY_I.replace(old, new)
+        key, raw = new.split(" = ")
+        message = f"{key}: '{raw}' is not a finite number"
+        with pytest.raises(ParseError, match=message):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError:") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_tabulated_pump_from_file(self, tmp_path):
         grid = np.linspace(-3e12, 3e12, 33)
@@ -159,6 +207,82 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, MINIMAL_SOURCE + "geometry.delta_l_m = 0\n")
         assert main(["sweep", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
+
+
+def _fmt(value, precision=12):
+    return f"{value:.{precision}g}"
+
+
+CATEGORY_II = MINIMAL_SOURCE.replace("sigma_rad_s = 1e12", "sigma_rad_s = 1e14") + """\
+geometry.delta_l_m = 0
+geometry.delta_l_prime_m = 0
+geometry.delta_l_dprime_m = 0
+geometry.delta_phi_rad = 0.25
+sweep.variable = delta_l
+sweep.start = 0
+sweep.stop = 9e-6
+sweep.n_points = 301
+"""
+
+# third-order source, choice-2 labeling, degenerate centrals; the native
+# prime delay of the origin row is -0.0
+CATEGORY_III_CHOICE_2 = """\
+source.type = topdc
+source.lambda_a_nm = 1550
+source.lambda_b_nm = 1550
+source.lambda_c_nm = 1550
+source.pump.shape = gaussian
+source.pump.sigma_rad_s = 1e12
+source.pm1.shape = sinc_squared
+source.pm1.width_rad_s = 2e12
+source.pm2.shape = lorentzian
+source.pm2.gamma_rad_s = 3e12
+geometry.delta_l_m = -0.0
+geometry.delta_l_prime_m = 0
+geometry.delta_l_dprime_m = -0.0
+geometry.delta_phi_rad = 3.141592653589793
+geometry.topdc_choice = 2
+sweep.variable = delta_l_prime
+sweep.start = -0.0006
+sweep.stop = 0.0006
+sweep.n_points = 41
+"""
+
+
+class TestSweepCsvFormatting:
+    """sweep.csv equals rate_length on every row, each field formatted alone."""
+
+    @staticmethod
+    def expected_lines(cfg):
+        spec = cfg.sweep
+        name = spec.variable.value
+        lines = ["parameter_name,parameter_value,rate,gamma_mag,"
+                 "gamma_prime_mag,cosine_argument"]
+        for v in np.linspace(spec.start, spec.stop, spec.n_points):
+            r = rate_length(spec.source, replace(spec.fixed, **{name: float(v)}),
+                            spec.amps)
+            lines.append(",".join([name, _fmt(v), _fmt(r.rate), _fmt(r.gamma_mag),
+                                   _fmt(r.gamma_prime_mag),
+                                   _fmt(r.cosine_argument)]))
+        return lines
+
+    @pytest.mark.parametrize("text", [
+        CATEGORY_II,
+        CATEGORY_III_CHOICE_2,
+        # the last row is the parameter value -0.0
+        CATEGORY_III_CHOICE_2.replace("sweep.stop = 0.0006", "sweep.stop = -0.0"),
+    ], ids=["category_ii", "category_iii_choice_2", "category_iii_ends_at_minus_zero"])
+    def test_rows_match_per_field_formatting(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        expected = self.expected_lines(parse_config(text))
+        assert len(lines) == len(expected)
+        for got, want in zip(lines, expected):
+            assert got == want
+        if "sweep.stop = -0.0" in text:
+            assert lines[-1].startswith("delta_l_prime,-0,")
 
 
 class TestReduceCommand:

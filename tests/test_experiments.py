@@ -324,12 +324,27 @@ class TestCategoryIII:
 
 
 def synthetic_table(x, rates, baseline=1.0, variable=SweepVariable.DELTA_L_PRIME):
-    results = tuple(
-        RateResult(rate=float(r), gamma_mag=1.0, gamma_prime_mag=1.0,
-                   cosine_argument=0.0, visibility_bound=1.0, baseline=baseline)
-        for r in rates)
+    ones = np.ones(len(rates))
     return SweepTable(variable=variable, values=np.asarray(x, dtype=float),
-                      results=results)
+                      rates=np.asarray(rates, dtype=float), gamma_mag=ones,
+                      gamma_prime_mag=ones, cosine_argument=np.zeros(len(rates)),
+                      visibility_bound=ones, baseline=baseline)
+
+
+def test_results_are_the_columns_row_by_row():
+    table = run_sweep(SweepSpec(SweepVariable.DELTA_L_PRIME, -2.0 * _L, 2.0 * _L, 9,
+                                ReducedParameters(0.4 * _L, 0.0, -0.3 * _L, 0.5),
+                                analytic_source(SourceKind.TOPDC), AMPS))
+    columns = (table.rates, table.gamma_mag, table.gamma_prime_mag,
+               table.cosine_argument, table.visibility_bound)
+    assert len(table.results) == len(table) == 9
+    for i, r in enumerate(table.results):
+        want = RateResult(*(float(c[i]) for c in columns), float(table.baseline))
+        assert r == want
+        assert repr(r) == repr(want)
+        assert all(type(f) is float for f in (r.rate, r.gamma_mag, r.gamma_prime_mag,
+                                              r.cosine_argument, r.visibility_bound,
+                                              r.baseline))
 
 
 class TestExtractionDiagnostics:

@@ -1,15 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from triphoton.coherence import DelayTriple
 from triphoton.constants import SPEED_OF_LIGHT
+from triphoton.errors import IntegrationError
 from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
                                 SourceKind, reduce_topdc)
 from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
                              rate_time)
-from triphoton.spectra import Gaussian, Lorentzian, Separable
+from triphoton.spectra import Gaussian, Lorentzian, Separable, Tabulated2D
 from test_pathgeom import random_config
 
 ZERO = DelayTriple(0.0, 0.0, 0.0)
@@ -178,6 +180,21 @@ def test_cpdc_rejects_topdc_choices():
     params = ReducedParameters(0.0, 0.0, 0.0, 0.0, topdc_choice=2)
     with pytest.raises(ValueError):
         rate_length(src, params, AlternativeAmplitudes.balanced(1.0))
+
+
+def test_cpdc_labeling_rejected_before_coherence_factors():
+    # the 65x65-knot table cannot resolve a 1e-13 s delay, so computing g'
+    # first would raise IntegrationError instead of the labeling error
+    g = np.linspace(-3e14, 3e14, 65)
+    pm = Tabulated2D(g, g, np.exp(-(g[:, None] ** 2 + g[None, :] ** 2)
+                                  / 9e13 ** 2)).normalize()
+    src = SourceModel.cpdc(Gaussian(sigma=1e12), pm,
+                           CentralFrequencies(2.4e15, 1.3e15, 1.1e15))
+    delays = DelayTriple(0.0, 0.0, 1e-13)
+    with pytest.raises(IntegrationError):
+        rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0))
+    with pytest.raises(ValueError, match="CPDC"):
+        rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0), choice=2)
 
 
 def test_sourcekind_tag():
