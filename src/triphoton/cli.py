@@ -190,7 +190,7 @@ def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
         if not path.exists():
             raise ValidationError(f"{prefix}.file: no such file: {path}")
         try:
-            return Tabulated.from_file(path).normalize()
+            return Tabulated.from_file(path, center_offset=offset).normalize()
         except (ValueError, NormalizationError) as e:
             raise ValidationError(f"{prefix}.file: {e}") from e
     raise ValidationError(f"{prefix}.shape: unknown shape {shape!r}")
@@ -221,17 +221,17 @@ def _build_geometry(store: _KeyStore, kind: SourceKind):
         return reduced, None
     lengths = {k: store.get_float(f"geometry.{k}", default=0.0) for k in _LENGTH_KEYS}
     phases = {k: store.get_float(f"geometry.{k}", default=0.0) for k in _PHASE_KEYS}
-    try:
+    try:  # the reduced lengths and phase can overflow even when every input is finite
         pc = PathConfiguration(
             **{f"l_{k.split('_')[1]}": v for k, v in lengths.items()},
             **{f"phi_{k.split('_')[1]}": v for k, v in phases.items()},
         )
+        if kind is SourceKind.TOPDC:
+            reduced = reduce_topdc(pc, choice)
+        else:
+            reduced = reduce_cpdc(pc)
     except ValueError as e:
         raise ValidationError(f"geometry: {e}") from e
-    if kind is SourceKind.TOPDC:
-        reduced = reduce_topdc(pc, choice)
-    else:
-        reduced = reduce_cpdc(pc)
     return reduced, pc
 
 
@@ -469,18 +469,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: output.directory from "
                             "the config, else ./triphoton_out)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (current implementation is serial)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; no randomness is used")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: ValidationError: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:

@@ -57,8 +57,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
+        for name in ("start", "stop"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not self.start < self.stop:
             raise ValueError("start must be below stop")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("start and stop must be a finite distance apart")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,11 @@ class ReducedParameters:
     def __post_init__(self):
         if self.topdc_choice not in (1, 2, 3):
             raise ValueError("topdc_choice must be 1, 2 or 3")
+        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi",
+                     "k_p0", "k0_prime", "k0_dprime"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
     def cosine_argument(self) -> float:
         """k_p0*dL + k0'*dL' + k0''*dL'' + dphi; requires carriers."""

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triphoton
 from triphoton.cli import main, parse_config
 from triphoton.errors import ParseError, ValidationError
 from triphoton.experiments import SweepVariable
@@ -121,6 +126,27 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
 
+    @pytest.mark.parametrize("lines, message", [
+        ("geometry.length_a1_m = 1e308\ngeometry.length_p1_m = 1.7e308\n",
+         "geometry: delta_l must be finite, got inf"),
+        ("geometry.phase_a1_rad = 1.7e308\ngeometry.phase_b1_rad = 1.7e308\n",
+         "geometry: delta_phi must be finite, got inf"),
+    ])
+    def test_overflowing_reduction_rejected(self, tmp_path, capsys, lines, message):
+        # every key is finite, but the reduced geometry overflows
+        cfg = write_config(tmp_path, MINIMAL_SOURCE + lines)
+        assert main(["reduce", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
+    def test_sweep_range_overflow_rejected(self, tmp_path, capsys):
+        text = (CATEGORY_I.replace("sweep.start = 0", "sweep.start = -1.7e308")
+                .replace("sweep.stop = 6.283185307179586", "sweep.stop = 1.7e308"))
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValidationError: sweep.start and stop must be a finite "
+            "distance apart\n")
+
     @pytest.mark.parametrize("old, new", [
         ("sweep.stop = 6.283185307179586", "sweep.stop = inf"),
         ("geometry.delta_phi_rad = 0", "geometry.delta_phi_rad = nan"),
@@ -202,6 +228,32 @@ class TestSweepCommand:
         assert metrics["status"] == "ok"
         assert metrics["extremum_kind"] == "dip"
         assert float(metrics["depth"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_tabulated_center_offset_shifts_the_table(self, tmp_path):
+        # a Category II scan over a tabulated pump: the offset sets g's phase
+        grid = np.linspace(-6e13, 6e13, 121)
+        table = np.column_stack([grid, np.exp(-0.5 * (grid / 1e13) ** 2)])
+        offset = 3e12
+        np.savetxt(tmp_path / "pump.txt", table)
+        np.savetxt(tmp_path / "shifted.txt", table + [offset, 0.0])
+        scan = ("geometry.delta_l_m = 0\ngeometry.delta_phi_rad = 0.25\n"
+                "sweep.variable = delta_l\nsweep.start = 0\nsweep.stop = 3e-5\n"
+                "sweep.n_points = 41\n")
+        pump = "source.pump.shape = gaussian\nsource.pump.sigma_rad_s = 1e12\n"
+
+        def sweep(name, pump_lines):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(MINIMAL_SOURCE.replace(pump, pump_lines) + scan,
+                           encoding="utf-8")
+            assert main(["sweep", "--config", str(cfg), "--out",
+                         str(tmp_path / name)]) == 0
+            return (tmp_path / name / "sweep.csv").read_bytes()
+
+        tabulated = "source.pump.shape = tabulated\nsource.pump.file = "
+        with_offset = sweep("offset", tabulated + "pump.txt\n"
+                            f"source.pump.center_offset_rad_s = {offset!r}\n")
+        assert with_offset == sweep("shifted", tabulated + "shifted.txt\n")
+        assert with_offset != sweep("plain", tabulated + "pump.txt\n")
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_SOURCE + "geometry.delta_l_m = 0\n")
@@ -341,8 +393,7 @@ class TestValidateCommand:
             "validate.n_delays = 2\n")
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["validate", "--config", str(cfg), "--out", str(out),
-                     "--seed", "7"]) == 0
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "validate.csv").read_text().splitlines()
         errors = [float(line.split(",")[-1]) for line in lines[1:]]
         # coupled factorization error shrinks with the bandwidth ratio
@@ -380,7 +431,13 @@ class TestErrorReporting:
         assert err.startswith("error: ValidationError:")
         assert len(err.strip().splitlines()) == 1
 
-    def test_bad_threads(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, CATEGORY_I)
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
-                     "--threads", "0"]) == 1
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    src = Path(triphoton.__file__).resolve().parents[1]
+    code = ("import sys, triphoton.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

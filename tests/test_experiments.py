@@ -111,6 +111,18 @@ class TestRunSweep:
             SweepSpec(SweepVariable.DELTA_PHI, 1.0, 0.0, 9,
                       ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
 
+    @pytest.mark.parametrize("start, stop, message", [
+        (-math.inf, 1.0, "start must be finite, got -inf"),
+        (math.nan, 1.0, "start must be finite, got nan"),
+        (0.0, math.inf, "stop must be finite, got inf"),
+        (-1.7e308, 1.7e308, "start and stop must be a finite distance apart"),
+    ])
+    def test_spec_rejects_non_finite_range(self, start, stop, message):
+        # before the check these gave NaN phases, or NaN rows with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepSpec(SweepVariable.DELTA_PHI, start, stop, 9,
+                      ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
+
 
 _W = 1e13  # rad/s, spectral width scale of the property-test sources
 _L = SPEED_OF_LIGHT / _W  # matching length scale (m)

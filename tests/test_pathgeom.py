@@ -6,10 +6,11 @@ import pytest
 
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.pathgeom import (CentralFrequencies, PathConfiguration,
-                                SourceKind, attach_carriers, carrier_omegas,
-                                carrier_wavenumbers, cpdc_freq_inverse,
-                                cpdc_freq_transform, reduce_cpdc, reduce_topdc,
-                                topdc_freq_inverse, topdc_freq_transform)
+                                ReducedParameters, SourceKind, attach_carriers,
+                                carrier_omegas, carrier_wavenumbers,
+                                cpdc_freq_inverse, cpdc_freq_transform,
+                                reduce_cpdc, reduce_topdc, topdc_freq_inverse,
+                                topdc_freq_transform)
 
 _LENGTHS = ("l_a1", "l_b1", "l_c1", "l_p1", "l_a2", "l_b2", "l_c2", "l_p2")
 _PHASES = ("phi_a1", "phi_b1", "phi_c1", "phi_p1",
@@ -214,3 +215,15 @@ def test_attach_carriers_populates_wavenumbers():
     r = attach_carriers(reduce_cpdc(PathConfiguration(l_a1=2e-6)), f, SourceKind.CPDC)
     assert r.k_p0 == pytest.approx(f.omega_p0 / SPEED_OF_LIGHT)
     assert r.cosine_argument() == pytest.approx(r.k_p0 * 1e-6 + r.k0_prime * 1e-6)
+
+
+@pytest.mark.parametrize("field", ["delta_l", "delta_l_prime", "delta_l_dprime",
+                                   "delta_phi", "k_p0", "k0_prime", "k0_dprime"])
+def test_reduced_parameters_reject_non_finite(field):
+    # a non-finite phase used to end in NaN rates and a numpy RuntimeWarning
+    finite = dict(delta_l=1e-6, delta_l_prime=0.0, delta_l_dprime=0.0, delta_phi=0.0,
+                  k_p0=1e7, k0_prime=0.0, k0_dprime=0.0)
+    ReducedParameters(**finite)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            ReducedParameters(**{**finite, field: bad})

@@ -5,7 +5,7 @@ import pytest
 
 from triphoton.errors import NormalizationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
-                               Tabulated, Tabulated2D, joint_widths)
+                               Tabulated, Tabulated2D, _sine_integral, joint_widths)
 
 ALL_SHAPES = [Gaussian(sigma=1.0), Lorentzian(gamma=1.0), SincSquared(width=1.0)]
 
@@ -119,6 +119,16 @@ def test_tabulated_center_offset_shifts_grid():
     assert t.evaluate(0.0) == 0.0
 
 
+@pytest.mark.parametrize("offset, message", [
+    (math.inf, "grid and values must be finite"),
+    (math.nan, "grid and values must be finite"),
+    (1e30, "grid must be strictly increasing"),  # knots merge at this magnitude
+])
+def test_tabulated_checks_the_shifted_grid(offset, message):
+    with pytest.raises(ValueError, match=message):
+        Tabulated([-1e12, 0.0, 1e12], [0.0, 1.0, 0.0], center_offset=offset)
+
+
 def test_width_scaling_preserves_area():
     for d in ALL_SHAPES:
         scaled = d.with_width_scaled(3.0)
@@ -195,3 +205,26 @@ def test_tabulated_from_file(tmp_path):
     t = Tabulated.from_file(path).normalize()
     assert t.is_normalized
     assert t.evaluate(0.0) > 0
+
+
+def test_sine_integral_matches_scipy():
+    sici = pytest.importorskip("scipy.special").sici  # test-only reference
+    two = 2.0  # the switch from the power series to the continued fraction
+    edges = [np.nextafter(two, 0.0), two, np.nextafter(two, 3.0), two + 1e-12,
+             two - 1e-12, 2.1, 1.9]
+    xs = np.concatenate([
+        np.linspace(-50.0, 50.0, 2001),  # both branches, both signs
+        np.geomspace(1e-10, 1e8, 2001),
+        -np.geomspace(1e-10, 1e8, 401),
+        edges, np.negative(edges),
+        [1e-300, -1e-300, 5e-324, 1e15, -1e15, 1e300]])
+    for x in xs.tolist():
+        ref = float(sici(x)[0])
+        assert abs(_sine_integral(x) - ref) <= 4e-15 * abs(ref), x
+        assert _sine_integral(-x) == -_sine_integral(x)  # odd, exactly
+    assert _sine_integral(1e-300) == 1e-300
+    assert math.copysign(1.0, _sine_integral(-0.0)) == -1.0
+    assert _sine_integral(0.0) == 0.0
+    assert _sine_integral(math.inf) == float(sici(math.inf)[0]) == math.pi / 2
+    assert _sine_integral(-math.inf) == -math.pi / 2
+    assert math.isnan(_sine_integral(math.nan))
