@@ -16,10 +16,9 @@ from .spectra import (Gaussian, GridSample, JointSpectralDensity, Lorentzian,
                       Separable, SincSquared, SpectralDensity, Tabulated,
                       Tabulated2D)
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
-                       SourceKind, attach_carriers, carrier_omegas,
-                       carrier_wavenumbers, cpdc_freq_inverse,
-                       cpdc_freq_transform, reduce_cpdc, reduce_topdc,
-                       topdc_freq_inverse, topdc_freq_transform)
+                       SourceKind, carrier_omegas, carrier_wavenumbers,
+                       cpdc_freq_inverse, cpdc_freq_transform, reduce_cpdc,
+                       reduce_topdc, topdc_freq_inverse, topdc_freq_transform)
 from .coherence import (CoherenceValue, DelayTriple, coherence_surface,
                         gamma_prime, gamma_pump, transform_1d)
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
@@ -44,7 +43,7 @@ __all__ = [
     "SincSquared", "SpectralDensity", "Tabulated", "Tabulated2D",
     # pathgeom
     "CentralFrequencies", "PathConfiguration", "ReducedParameters", "SourceKind",
-    "attach_carriers", "carrier_omegas", "carrier_wavenumbers",
+    "carrier_omegas", "carrier_wavenumbers",
     "cpdc_freq_inverse", "cpdc_freq_transform", "reduce_cpdc", "reduce_topdc",
     "topdc_freq_inverse", "topdc_freq_transform",
     # coherence

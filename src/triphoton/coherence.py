@@ -5,15 +5,20 @@ density; the 2D factor is the analogous double integral over the joint
 phase-matching density. With unit-area densities both factors equal 1 at
 zero delay and their magnitudes never exceed 1.
 
+Two array cores compute them: :func:`transforms` over a 1D delay array
+and :func:`joint_transforms` over delay pairs. The scalar entry points
+(:func:`transform_1d`, :func:`gamma_pump`, :func:`gamma_prime`) are their
+one-row views, so a sweep's columns equal the scalar values bit for bit.
+
 Numerical strategy
 ------------------
-Shapes with a known transform get a closed-form fast path. The generic
-path uses a composite Gauss-Legendre rule whose pieces break at every
-density knot and never span more than a fraction of an oscillation
-cycle, so each piece is polynomially smooth no matter how large the
-delay gets (silent accuracy loss on oscillatory integrands is the
-classic failure mode this avoids). A lower-order rule on the same pieces
-provides the error estimate.
+Shapes with a known transform get a closed form, one numpy expression
+over the delay array. The generic path, run delay by delay, uses a
+composite Gauss-Legendre rule whose pieces break at every density knot
+and never span more than a fraction of an oscillation cycle, so each
+piece is polynomially smooth no matter how large the delay gets (silent
+accuracy loss on oscillatory integrands is the classic failure mode this
+avoids). A lower-order rule on the same pieces gives the error estimate.
 
 * finite-support (tabulated) densities are integrated over their exact
   support with pieces breaking at the table knots;
@@ -26,12 +31,11 @@ provides the error estimate.
 
 2D separable densities factor into two 1D transforms. 2D tabulated
 densities use a tensor trapezoid sum, Richardson-extrapolated over two
-grid halvings. A whole delay grid is evaluated at once: each of the
-full, half and quarter sums is one matrix product ``(W1*E1) V (W2*E2)^T``
-with the phase matrices ``E = exp(-i outer(delays, knots))``. An
-unresolved oscillation on a coarse table raises :class:`IntegrationError`
-naming the first failing cell rather than returning a quietly wrong
-number.
+grid halvings; each of the full, half and quarter sums is one matrix
+product ``(W1*E1) V (W2*E2)^T`` with ``E = exp(-i outer(delays, knots))``,
+over a whole grid for :func:`coherence_surface` and per pair otherwise.
+An unresolved oscillation raises :class:`IntegrationError` naming the
+first failing cell rather than returning a quietly wrong number.
 """
 
 from __future__ import annotations
@@ -69,10 +73,17 @@ class CoherenceValue:
 
     @classmethod
     def from_complex(cls, z: complex) -> "CoherenceValue":
-        return cls(abs(z), math.atan2(z.imag, z.real))
+        mag, phase = _polar(np.array([z]))
+        return cls(float(mag[0]), float(phase[0]))
 
     def as_complex(self) -> complex:
         return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
+
+
+def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes and phases of a complex array, for sweep columns and, on
+    one element, for :class:`CoherenceValue`, so the two agree bit for bit."""
+    return np.abs(z), np.angle(z)
 
 
 @dataclass(frozen=True)
@@ -162,23 +173,45 @@ def _transform_quadrature(density: SpectralDensity, delay: float) -> complex:
     return z
 
 
-def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:
-    """Complex Fourier transform of a density at ``delay`` (seconds).
+def _each(evaluate, *columns: np.ndarray) -> np.ndarray:
+    """``evaluate`` at each row of the columns, in order; the first failing
+    row's :class:`IntegrationError` gets the row's position as ``index``."""
+    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+    out = np.empty(len(rows), dtype=complex)
+    for k, row in enumerate(rows):
+        try:
+            out[k] = evaluate(*row)
+        except IntegrationError as e:
+            e.index = k
+            raise
+    return out
+
+
+def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.ndarray:
+    """Complex Fourier transforms of a density at each of the 1D ``delays`` (s).
 
     ``method``: "auto" uses the closed form when available, "closed_form"
-    demands one, "quadrature" forces the generic numerical path.
+    demands one, "quadrature" forces the generic numerical path, which
+    raises :class:`IntegrationError` at the first delay it cannot resolve.
     """
     if not density.is_normalized:
         raise ValueError("density must be normalized (call normalize() first)")
     if method not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    delays = np.asarray(delays, dtype=float)
     if method != "quadrature":
-        z = density.analytic_transform(delay)
+        z = density.analytic_transform(delays)
         if z is not None:
             return z
         if method == "closed_form":
             raise ValueError(f"{type(density).__name__} has no closed-form transform")
-    return _transform_quadrature(density, delay)
+    return _each(lambda delay: _transform_quadrature(density, delay), delays)
+
+
+def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:
+    """Complex Fourier transform of a density at one ``delay`` (s): the
+    one-row view of :func:`transforms`."""
+    return complex(transforms(density, [delay], method)[0])
 
 
 def gamma_pump(pump: SpectralDensity, delta_tau: float,
@@ -197,6 +230,8 @@ def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarr
     arbitrary grids it stays a serviceable consistency check). The first
     failing cell in row-major order is reported.
     """
+    if not pm.is_normalized:
+        raise ValueError("density must be normalized (call normalize() first)")
     g1, g2, v = pm.grid1, pm.grid2, pm.values
     e1 = np.exp(-1j * np.outer(taus_prime, g1))
     e2 = np.exp(-1j * np.outer(taus_dprime, g2))
@@ -242,55 +277,65 @@ def _half_indices(n: int) -> np.ndarray:
     return idx
 
 
-def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
-                delta_tau_dprime: float, method: str = "auto") -> CoherenceValue:
-    """Phase-matching coherence factor at the two asymmetry delays (s).
+def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
+                     method: str = "auto") -> np.ndarray:
+    """Complex phase-matching transforms at each delay pair
+    ``(taus_prime[k], taus_dprime[k])`` (s); the first failing pair raises
+    :class:`IntegrationError` with its position as ``index``.
 
-    Separable densities factor exactly into two 1D transforms.
+    Separable densities factor exactly into two 1D transforms; a
+    ``Tabulated2D`` table takes one tensor sum per pair.
     """
     if isinstance(pm, Separable):
-        z1 = transform_1d(pm.d1, delta_tau_prime, method)
-        z2 = transform_1d(pm.d2, delta_tau_dprime, method)
-        return CoherenceValue.from_complex(z1 * z2)
+        try:
+            z1 = transforms(pm.d1, taus_prime, method)
+        except IntegrationError as e:  # unless an earlier pair fails in d2
+            transforms(pm.d2, taus_dprime[:e.index], method)
+            raise
+        return z1 * transforms(pm.d2, taus_dprime, method)
     if isinstance(pm, Tabulated2D):
-        if not pm.is_normalized:
-            raise ValueError("density must be normalized (call normalize() first)")
-        return CoherenceValue.from_complex(complex(
-            _tabulated2d_transform(pm, [delta_tau_prime], [delta_tau_dprime])[0, 0]))
+        # one sum per pair, not a grid product: BLAS may round row k of a
+        # product differently from the same row computed alone
+        return _each(lambda u, v: _tabulated2d_transform(pm, [u], [v])[0, 0],
+                     taus_prime, taus_dprime)
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")
+
+
+def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
+                delta_tau_dprime: float, method: str = "auto") -> CoherenceValue:
+    """Phase-matching coherence factor at the two asymmetry delays (s): the
+    one-row view of :func:`joint_transforms`."""
+    return CoherenceValue.from_complex(
+        joint_transforms(pm, [delta_tau_prime], [delta_tau_dprime], method)[0])
 
 
 def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
                       method: str = "auto") -> list[list[CoherenceValue]]:
-    """Batch ``gamma_prime`` over a delay grid; element [i][j] is the value
-    at (grid_prime[i], grid_dprime[j]).
+    """``gamma_prime`` over a delay grid; element [i][j] is the value at
+    (grid_prime[i], grid_dprime[j]).
 
     Separable densities are evaluated once per axis and combined, so the
     cost is linear rather than quadratic in the grid sizes.
     """
-    gp = [float(t) for t in np.asarray(grid_prime, dtype=float).ravel()]
-    gd = [float(t) for t in np.asarray(grid_dprime, dtype=float).ravel()]
+    gp = np.asarray(grid_prime, dtype=float).ravel()
+    gd = np.asarray(grid_dprime, dtype=float).ravel()
     if isinstance(pm, Separable):
-        z1 = []
-        for i, t in enumerate(gp):
-            try:
-                z1.append(transform_1d(pm.d1, t, method))
-            except IntegrationError as e:
-                raise IntegrationError(
-                    f"surface row {i} (all cells): {e}",
-                    value=e.value, error_estimate=e.error_estimate) from e
-        z2 = []
-        for j, t in enumerate(gd):
-            try:
-                z2.append(transform_1d(pm.d2, t, method))
-            except IntegrationError as e:
-                raise IntegrationError(
-                    f"surface column {j} (all cells): {e}",
-                    value=e.value, error_estimate=e.error_estimate) from e
-        return [[CoherenceValue.from_complex(a * b) for b in z2] for a in z1]
-    if isinstance(pm, Tabulated2D):
-        if not pm.is_normalized:
-            raise ValueError("density must be normalized (call normalize() first)")
-        return [[CoherenceValue.from_complex(z) for z in row]
-                for row in _tabulated2d_transform(pm, gp, gd).tolist()]
-    raise TypeError(f"unsupported joint density type {type(pm).__name__}")
+        z = np.outer(_surface_axis(pm.d1, gp, method, "row"),
+                     _surface_axis(pm.d2, gd, method, "column"))
+    elif isinstance(pm, Tabulated2D):
+        z = _tabulated2d_transform(pm, gp, gd)
+    else:
+        raise TypeError(f"unsupported joint density type {type(pm).__name__}")
+    mag, phase = _polar(z)
+    return [[CoherenceValue(*cell) for cell in zip(*row)]
+            for row in zip(mag.tolist(), phase.tolist())]
+
+
+def _surface_axis(density: SpectralDensity, delays: np.ndarray, method: str,
+                  axis: str) -> np.ndarray:
+    try:
+        return transforms(density, delays, method)
+    except IntegrationError as e:
+        raise IntegrationError(
+            f"surface {axis} {e.index} (all cells): {e}",
+            value=e.value, error_estimate=e.error_estimate) from e

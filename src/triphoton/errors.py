@@ -11,13 +11,15 @@ class IntegrationError(RuntimeError):
     """A quadrature result failed its accuracy target.
 
     Carries the best available estimate so callers can inspect how far
-    off the integration was.
+    off the integration was, and, when an array of delays was being
+    evaluated, the position ``index`` of the first one that failed.
     """
 
     def __init__(self, message: str, value=None, error_estimate: float | None = None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.index = None
 
 
 class InsufficientSamplingError(ValueError):

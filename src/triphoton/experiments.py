@@ -7,11 +7,11 @@ varies the asymmetry lengths (fringeless dip or hump tracing the
 phase-matching coherence envelope, the three-photon analog of a
 Hong-Ou-Mandel scan).
 
-A sweep produces a table of numpy columns: the parameter values, the
-rate and its interference ingredients, one entry per row. The reduced
-parameters and delays are columns too, and the rate is assembled for all
-rows at once; only the coherence factors are computed per distinct delay,
-so a phase scan pays for its two factors once rather than once per row.
+A sweep produces a table of numpy columns, one entry per row: the
+parameter values, the rate and its interference ingredients. Parameters,
+delays and coherence factors are columns too, and the rate is assembled
+for all rows at once; the array coherence cores run once per distinct
+delay, so a phase scan pays for its two factors once, not once per row.
 Metric extraction works on the tables alone so it applies equally to the
 CLI's CSV pipeline.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import InsufficientSamplingError, IntegrationError
-from .coherence import gamma_prime, gamma_pump
+from .coherence import _polar, joint_transforms, transforms
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
@@ -98,9 +98,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Parameters and delays are numpy columns, and one array-valued assembly
     makes every row. Each coherence factor is computed once per distinct
-    delay (g per collective delay, g' per native asymmetry-delay pair),
-    lazily in row order, so the sweep fails at the row where
-    :func:`rate_length` would; every row equals it bit for bit.
+    delay (g per collective delay, g' per native asymmetry-delay pair) by
+    the array cores, whose one-row views :func:`rate_length` uses, so
+    every row equals it bit for bit; a failing sweep names the row where
+    :func:`rate_length` fails first.
     """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
     source, choice = spec.source, spec.fixed.topdc_choice
@@ -115,28 +116,32 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if not all(np.isfinite(d).all() for d in delays):
         raise ValueError("delays must be finite")
     u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
-    # +0.0 and -0.0 share a key; a zero delay comes from a single row or has
-    # the same sign in every row, so no row reads a factor of the other sign
-    g_memo, gp_memo, factors = {}, {}, []
-    for i, (dt, pm_key) in enumerate(zip(delays[0].tolist(),
-                                         zip(u.tolist(), v.tolist()))):
+    failures = []
+
+    def per_row(core, density, *columns):
+        # the core once per distinct key (+0.0 and -0.0 alike; a zero delay
+        # has the same sign in every row or is in one row) in order of first
+        # appearance, gathered back to rows; a failure keeps its key's first row
+        _, first, inverse = np.unique(np.column_stack(columns), axis=0,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
         try:
-            g = g_memo.get(dt)
-            if g is None:
-                g = g_memo[dt] = gamma_pump(source.pump, dt)
-            gp = gp_memo.get(pm_key)
-            if gp is None:
-                gp = gp_memo[pm_key] = gamma_prime(source.phase_matching, *pm_key)
+            z = core(density, *(c[first[order]] for c in columns))
+            return _polar(z[np.argsort(order)[inverse.reshape(-1)]])
         except IntegrationError as e:
-            raise IntegrationError(
-                f"sweep row {i} ({spec.variable.value} = {values[i]!r}): {e}",
-                value=e.value, error_estimate=e.error_estimate) from e
-        factors.append((g.magnitude, g.phase, gp.magnitude, gp.phase))
-    g_mag, g_phase, gp_mag, gp_phase = np.array(factors).T
-    rates, arg, vis = _assemble_rate(delays, dphi, g_mag, g_phase, gp_mag, gp_phase,
-                                     carriers, spec.amps.amplitude_visibility,
+            failures.append((int(first[order[e.index]]), e))
+
+    g = per_row(transforms, source.pump, delays[0])
+    gp = per_row(joint_transforms, source.phase_matching, u, v)
+    if failures:  # g before g' in the same row, as rate_length computes them
+        i, e = min(failures, key=lambda f: f[0])
+        raise IntegrationError(
+            f"sweep row {i} ({spec.variable.value} = {values[i]!r}): {e}",
+            value=e.value, error_estimate=e.error_estimate) from e
+    rates, arg, vis = _assemble_rate(delays, dphi, *g, *gp, carriers,
+                                     spec.amps.amplitude_visibility,
                                      spec.amps.baseline)
-    return SweepTable(spec.variable, values, rates, g_mag, gp_mag, arg, vis,
+    return SweepTable(spec.variable, values, rates, g[0], gp[0], arg, vis,
                       float(spec.amps.baseline))
 
 
@@ -394,10 +399,13 @@ def pump_coherence_length(source: SourceModel) -> float:
 def category_ii_spec(source: SourceModel, amps: AlternativeAmplitudes,
                      coherence_lengths: float = 3.0,
                      points_per_period: int = 16) -> SweepSpec:
-    """Collective length sweep from 0 to several pump coherence lengths."""
-    lam_p0 = 2.0 * math.pi * SPEED_OF_LIGHT / source.centrals.omega_p0
+    """Collective length sweep from 0 to several pump coherence lengths, at
+    ``points_per_period`` points per fringe period plus a spare interval;
+    the fringes run at the pump's central frequency minus its offset."""
+    omega_fringe = abs(source.centrals.omega_p0 - source.pump.center)
     stop = coherence_lengths * pump_coherence_length(source)
-    n = int(math.ceil(stop / lam_p0 * points_per_period)) + 1
+    n = int(math.ceil(stop * omega_fringe / (2.0 * math.pi * SPEED_OF_LIGHT)
+                      * points_per_period)) + 2
     fixed = ReducedParameters(0.0, 0.0, 0.0, 0.0)
     return SweepSpec(SweepVariable.DELTA_L, 0.0, stop, n, fixed, source, amps)
 

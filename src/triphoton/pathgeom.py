@@ -18,7 +18,7 @@ same coincidence rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .constants import SPEED_OF_LIGHT
@@ -76,40 +76,27 @@ class PathConfiguration:
 
 @dataclass(frozen=True)
 class ReducedParameters:
-    """Three length differences (m), one phase difference (rad), carriers.
+    """Three length differences (m) and one phase difference (rad).
 
-    The carrier wave numbers (rad/m) are optional; :func:`attach_carriers`
-    fills them in from a set of central frequencies. ``topdc_choice``
-    records which of the three equivalent third-order parameterizations
-    produced the lengths (always 1 for CPDC).
+    ``topdc_choice`` records which of the three equivalent third-order
+    parameterizations produced the lengths (always 1 for CPDC); the
+    carrier wave numbers that multiply the lengths come from
+    :func:`carrier_wavenumbers`.
     """
 
     delta_l: float
     delta_l_prime: float
     delta_l_dprime: float
     delta_phi: float = 0.0
-    k_p0: float | None = None
-    k0_prime: float | None = None
-    k0_dprime: float | None = None
     topdc_choice: int = 1
 
     def __post_init__(self):
         if self.topdc_choice not in (1, 2, 3):
             raise ValueError("topdc_choice must be 1, 2 or 3")
-        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi",
-                     "k_p0", "k0_prime", "k0_dprime"):
+        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"):
             v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-
-    def cosine_argument(self) -> float:
-        """k_p0*dL + k0'*dL' + k0''*dL'' + dphi; requires carriers."""
-        if self.k_p0 is None or self.k0_prime is None or self.k0_dprime is None:
-            raise ValueError("carrier wave numbers not attached")
-        return (self.k_p0 * self.delta_l
-                + self.k0_prime * self.delta_l_prime
-                + self.k0_dprime * self.delta_l_dprime
-                + self.delta_phi)
 
 
 @dataclass(frozen=True)
@@ -212,13 +199,6 @@ def carrier_wavenumbers(f: CentralFrequencies, source: SourceKind,
     wp, w1, w2 = carrier_omegas(f, source, choice)
     c = SPEED_OF_LIGHT
     return (wp / c, w1 / c, w2 / c)
-
-
-def attach_carriers(reduced: ReducedParameters, f: CentralFrequencies,
-                    source: SourceKind) -> ReducedParameters:
-    """Fill in the carrier wave numbers matching the reduction's choice."""
-    kp, k1, k2 = carrier_wavenumbers(f, source, reduced.topdc_choice)
-    return replace(reduced, k_p0=kp, k0_prime=k1, k0_dprime=k2)
 
 
 def cpdc_freq_transform(omega_p, omega_prime, omega_dprime):

@@ -50,9 +50,6 @@ class SpectralDensity:
     #: Peak position (rad/s). Zero means the density sits on the carrier.
     center_offset: float = 0.0
 
-    #: True when the shape is symmetric about its center.
-    is_even: bool = True
-
     @property
     def center(self) -> float:
         return self.center_offset
@@ -86,8 +83,9 @@ class SpectralDensity:
         """
         return 0.0
 
-    def analytic_transform(self, delay: float) -> complex | None:
-        """Closed-form ``integral of f(w) exp(-i w delay) dw`` if known, else None."""
+    def analytic_transform(self, delays: np.ndarray) -> np.ndarray | None:
+        """Closed-form ``integral of f(w) exp(-i w delay) dw`` at each of the
+        float array ``delays``, as a complex array; None if unknown."""
         return None
 
     def with_width_scaled(self, factor: float) -> "SpectralDensity":
@@ -175,21 +173,33 @@ def _cos_tail_integral(n: int, freq: float, lower: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class Gaussian(SpectralDensity):
-    """Unit-area Gaussian, ``sigma`` is the standard deviation in rad/s."""
+class _AnalyticShape(SpectralDensity):
+    """A closed-form shape: a finite center offset and one width, the
+    field named by ``_width_field``."""
 
-    sigma: float
-    center_offset: float = 0.0
+    _width_field: str
 
     def __post_init__(self):
-        _check_width("sigma", self.sigma)
+        _check_width(self._width_field, self.characteristic_width)
         if not math.isfinite(self.center_offset):
             raise ValueError("center_offset must be finite")
 
     @property
     def characteristic_width(self) -> float:
-        return self.sigma
+        return getattr(self, self._width_field)
+
+    def with_width_scaled(self, factor: float) -> "_AnalyticShape":
+        _check_width("factor", factor)
+        return replace(self, **{self._width_field: self.characteristic_width * factor})
+
+
+@dataclass(frozen=True)
+class Gaussian(_AnalyticShape):
+    """Unit-area Gaussian, ``sigma`` is the standard deviation in rad/s."""
+
+    sigma: float
+    center_offset: float = 0.0
+    _width_field = "sigma"
 
     def evaluate(self, detuning):
         u = (np.asarray(detuning, dtype=float) - self.center_offset) / self.sigma
@@ -201,31 +211,18 @@ class Gaussian(SpectralDensity):
         b = (hi - self.center_offset) / (self.sigma * math.sqrt(2.0))
         return 0.5 * (math.erfc(-a) + math.erfc(b))
 
-    def analytic_transform(self, delay: float) -> complex:
-        mag = math.exp(-0.5 * (self.sigma * delay) ** 2)
-        return mag * complex(math.cos(self.center_offset * delay),
-                             -math.sin(self.center_offset * delay))
-
-    def with_width_scaled(self, factor: float) -> "Gaussian":
-        _check_width("factor", factor)
-        return replace(self, sigma=self.sigma * factor)
+    def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
+        mag = np.exp(-0.5 * (self.sigma * delays) ** 2)
+        return mag * np.exp(-1j * (self.center_offset * delays))
 
 
 @dataclass(frozen=True)
-class Lorentzian(SpectralDensity):
+class Lorentzian(_AnalyticShape):
     """Unit-area Lorentzian, ``gamma`` is the half-width at half maximum."""
 
     gamma: float
     center_offset: float = 0.0
-
-    def __post_init__(self):
-        _check_width("gamma", self.gamma)
-        if not math.isfinite(self.center_offset):
-            raise ValueError("center_offset must be finite")
-
-    @property
-    def characteristic_width(self) -> float:
-        return self.gamma
+    _width_field = "gamma"
 
     def evaluate(self, detuning):
         u = np.asarray(detuning, dtype=float) - self.center_offset
@@ -247,18 +244,13 @@ class Lorentzian(SpectralDensity):
         one_side = (g / math.pi) * (i2 - g * g * i4 + g ** 4 * i6)
         return 2.0 * one_side
 
-    def analytic_transform(self, delay: float) -> complex:
-        mag = math.exp(-self.gamma * abs(delay))
-        return mag * complex(math.cos(self.center_offset * delay),
-                             -math.sin(self.center_offset * delay))
-
-    def with_width_scaled(self, factor: float) -> "Lorentzian":
-        _check_width("factor", factor)
-        return replace(self, gamma=self.gamma * factor)
+    def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
+        mag = np.exp(-self.gamma * np.abs(delays))
+        return mag * np.exp(-1j * (self.center_offset * delays))
 
 
 @dataclass(frozen=True)
-class SincSquared(SpectralDensity):
+class SincSquared(_AnalyticShape):
     """Unit-area sinc-squared profile, ``sin(u/width)**2 / (u/width)**2``.
 
     Models the boxcar (rectangular-crystal) phase-matching response; the
@@ -267,15 +259,7 @@ class SincSquared(SpectralDensity):
 
     width: float
     center_offset: float = 0.0
-
-    def __post_init__(self):
-        _check_width("width", self.width)
-        if not math.isfinite(self.center_offset):
-            raise ValueError("center_offset must be finite")
-
-    @property
-    def characteristic_width(self) -> float:
-        return self.width
+    _width_field = "width"
 
     def evaluate(self, detuning):
         u = (np.asarray(detuning, dtype=float) - self.center_offset) / self.width
@@ -309,15 +293,10 @@ class SincSquared(SpectralDensity):
         )
         return 2.0 * one_side
 
-    def analytic_transform(self, delay: float) -> complex:
+    def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         # Fourier pair of sinc^2 is the triangle function.
-        mag = max(0.0, 1.0 - abs(delay) * self.width / 2.0)
-        return mag * complex(math.cos(self.center_offset * delay),
-                             -math.sin(self.center_offset * delay))
-
-    def with_width_scaled(self, factor: float) -> "SincSquared":
-        _check_width("factor", factor)
-        return replace(self, width=self.width * factor)
+        mag = np.maximum(0.0, 1.0 - np.abs(delays) * self.width / 2.0)
+        return mag * np.exp(-1j * (self.center_offset * delays))
 
 
 class Tabulated(SpectralDensity):
@@ -326,8 +305,6 @@ class Tabulated(SpectralDensity):
     Zero outside the grid support. Construct with raw samples and call
     :meth:`normalize` before feeding it to the coherence engine.
     """
-
-    is_even = False
 
     def __init__(self, grid, values, center_offset: float = 0.0):
         grid = np.asarray(grid, dtype=float) + center_offset  # checked once shifted

@@ -277,6 +277,17 @@ class TestSurfaceErrors:
         with pytest.raises(IntegrationError, match=r"cell \(0, 1\)"):
             coherence_surface(pm, [0.0, 0.0, 1e4], [0.0, 1e4])
 
+    def test_separable_axis_reported(self, monkeypatch):
+        fourier = coherence._segmented_fourier
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delay: (
+            fourier(f, knots, delay)[0], 1.0 if delay == 0.5 else 0.0))
+        pm = Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0))
+        with pytest.raises(IntegrationError, match=r"^surface column 2 \(all cells\): "):
+            coherence_surface(pm, [0.0, 0.25], [0.0, 0.25, 0.5], method="quadrature")
+        # the rows are evaluated first
+        with pytest.raises(IntegrationError, match=r"^surface row 1 \(all cells\): "):
+            coherence_surface(pm, [0.0, 0.5], [0.5], method="quadrature")
+
 
 def correlated_table(rho):
     # spans +-8 sigma: on a table cut where the density is still ~1e-6 the

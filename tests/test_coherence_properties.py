@@ -1,7 +1,9 @@
 """Property tests of the coherence factors for every density kind.
 
 For unit-area densities the factors satisfy |g| <= 1, g(0) = 1 and the
-Hermitian symmetry g(-tau) = conj g(tau), on every numerical path.
+Hermitian symmetry g(-tau) = conj g(tau), on every numerical path. The
+scalar entry points are one-row views of the array cores, so they return
+the cores' values bit for bit.
 """
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton.coherence import gamma_prime, gamma_pump
+from triphoton.coherence import (_polar, gamma_prime, gamma_pump, joint_transforms,
+                                 transform_1d, transforms)
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
                                Tabulated, Tabulated2D)
 
@@ -113,3 +116,43 @@ class TestInvariants:
 def test_closed_form_zero_delay_is_exactly_one(shape):
     g = gamma_pump(ANALYTIC[shape](2.0, center_offset=3.0), 0.0)
     assert (g.magnitude, g.phase) == (1.0, 0.0)
+
+
+_delay_fractions = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0)),
+                            min_size=1, max_size=24)
+
+
+def assert_same_bits(value, mag, phase):
+    assert (repr(value.magnitude), repr(value.phase)) == (repr(float(mag)),
+                                                          repr(float(phase)))
+
+
+class TestOneRowView:
+    @settings(max_examples=40, deadline=None)
+    @given(density=st.one_of(analytic_densities(), tabulated_densities()),
+           fractions=_delay_fractions, method=st.sampled_from(["auto", "quadrature"]))
+    def test_transforms(self, density, fractions, method):
+        delays = np.array(fractions) / delay_unit(density)  # keeps -0.0
+        z = transforms(density, delays, method)
+        mag, phase = _polar(z)
+        for k, tau in enumerate(delays.tolist()):
+            assert repr(transform_1d(density, tau, method)) == repr(complex(z[k]))
+            assert_same_bits(gamma_pump(density, tau, method), mag[k], phase[k])
+
+    @settings(max_examples=30, deadline=None)
+    @given(d1=st.one_of(analytic_densities(), tabulated_densities()),
+           d2=st.one_of(analytic_densities(), tabulated_densities()),
+           rho=st.floats(-0.7, 0.7), tabulated2d=st.booleans(),
+           fractions=st.lists(st.tuples(_delay_fractions.map(lambda f: f[0]),
+                                        _delay_fractions.map(lambda f: f[0])),
+                              min_size=1, max_size=12))
+    def test_joint_transforms(self, d1, d2, rho, tabulated2d, fractions):
+        if tabulated2d:
+            pm, w1, w2 = correlated_table(rho, 1.0, 1.5), 8.0, 8.0  # delays within 1
+        else:
+            pm, w1, w2 = Separable(d1, d2), delay_unit(d1), delay_unit(d2)
+        taus_prime = np.array([f1 for f1, _ in fractions]) / w1
+        taus_dprime = np.array([f2 for _, f2 in fractions]) / w2
+        mag, phase = _polar(joint_transforms(pm, taus_prime, taus_dprime))
+        for k, pair in enumerate(zip(taus_prime.tolist(), taus_dprime.tolist())):
+            assert_same_bits(gamma_prime(pm, *pair), mag[k], phase[k])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton import coherence
+from triphoton import coherence, experiments
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.coherence import gamma_pump
 from triphoton.errors import InsufficientSamplingError, IntegrationError
@@ -92,16 +92,39 @@ class TestRunSweep:
         with pytest.raises(IntegrationError, match=rf"^sweep row {k} \("):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("variable, choice, first_row", [
+        (SweepVariable.DELTA_L, 1, 0), (SweepVariable.DELTA_L_PRIME, 1, 0),
+        (SweepVariable.DELTA_L_PRIME, 2, 5)])
+    def test_first_failing_row_across_factors(self, variable, choice, first_row,
+                                              monkeypatch):
+        # every quadrature at |delay| >= 0.45 / _W fails. With choice 1 the
+        # swept factor (g, or pm1 within g') fails from row 5 on and the fixed
+        # double-prime delay fails pm2 in every row, so rate_length meets the
+        # pm2 failure first; with choice 2 the native delays fall as the rows
+        # rise, so the first failing row holds the largest failing key
+        fourier = coherence._segmented_fourier
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delay: (
+            fourier(f, knots, delay)[0], 1.0 if abs(delay) >= 0.45 / _W else 0.0))
+        dprime = 0.6 * _L if choice == 1 else 0.0
+        spec = SweepSpec(variable, 0.0, 0.8 * _L, 9,
+                         ReducedParameters(0.0, 0.0, dprime, topdc_choice=choice),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        assert len(_rows_by_rate_length(spec)) == first_row
+        with pytest.raises(IntegrationError, match=rf"^sweep row {first_row} \("):
+            run_sweep(spec)
+
     def test_phase_sweep_computes_each_factor_once(self, monkeypatch):
         calls = []
-        transform = coherence.transform_1d
-        monkeypatch.setattr(coherence, "transform_1d",
-                            lambda *a, **k: calls.append(a[1]) or transform(*a, **k))
+        core = coherence.transforms
+        spy = lambda *a, **k: calls.append(a[1]) or core(*a, **k)  # noqa: E731
+        for module in (coherence, experiments):
+            monkeypatch.setattr(module, "transforms", spy)
         spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 2 * math.pi, 9,
                          ReducedParameters(1.3 * _L, -0.4 * _L, 0.7 * _L),
                          tabulated_source(SourceKind.TOPDC), AMPS)
         run_sweep(spec)
         assert len(calls) == 3  # pump, then both phase-matching axes
+        assert all(np.size(delays) == 1 for delays in calls)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -288,6 +311,18 @@ class TestCategoryII:
         metrics = extract_fringe_metrics(table)
         vis = fringe_visibility_at(table, 3 * lc, metrics.period)
         assert vis < 0.012
+
+    @pytest.mark.parametrize("offset", [-3e11, 3e11])
+    def test_offset_pump_is_sampled_for_extraction(self, offset):
+        # g's phase is -offset * delay, which moves the fringe carrier off
+        # the pump's central frequency; the preset must still sample more
+        # than the extractor's 16 points per fringe period
+        centrals = CentralFrequencies.from_wavelengths_nm(532, 1064, 1064)
+        src = cpdc_source(pump=Gaussian(sigma=2e12, center_offset=offset),
+                          centrals=centrals)
+        metrics = extract_fringe_metrics(run_sweep(category_ii_spec(src, AMPS)))
+        fringe = 2 * math.pi * SPEED_OF_LIGHT / (centrals.omega_p0 - offset)
+        assert metrics.period == pytest.approx(fringe, rel=1e-6)
 
 
 class TestCategoryIII:

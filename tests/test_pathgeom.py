@@ -6,8 +6,8 @@ import pytest
 
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.pathgeom import (CentralFrequencies, PathConfiguration,
-                                ReducedParameters, SourceKind, attach_carriers,
-                                carrier_omegas, carrier_wavenumbers,
+                                ReducedParameters, SourceKind, carrier_omegas,
+                                carrier_wavenumbers,
                                 cpdc_freq_inverse, cpdc_freq_transform,
                                 reduce_cpdc, reduce_topdc, topdc_freq_inverse,
                                 topdc_freq_transform)
@@ -166,8 +166,10 @@ class TestCarriers:
                                    rng.uniform(0.5, 2.0) * SPEED_OF_LIGHT)
             args = []
             for choice in (1, 2, 3):
-                r = attach_carriers(reduce_topdc(p, choice), f, SourceKind.TOPDC)
-                args.append(r.cosine_argument())
+                r = reduce_topdc(p, choice)
+                kp, k1, k2 = carrier_wavenumbers(f, SourceKind.TOPDC, choice)
+                args.append(kp * r.delta_l + k1 * r.delta_l_prime
+                            + k2 * r.delta_l_dprime + r.delta_phi)
             scale = max(1.0, abs(args[0]))
             assert abs(args[1] - args[0]) <= 1e-12 * scale
             assert abs(args[2] - args[0]) <= 1e-12 * scale
@@ -210,19 +212,11 @@ class TestFrequencyTransforms:
         assert abs(abs(np.linalg.det(mat)) - expected) <= 1e-12
 
 
-def test_attach_carriers_populates_wavenumbers():
-    f = CentralFrequencies(2.4e15, 1.2e15, 1.2e15)
-    r = attach_carriers(reduce_cpdc(PathConfiguration(l_a1=2e-6)), f, SourceKind.CPDC)
-    assert r.k_p0 == pytest.approx(f.omega_p0 / SPEED_OF_LIGHT)
-    assert r.cosine_argument() == pytest.approx(r.k_p0 * 1e-6 + r.k0_prime * 1e-6)
-
-
 @pytest.mark.parametrize("field", ["delta_l", "delta_l_prime", "delta_l_dprime",
-                                   "delta_phi", "k_p0", "k0_prime", "k0_dprime"])
+                                   "delta_phi"])
 def test_reduced_parameters_reject_non_finite(field):
     # a non-finite phase used to end in NaN rates and a numpy RuntimeWarning
-    finite = dict(delta_l=1e-6, delta_l_prime=0.0, delta_l_dprime=0.0, delta_phi=0.0,
-                  k_p0=1e7, k0_prime=0.0, k0_dprime=0.0)
+    finite = dict(delta_l=1e-6, delta_l_prime=0.0, delta_l_dprime=0.0, delta_phi=0.0)
     ReducedParameters(**finite)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
