@@ -124,12 +124,12 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         # appearance, gathered back to rows; a failure keeps its key's first row
         _, first, inverse = np.unique(np.column_stack(columns), axis=0,
                                       return_index=True, return_inverse=True)
-        order = np.argsort(first)
+        rows = np.sort(first)
         try:
-            z = core(density, *(c[first[order]] for c in columns))
-            return _polar(z[np.argsort(order)[inverse.reshape(-1)]])
+            z = core(density, *(c[rows] for c in columns))
+            return _polar(z[np.searchsorted(rows, first)[inverse.reshape(-1)]])
         except IntegrationError as e:
-            failures.append((int(first[order[e.index]]), e))
+            failures.append((int(rows[e.index]), e))
 
     g = per_row(transforms, source.pump, delays[0])
     gp = per_row(joint_transforms, source.phase_matching, u, v)
