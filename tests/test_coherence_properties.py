@@ -24,9 +24,9 @@ _fractions = st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4)
 
 
 @st.composite
-def analytic_densities(draw, shapes=tuple(ANALYTIC)):
+def analytic_densities(draw):
     scale = draw(_scale)
-    shape = ANALYTIC[draw(st.sampled_from(shapes))]
+    shape = draw(st.sampled_from(list(ANALYTIC.values())))
     return shape(draw(st.floats(0.5, 2.0)) * scale,
                  center_offset=draw(st.floats(-5.0, 5.0)) * scale)
 
@@ -45,7 +45,7 @@ def tabulated_densities(draw):
 
 def delay_unit(density):
     """Inverse delay scale: the width, or two mean knot spacings of a table
-    (whose RMS width is rounding noise when a single knot is nonzero)."""
+    (whose RMS width is rounding noise when its mass sits on one knot)."""
     if isinstance(density, Tabulated):
         return 2.0 * float(np.mean(np.diff(density.grid)))
     return density.characteristic_width
