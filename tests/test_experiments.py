@@ -443,6 +443,202 @@ class TestExtractionDiagnostics:
         assert p.fwhm == pytest.approx(2 * math.sqrt(2 * math.log(2)), rel=1e-3)
 
 
+
+# Loop-based extraction helpers as they were before the array rewrite, kept
+# as the reference the array versions must match exactly, exceptions included.
+
+def _ref_zero_crossings(x, s):
+    out = []
+    idx = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
+    x0, x1 = x[idx], x[idx + 1]
+    s0, s1 = s[idx], s[idx + 1]
+    out.extend(x0 - s0 * (x1 - x0) / (s1 - s0))
+    zeros = np.nonzero(s == 0.0)[0]
+    i = 0
+    while i < zeros.size:
+        j = i
+        while j + 1 < zeros.size and zeros[j + 1] == zeros[j] + 1:
+            j += 1
+        a, b = zeros[i], zeros[j]
+        if a > 0 and b < s.size - 1 and s[a - 1] * s[b + 1] < 0:
+            out.append(0.5 * (x[a] + x[b]))
+        i = j + 1
+    return np.sort(np.asarray(out))
+
+
+def _ref_fringe_visibility_at(table, value, period):
+    x, y = table.values, table.rates
+    sel = (x >= value - period / 2) & (x <= value + period / 2)
+    if np.count_nonzero(sel) < 4:
+        raise InsufficientSamplingError(
+            f"fewer than 4 samples in the period window around {value!r}")
+    hi, lo = float(np.max(y[sel])), float(np.min(y[sel]))
+    return (hi - lo) / (hi + lo)
+
+
+def _ref_envelope_halfwidth(x, y, period):
+    centers, vis = [], []
+    left = x[0]
+    while left + period <= x[-1] + 1e-12 * period:
+        sel = (x >= left) & (x <= left + period)
+        if np.count_nonzero(sel) >= 4:
+            hi, lo = float(np.max(y[sel])), float(np.min(y[sel]))
+            if hi + lo > 0:
+                centers.append(left + period / 2)
+                vis.append((hi - lo) / (hi + lo))
+        left += period
+    if len(vis) < 2:
+        return math.inf
+    v0 = vis[0]
+    target = v0 / math.e
+    for i in range(1, len(vis)):
+        if vis[i] < target:
+            f = (vis[i - 1] - target) / (vis[i - 1] - vis[i])
+            return float(centers[i - 1] + f * (centers[i] - centers[i - 1]))
+    return math.inf
+
+
+def _ref_extract_dip_profile(table):
+    x, y, baseline = table.values, table.rates, table.baseline
+    i0 = int(np.argmin(np.abs(x)))
+    scale = max(abs(x[0]), abs(x[-1]))
+    if abs(x[i0]) > 1e-9 * scale:
+        raise ValueError("asymmetry scan must contain the origin")
+    r0 = float(y[i0])
+    depth_abs = abs(r0 - baseline)
+    if depth_abs <= 1e-12 * baseline:
+        raise ValueError("no extremum at the origin (flat profile)")
+    kind = ExtremumKind.DIP if r0 < baseline else ExtremumKind.HUMP
+    depth = depth_abs / baseline
+
+    half_level = baseline + (r0 - baseline) / 2.0
+
+    def crossing(direction):
+        i = i0
+        while 0 <= i + direction < len(x):
+            j = i + direction
+            if (y[i] - half_level) * (y[j] - half_level) <= 0:
+                if y[j] == y[i]:
+                    return float(x[j])
+                f = (half_level - y[i]) / (y[j] - y[i])
+                return float(x[i] + f * (x[j] - x[i]))
+            i = j
+        raise InsufficientSamplingError(
+            "scan does not reach the half-depth level on "
+            f"the {'right' if direction > 0 else 'left'} side")
+
+    fwhm = crossing(+1) - crossing(-1)
+
+    excursion = np.abs(y - baseline)
+    threshold = 0.05 * depth_abs
+    not_monotone = False
+    for direction in (+1, -1):
+        i = i0
+        while 0 <= i + direction < len(x) and excursion[i] > threshold:
+            i += direction
+        if excursion[i] > threshold:
+            not_monotone = True
+            continue
+        j = i + direction
+        while 0 <= j < len(x):
+            if excursion[j] > threshold:
+                not_monotone = True
+                break
+            j += direction
+    return experiments.DipProfile(extremum_kind=kind, depth=depth, fwhm=float(fwhm),
+                                  not_monotone=not_monotone)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+        assert repr(got) == repr(want)  # types and signed zeros too
+
+
+@st.composite
+def _scans(draw, origin=False):
+    """Ascending samples (uniform, linspace or jittered; steps exact in
+    binary or not) with rounded rates that tie, repeat and hit zero: random
+    levels, decaying fringes or, with ``origin``, a dip or hump there."""
+    n = draw(st.integers(4, 120))
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 0.3]))
+    layout = draw(st.sampled_from(["uniform", "linspace", "jittered"]))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1)) \
+        if layout == "jittered" else [1] * (n - 1)
+    rel = step * np.concatenate([[0], np.cumsum(gaps)])
+    start = -rel[draw(st.integers(0, n - 1))] if origin \
+        else step * draw(st.integers(-40, 40))
+    x = np.linspace(start, start + rel[-1], n) if layout == "linspace" \
+        else start + rel
+    digits = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        return x, np.round(np.array(levels, dtype=float) / 10.0, digits)
+    length = step * draw(st.integers(1, n))
+    vis = draw(st.floats(0.0, 1.0))
+    if origin:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        profile = draw(st.sampled_from([lambda u: np.exp(-u * u), np.sinc,
+                                        lambda u: np.sinc(u) ** 2]))
+        return x, np.round(1.0 + sign * vis * profile(x / length), digits)
+    period = step * draw(st.integers(3, 24))
+    phase = draw(st.floats(0.0, 6.3))
+    fringes = np.exp(-((x - x[0]) / length) ** 2) * np.cos(2 * math.pi * x / period
+                                                          + phase)
+    return x, np.round(1.0 + vis * fringes, digits)
+
+
+class TestExtractionMatchesLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(scan=_scans(), shift=st.integers(0, 119))
+    def test_zero_crossings(self, scan, shift):
+        x, y = scan
+        s = y - y[shift % y.size]  # at least one exact zero
+        assert_same_outcome(experiments._zero_crossings(x, s),
+                            _ref_zero_crossings(x, s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan=_scans(), samples=st.integers(1, 30), at=st.integers(0, 119),
+           on_sample=st.booleans(), nudge=st.floats(-0.5, 0.5))
+    def test_fringe_visibility_at(self, scan, samples, at, on_sample, nudge):
+        x, y = scan
+        step = (x[-1] - x[0]) / (x.size - 1)
+        period = step * (samples if on_sample else samples + nudge)
+        value = x[at % x.size] + (period / 2 if on_sample else nudge * step)
+        table = synthetic_table(x, y, variable=SweepVariable.DELTA_L)
+        assert_same_outcome(_outcome(fringe_visibility_at, table, value, period),
+                            _outcome(_ref_fringe_visibility_at, table, value, period))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan=_scans(), samples=st.integers(3, 40), on_sample=st.booleans(),
+           nudge=st.floats(-0.5, 0.5))
+    def test_envelope_halfwidth(self, scan, samples, on_sample, nudge):
+        x, y = scan
+        step = (x[-1] - x[0]) / (x.size - 1)
+        period = step * (samples if on_sample else samples + nudge)
+        assert_same_outcome(_outcome(experiments._envelope_halfwidth, x, y, period),
+                            _outcome(_ref_envelope_halfwidth, x, y, period))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan=_scans(origin=True),
+           baseline=st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0]))
+    def test_extract_dip_profile(self, scan, baseline):
+        x, y = scan
+        table = synthetic_table(x, y, baseline=baseline)
+        assert_same_outcome(_outcome(extract_dip_profile, table),
+                            _outcome(_ref_extract_dip_profile, table))
+
+
 def test_degenerate_central_frequencies():
     f = degenerate_central_frequencies(SourceKind.CPDC, 1.0e15)
     assert (f.omega_a0, f.omega_b0, f.omega_c0) == (2.0e15, 1.0e15, 1.0e15)
