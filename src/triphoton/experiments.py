@@ -13,7 +13,10 @@ delays and coherence factors are columns too, and the rate is assembled
 for all rows at once; the array coherence cores run once per distinct
 delay, so a phase scan pays for its two factors once, not once per row.
 Metric extraction works on the tables alone so it applies equally to the
-CLI's CSV pipeline.
+CLI's CSV pipeline. It is array code with no loop over rows or periods:
+one window rule (sample count, max and min per window, from
+``searchsorted`` bounds and ``reduceat``) serves both the central-fringe
+visibility and the per-period envelope, so a scan costs O(rows log rows).
 """
 
 from __future__ import annotations
@@ -186,22 +189,16 @@ def _zero_crossings(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     Samples landing exactly on zero count as crossings when the signs on
     either side of the zero run differ (tangent touches do not).
     """
-    out = []
-    idx = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
+    idx = np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)
     x0, x1 = x[idx], x[idx + 1]
     s0, s1 = s[idx], s[idx + 1]
-    out.extend(x0 - s0 * (x1 - x0) / (s1 - s0))
-    zeros = np.nonzero(s == 0.0)[0]
-    i = 0
-    while i < zeros.size:
-        j = i
-        while j + 1 < zeros.size and zeros[j + 1] == zeros[j] + 1:
-            j += 1
-        a, b = zeros[i], zeros[j]
-        if a > 0 and b < s.size - 1 and s[a - 1] * s[b + 1] < 0:
-            out.append(0.5 * (x[a] + x[b]))
-        i = j + 1
-    return np.sort(np.asarray(out))
+    runs = np.diff((s == 0.0).astype(int), prepend=0, append=0)
+    a, b = np.flatnonzero(runs == 1), np.flatnonzero(runs == -1) - 1  # zero runs
+    inner = (a > 0) & (b < s.size - 1)
+    a, b = a[inner], b[inner]
+    flips = s[a - 1] * s[b + 1] < 0
+    return np.sort(np.concatenate([x0 - s0 * (x1 - x0) / (s1 - s0),
+                                   0.5 * (x[a[flips]] + x[b[flips]])]))
 
 
 def _moving_mean(y: np.ndarray, window: int) -> np.ndarray:
@@ -256,38 +253,45 @@ def extract_fringe_metrics(table: SweepTable) -> FringeMetrics:
                          envelope_halfwidth=_envelope_halfwidth(x, y, period))
 
 
+def _window_extrema(x: np.ndarray, y: np.ndarray, lo, hi):
+    """The window rule: per window ``lo[k] <= x <= hi[k]`` of the ascending
+    ``x``, the positions ``k`` of the windows holding at least 4 samples,
+    and the max and min of ``y`` over each of those."""
+    start, stop = np.searchsorted(x, lo, "left"), np.searchsorted(x, hi, "right")
+    kept = np.flatnonzero(stop - start >= 4)
+    bounds = np.column_stack([start[kept], stop[kept]]).ravel()
+    padded = np.append(y, 0.0)  # a window may end at the last sample
+    return (kept, np.maximum.reduceat(padded, bounds)[::2],
+            np.minimum.reduceat(padded, bounds)[::2])
+
+
 def fringe_visibility_at(table: SweepTable, value: float, period: float) -> float:
     """Fringe visibility from the one-period window centered on ``value``."""
-    x, y = table.values, table.rates
-    sel = (x >= value - period / 2) & (x <= value + period / 2)
-    if np.count_nonzero(sel) < 4:
+    kept, hi, lo = _window_extrema(table.values, table.rates,
+                                   [value - period / 2], [value + period / 2])
+    if not kept.size:
         raise InsufficientSamplingError(
             f"fewer than 4 samples in the period window around {value!r}")
-    hi, lo = float(np.max(y[sel])), float(np.min(y[sel]))
+    hi, lo = float(hi[0]), float(lo[0])
     return (hi - lo) / (hi + lo)
 
 
 def _envelope_halfwidth(x: np.ndarray, y: np.ndarray, period: float) -> float:
     """1/e point of the per-period visibility profile, inf if never reached."""
-    centers, vis = [], []
-    left = x[0]
-    while left + period <= x[-1] + 1e-12 * period:
-        sel = (x >= left) & (x <= left + period)
-        if np.count_nonzero(sel) >= 4:
-            hi, lo = float(np.max(y[sel])), float(np.min(y[sel]))
-            if hi + lo > 0:
-                centers.append(left + period / 2)
-                vis.append((hi - lo) / (hi + lo))
-        left += period
-    if len(vis) < 2:
+    # window k starts at x[0] + period + ... + period, added one at a time
+    lefts = np.cumsum(np.r_[x[0], np.full(int((x[-1] - x[0]) / period) + 2, period)])
+    n = np.flatnonzero(~(lefts + period <= x[-1] + 1e-12 * period))[0]
+    kept, hi, lo = _window_extrema(x, y, lefts[:n], lefts[:n] + period)
+    lit = hi + lo > 0
+    centers = lefts[kept[lit]] + period / 2
+    vis = (hi[lit] - lo[lit]) / (hi[lit] + lo[lit])
+    target = vis[:1] / math.e  # empty when no window is kept
+    below = np.flatnonzero(vis[1:] < target)
+    if not below.size:
         return math.inf
-    v0 = vis[0]
-    target = v0 / math.e
-    for i in range(1, len(vis)):
-        if vis[i] < target:
-            f = (vis[i - 1] - target) / (vis[i - 1] - vis[i])
-            return float(centers[i - 1] + f * (centers[i] - centers[i - 1]))
-    return math.inf
+    i = below[0] + 1
+    f = (vis[i - 1] - target[0]) / (vis[i - 1] - vis[i])
+    return float(centers[i - 1] + f * (centers[i] - centers[i - 1]))
 
 
 @dataclass(frozen=True)
@@ -315,41 +319,26 @@ def extract_dip_profile(table: SweepTable) -> DipProfile:
     depth = depth_abs / baseline
 
     half_level = baseline + (r0 - baseline) / 2.0
-
-    def crossing(direction: int) -> float:
-        i = i0
-        while 0 <= i + direction < len(x):
-            j = i + direction
-            if (y[i] - half_level) * (y[j] - half_level) <= 0:
-                if y[j] == y[i]:
-                    return float(x[j])
-                f = (half_level - y[i]) / (y[j] - y[i])
-                return float(x[i] + f * (x[j] - x[i]))
-            i = j
-        raise InsufficientSamplingError(
-            "scan does not reach the half-depth level on "
-            f"the {'right' if direction > 0 else 'left'} side")
-
-    fwhm = crossing(+1) - crossing(-1)
-
-    # side lobes: past the point where the excursion first falls below 5%
-    # of the depth, it should stay there
     excursion = np.abs(y - baseline)
     threshold = 0.05 * depth_abs
-    not_monotone = False
-    for direction in (+1, -1):
-        i = i0
-        while 0 <= i + direction < len(x) and excursion[i] > threshold:
-            i += direction
-        if excursion[i] > threshold:
-            not_monotone = True  # never decayed below threshold inside the scan
-            continue
-        j = i + direction
-        while 0 <= j < len(x):
-            if excursion[j] > threshold:
-                not_monotone = True
-                break
-            j += direction
+    edges, not_monotone = [], False
+    for step, side in ((1, "right"), (-1, "left")):
+        # outward from the origin: the first sample pair that brackets the
+        # half level, interpolated from its origin side
+        xs, ys = x[i0::step], y[i0::step]
+        hit = np.flatnonzero((ys[:-1] - half_level) * (ys[1:] - half_level) <= 0)
+        if not hit.size:
+            raise InsufficientSamplingError(
+                f"scan does not reach the half-depth level on the {side} side")
+        (xi, xj), (yi, yj) = xs[hit[0]:hit[0] + 2], ys[hit[0]:hit[0] + 2]
+        edges.append(float(xj if yj == yi
+                           else xi + (half_level - yi) / (yj - yi) * (xj - xi)))
+        # side lobes: past the point where the excursion first falls below
+        # 5% of the depth, it should stay there (and it must get there)
+        above = excursion[i0::step] > threshold
+        low = np.flatnonzero(~above)
+        not_monotone |= not low.size or bool(above[low[0]:].any())
+    fwhm = edges[0] - edges[1]
     return DipProfile(extremum_kind=kind, depth=depth, fwhm=float(fwhm),
                       not_monotone=not_monotone)
 
