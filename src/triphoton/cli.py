@@ -82,11 +82,7 @@ class ValidateSpec:
     """Oracle comparison settings for the ``validate`` subcommand."""
 
     ratios: tuple[float, ...] = (1.0, 0.3, 0.1, 0.03, 0.01)
-    coupling_slope: float = 0.0
-    n_pump: int = 65
-    n_prime: int = 65
-    n_dprime: int = 65
-    support_multiplier: float = 8.0
+    oracle: OracleConfig = OracleConfig(n_pump=65, n_prime=65, n_dprime=65)
     delay_span_widths: float = 1.5
     n_delays: int = 3
 
@@ -139,8 +135,16 @@ class _KeyStore:
 
     def get_float(self, key: str, default=None, required: bool = False):
         raw = self.get(key, required=required)
+        return default if raw is None else self._finite(key, raw)
+
+    def get_floats(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+        """A comma-separated list of finite numbers."""
+        raw = self.get(key)
         if raw is None:
             return default
+        return tuple(self._finite(key, t.strip()) for t in raw.split(",") if t.strip())
+
+    def _finite(self, key: str, raw: str) -> float:
         try:
             value = float(raw)
         except ValueError:
@@ -286,30 +290,28 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
         except ValueError as e:
             raise ValidationError(f"sweep.{e}") from e  # names the sweep.* key
 
-    ratios_raw = store.get("validate.ratios")
-    if ratios_raw is not None:
-        try:
-            ratios = tuple(float(t) for t in ratios_raw.split(",") if t.strip())
-        except ValueError:
-            raise ValidationError(f"validate.ratios: bad list {ratios_raw!r}") from None
-        if not ratios or any(r <= 0 for r in ratios):
-            raise ValidationError("validate.ratios must be positive numbers")
-    else:
-        ratios = ValidateSpec().ratios
     defaults = ValidateSpec()
+    ratios = store.get_floats("validate.ratios", default=defaults.ratios)
+    if not ratios or any(r <= 0 for r in ratios):
+        raise ValidationError("validate.ratios must be positive numbers")
+    slope = store.get_float("validate.coupling_slope", default=0.0)
+    grid = {n: store.get_int(f"validate.{n}", default=getattr(defaults.oracle, n))
+            for n in ("n_pump", "n_prime", "n_dprime")}
+    multiplier = store.get_float("validate.support_multiplier",
+                                 default=defaults.oracle.support_multiplier)
+    try:  # the oracle checks its own grid
+        oracle = OracleConfig(**grid, support_multiplier=multiplier,
+                              pump_coupling=LinearShift(slope) if slope else None)
+    except ValueError as e:
+        raise ValidationError(f"validate.{e}") from e  # names the validate.* key
+    n_delays = store.get_int("validate.n_delays", default=defaults.n_delays)
+    if n_delays < 1:
+        raise ValidationError("validate.n_delays must be at least 1")
     validate = ValidateSpec(
-        ratios=ratios,
-        coupling_slope=store.get_float("validate.coupling_slope",
-                                       default=defaults.coupling_slope),
-        n_pump=store.get_int("validate.n_pump", default=defaults.n_pump),
-        n_prime=store.get_int("validate.n_prime", default=defaults.n_prime),
-        n_dprime=store.get_int("validate.n_dprime", default=defaults.n_dprime),
-        support_multiplier=store.get_float("validate.support_multiplier",
-                                           default=defaults.support_multiplier),
+        ratios=ratios, oracle=oracle,
         delay_span_widths=store.get_float("validate.delay_span_widths",
                                           default=defaults.delay_span_widths),
-        n_delays=store.get_int("validate.n_delays", default=defaults.n_delays),
-    )
+        n_delays=n_delays)
 
     precision = store.get_int("output.csv_precision", default=12)
     if not 1 <= precision <= 17:
@@ -384,13 +386,8 @@ def _validate_delays(config: RunConfig) -> list[DelayTriple]:
 
 def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     spec = config.validate
-    coupling = LinearShift(spec.coupling_slope) if spec.coupling_slope != 0.0 else None
-    cfg = OracleConfig(n_pump=spec.n_pump, n_prime=spec.n_prime,
-                       n_dprime=spec.n_dprime,
-                       support_multiplier=spec.support_multiplier,
-                       pump_coupling=coupling)
     rows = factorization_error_sweep(config.source, _validate_delays(config),
-                                     list(spec.ratios), cfg)
+                                     list(spec.ratios), spec.oracle)
     line = _row_format(config.csv_precision, 7)
     out_rows = [line(r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
                      r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)

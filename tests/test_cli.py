@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -162,6 +163,27 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError:") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("validate.n_pump = 10", ValidationError, "validate.n_pump must be at least 32"),
+        ("validate.support_multiplier = 2", ValidationError,
+         "validate.support_multiplier must be at least 4"),
+        ("validate.n_delays = -1", ValidationError, "validate.n_delays must be at least 1"),
+        ("validate.n_delays = 0", ValidationError, "validate.n_delays must be at least 1"),
+        ("validate.ratios = 1,inf", ParseError,
+         "line 12: validate.ratios: 'inf' is not a finite number"),
+        ("validate.ratios = nan", ParseError,
+         "line 12: validate.ratios: 'nan' is not a finite number"),
+    ])
+    def test_bad_validate_key_named(self, tmp_path, capsys, line, error, message):
+        text = MINIMAL_SOURCE + "geometry.delta_l_m = 0\n" + line + "\n"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error.__name__}: {message}\n"
+        assert not (out / "validate.csv").exists()
 
     def test_tabulated_pump_from_file(self, tmp_path):
         grid = np.linspace(-3e12, 3e12, 33)
