@@ -108,6 +108,10 @@ class DelayTriple:
 _GL_HI = np.polynomial.legendre.leggauss(12)
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _MAX_PHASE_PER_PIECE = 1.5  # radians of oscillation per quadrature piece
+# Most quadrature pieces one transform may lay out: each holds ~0.7 kB while
+# the rules run, so the cap bounds a transform near 180 MB. Resolvable
+# delays stay far below it (the tests reach 8e4 pieces, the benchmark 400).
+_MAX_PIECES = 2 ** 18
 
 
 def _segmented_fourier(f, knots: np.ndarray, delay: float) -> tuple[complex, float]:
@@ -119,8 +123,12 @@ def _segmented_fourier(f, knots: np.ndarray, delay: float) -> tuple[complex, flo
     estimate compares against a lower-order rule on the same pieces.
     """
     widths = np.diff(knots)
-    n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE)
-                       .astype(int))
+    n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
+    if not n_sub.sum() <= _MAX_PIECES:  # counted as floats, before any cast
+        raise IntegrationError(
+            f"coherence quadrature at delay {delay!r} s needs {n_sub.sum():.3g} "
+            f"pieces, more than the {_MAX_PIECES} allowed")
+    n_sub = n_sub.astype(int)
     # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
     first = np.cumsum(n_sub) - n_sub
     j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ class TestOscillatorySafeguard:
     def test_huge_delay_tabulated(self):
         z = transform_1d(asym_tabulated(), 2e4)
         assert abs(z) <= 1e-6  # coherence long gone at such delays
+
+    @pytest.mark.parametrize("density, delay", [
+        (Tabulated([-0.5, 0.5], [1.0, 1.0]), 1e12),
+        # mass on one knot: a rounding-noise width, one over it a huge delay
+        (Tabulated([-0.499528127250639, 0.4995281272506391],
+                   [0.3131155348796092, 0.0]), None),
+    ])
+    def test_piece_count_capped(self, density, delay):
+        # the piece layout would need terabytes; it must fail by name instead
+        density = density.normalize()
+        delay = delay or 1.0 / density.characteristic_width
+        with pytest.raises(IntegrationError, match=re.escape(f"at delay {delay!r} s ")):
+            transform_1d(density, delay)
 
 
 def _segmented_fourier_listcomp(f, knots, delay):
