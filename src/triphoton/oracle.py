@@ -105,31 +105,29 @@ class RatioErrorRow:
     rel_error: float
 
 
+def _span(density, mult: float) -> tuple[float, float]:
+    """Finite support, else ``mult`` characteristic widths about the center."""
+    lo, hi = density.support()
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lo, hi
+    half = mult * density.characteristic_width
+    return density.center - half, density.center + half
+
+
 def _axes(source: SourceModel, cfg: OracleConfig):
     """Integration axes for (pump, prime, dprime) detunings.
 
     The prime axis is widened by the maximum coupling shift so the
     shifted density never leaks off the grid.
     """
-    mult = cfg.support_multiplier
-    pump = source.pump
-    lo, hi = pump.support()
-    if math.isinf(lo) or math.isinf(hi):
-        half_p = mult * pump.characteristic_width
-        lo, hi = pump.center - half_p, pump.center + half_p
+    lo, hi = _span(source.pump, cfg.support_multiplier)
     pump_axis = np.linspace(lo, hi, cfg.n_pump)
     shift = abs(cfg.slope) * max(abs(lo), abs(hi))
 
     pm = source.phase_matching
     if isinstance(pm, Separable):
-        c1, w1 = pm.d1.center, pm.d1.characteristic_width
-        c2, w2 = pm.d2.center, pm.d2.characteristic_width
-        s1, e1 = pm.d1.support()
-        s2, e2 = pm.d2.support()
-        lo1 = s1 if math.isfinite(s1) else c1 - mult * w1
-        hi1 = e1 if math.isfinite(e1) else c1 + mult * w1
-        lo2 = s2 if math.isfinite(s2) else c2 - mult * w2
-        hi2 = e2 if math.isfinite(e2) else c2 + mult * w2
+        (lo1, hi1), (lo2, hi2) = (_span(d, cfg.support_multiplier)
+                                  for d in (pm.d1, pm.d2))
     elif isinstance(pm, Tabulated2D):
         lo1, hi1 = pm.grid1[0], pm.grid1[-1]
         lo2, hi2 = pm.grid2[0], pm.grid2[-1]
