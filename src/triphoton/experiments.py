@@ -338,8 +338,7 @@ def extract_dip_profile(table: SweepTable) -> DipProfile:
         above = excursion[i0::step] > threshold
         low = np.flatnonzero(~above)
         not_monotone |= not low.size or bool(above[low[0]:].any())
-    fwhm = edges[0] - edges[1]
-    return DipProfile(extremum_kind=kind, depth=depth, fwhm=float(fwhm),
+    return DipProfile(extremum_kind=kind, depth=depth, fwhm=edges[0] - edges[1],
                       not_monotone=not_monotone)
 
 
