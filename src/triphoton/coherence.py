@@ -123,7 +123,8 @@ def _segmented_fourier(f, knots: np.ndarray, delay: float) -> tuple[complex, flo
     estimate compares against a lower-order rule on the same pieces.
     """
     widths = np.diff(knots)
-    n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
+    with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
+        n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
     if not n_sub.sum() <= _MAX_PIECES:  # counted as floats, before any cast
         raise IntegrationError(
             f"coherence quadrature at delay {delay!r} s needs {n_sub.sum():.3g} "

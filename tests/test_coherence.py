@@ -230,6 +230,7 @@ class TestOscillatorySafeguard:
 
     @pytest.mark.parametrize("density, delay", [
         (Tabulated([-0.5, 0.5], [1.0, 1.0]), 1e12),
+        (Tabulated([-1e13, 1e13], [1.0, 1.0]), 1e300),  # the count overflows
         # mass on one knot: a rounding-noise width, one over it a huge delay
         (Tabulated([-0.499528127250639, 0.4995281272506391],
                    [0.3131155348796092, 0.0]), None),
