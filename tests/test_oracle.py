@@ -228,3 +228,67 @@ class TestTabulated2DJoint:
         got = oracle._triple_sum(src, d, cfg)
         assert abs(ref) > 0.1
         assert abs(got - ref) <= 1e-12 * INTERFERENCE_SCALE
+
+
+def _knot_row_reference_sum(source, delays, cfg):
+    """The tensor sum with the double-prime column from a full 2D evaluation
+    of the table at its prime knots (the form before the knot-row contraction)."""
+    pump_axis, prime_axis, dprime_axis = oracle._axes(source, cfg)
+    ep = (oracle._trapezoid_weights(pump_axis) * np.asarray(source.pump.evaluate(pump_axis))
+          * np.exp(-1j * pump_axis * delays.delta_tau))
+    e1 = oracle._trapezoid_weights(prime_axis) * np.exp(-1j * prime_axis * delays.delta_tau_prime)
+    e2 = oracle._trapezoid_weights(dprime_axis) * np.exp(-1j * dprime_axis * delays.delta_tau_dprime)
+    shifted = prime_axis[None, :] - cfg.slope * pump_axis[:, None]
+    pm = source.phase_matching
+    col = np.asarray(pm.evaluate(pm.grid1[:, None], dprime_axis[None, :])) @ e2
+    profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
+               + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
+    return complex(ep @ (profile @ e1))
+
+
+def _jittered_grid(rng, n, span):
+    # spacings vary up to 15x within one axis
+    steps = rng.uniform(1.0, 15.0, n - 1)
+    g = np.concatenate(([0.0], np.cumsum(steps)))
+    return span * (g / g[-1] - 0.5) + rng.uniform(-0.2, 0.2) * span
+
+
+def _random_joint_table(rng):
+    n1 = 2 if rng.random() < 0.2 else int(rng.integers(3, 60))
+    n2 = 2 if rng.random() < 0.2 else int(rng.integers(3, 60))
+    g1 = _jittered_grid(rng, n1, rng.uniform(4, 16) * SIGMA_PM)
+    g2 = _jittered_grid(rng, n2, rng.uniform(4, 16) * SIGMA_PM)
+    values = rng.uniform(0.0, 1.0, (n1, n2))
+    if rng.random() < 0.6:  # a block of exact zeros, at most half of each axis
+        a, b = rng.integers(0, n1), rng.integers(0, n2)
+        values[a:a + max(1, n1 // 2), b:b + max(1, n2 // 2)] = 0.0
+    return Tabulated2D(g1, g2, values).normalize()
+
+
+class TestKnotRowContraction:
+    """The Tabulated2D tensor sum equals, bit for bit, the sum that reads the
+    double-prime column from a full 2D evaluation at the prime knots."""
+
+    @pytest.mark.parametrize("seed, coupling", [(1, None), (2, LinearShift(0.0)),
+                                                (3, LinearShift(0.6)), (4, LinearShift(-0.9))])
+    def test_equals_two_dimensional_column(self, monkeypatch, seed, coupling):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            pm2d = _random_joint_table(rng)
+            pump = Gaussian(sigma=rng.uniform(0.2, 2.0) * SIGMA_PM,
+                            center_offset=rng.uniform(-0.5, 0.5) * SIGMA_PM)
+            src = SourceModel.cpdc(pump, pm2d, CENTRALS)
+            n_pump, n_prime, n_dprime = (int(n) for n in rng.integers(32, 90, 3))
+            cfg = OracleConfig(n_pump=n_pump, n_prime=n_prime, n_dprime=n_dprime,
+                               pump_coupling=coupling)
+            d = DelayTriple(*(rng.uniform(-1.5, 1.5, 3) / SIGMA_PM))
+            phi = float(rng.uniform(0, 2 * math.pi))
+
+            assert oracle._triple_sum(src, d, cfg) == _knot_row_reference_sum(src, d, cfg)
+            got = interference_term_3d(src, d, phi, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_triple_sum", _knot_row_reference_sum)
+                want = interference_term_3d(src, d, phi, cfg)
+            assert got.value == want.value
+            assert got.imag_residual == want.imag_residual
+            assert got.coarse_value == want.coarse_value
