@@ -27,6 +27,7 @@ reductions (pairwise, deterministic at a fixed grid and single thread).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .coherence import DelayTriple, _trapezoid_weights
 from .pathgeom import carrier_omegas
 from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_time
-from .spectra import Separable, Tabulated2D, joint_widths
+from .spectra import Separable, Tabulated2D, interpolation_cell, joint_widths
 
 # Zero-delay magnitude of the interference term (2 * g * g' * cos with
 # everything at 1); relative errors are quoted against this scale.
@@ -67,10 +68,14 @@ class OracleConfig:
 
     def __post_init__(self):
         for name in ("n_pump", "n_prime", "n_dprime"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 32:
                 raise ValueError(f"{name} must be at least 32")
         if not self.support_multiplier >= 4:
             raise ValueError("support_multiplier must be at least 4")
+        if not math.isfinite(self.support_multiplier):
+            raise ValueError("support_multiplier must be finite")
 
     @property
     def slope(self) -> float:
@@ -155,8 +160,11 @@ def _triple_sum(source: SourceModel, delays: DelayTriple, cfg: OracleConfig) -> 
         profile = np.asarray(pm.d1.evaluate(shifted)) * s2
     else:
         # bilinear: linear in the prime detuning between knots, so the
-        # column summed at the prime knots interpolates exactly
-        col = np.asarray(pm.evaluate(pm.grid1[:, None], dprime_axis[None, :])) @ e2
+        # column summed at the prime knots interpolates exactly; at a knot
+        # the table is its own row, linear along the dprime axis (which
+        # spans the table, so nothing is masked)
+        j, ty = interpolation_cell(pm.grid2, dprime_axis)
+        col = ((1 - ty) * pm.values[:, j] + ty * pm.values[:, j + 1]) @ e2
         profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
                    + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
     return complex(ep @ (profile @ e1))

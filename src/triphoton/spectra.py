@@ -411,6 +411,18 @@ class Separable:
         return Separable(self.d1.normalize(), self.d2.normalize())
 
 
+def interpolation_cell(grid: np.ndarray, x):
+    """Left knot index of the cell holding ``x`` and the fraction across it.
+
+    ``grid`` is finite and strictly increasing. The index is clipped to a real
+    cell, so points outside the grid extrapolate from the end cells; at a knot
+    the fraction is exactly 0 or 1.
+    """
+    i = np.clip(np.searchsorted(grid, x) - 1, 0, grid.size - 2)
+    x0 = grid[i]
+    return i, (x - x0) / (grid[i + 1] - x0)
+
+
 class Tabulated2D:
     """Bilinear joint density tabulated on a rectangular grid.
 
@@ -424,6 +436,8 @@ class Tabulated2D:
         for name, g in (("grid1", grid1), ("grid2", grid2)):
             if g.ndim != 1 or g.size < 2:
                 raise ValueError(f"{name} must be 1D with at least two points")
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"{name} must be finite")
             if np.any(np.diff(g) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
         if values.shape != (grid1.size, grid2.size):
@@ -453,12 +467,8 @@ class Tabulated2D:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
-        i = np.clip(np.searchsorted(self.grid1, x) - 1, 0, self.grid1.size - 2)
-        j = np.clip(np.searchsorted(self.grid2, y) - 1, 0, self.grid2.size - 2)
-        x0, x1 = self.grid1[i], self.grid1[i + 1]
-        y0, y1 = self.grid2[j], self.grid2[j + 1]
-        tx = (x - x0) / (x1 - x0)
-        ty = (y - y0) / (y1 - y0)
+        i, tx = interpolation_cell(self.grid1, x)
+        j, ty = interpolation_cell(self.grid2, y)
         v = ((1 - tx) * (1 - ty) * self.values[i, j]
              + tx * (1 - ty) * self.values[i + 1, j]
              + (1 - tx) * ty * self.values[i, j + 1]

@@ -41,6 +41,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LinearShift(math.inf)
 
+    @pytest.mark.parametrize("name", ["n_pump", "n_prime", "n_dprime"])
+    @pytest.mark.parametrize("value", [64.0, 64.5])
+    def test_non_integer_grid_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            OracleConfig(**{name: value})
+
+    def test_numpy_integer_grid_accepted(self):
+        cfg = OracleConfig(n_pump=np.int64(33), n_prime=np.int32(40), n_dprime=np.uint16(36))
+        t = interference_term_3d(gaussian_source(), DelayTriple(0, 0, 0), 0.0, cfg)
+        assert t.value == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64(np.inf)])
+    def test_infinite_support_rejected(self, value):
+        with pytest.raises(ValueError, match="^support_multiplier must be finite$"):
+            OracleConfig(support_multiplier=value)
+
+    def test_existing_messages_unchanged(self):
+        with pytest.raises(ValueError, match="^n_pump must be at least 32$"):
+            OracleConfig(n_pump=16)
+        with pytest.raises(ValueError, match="^support_multiplier must be at least 4$"):
+            OracleConfig(support_multiplier=math.nan)
+
 
 class TestUncoupledAgreement:
     def test_zero_delays_give_full_term(self):
@@ -292,3 +314,23 @@ class TestKnotRowContraction:
             assert got.value == want.value
             assert got.imag_residual == want.imag_residual
             assert got.coarse_value == want.coarse_value
+
+
+class TestTabulated2DReadsKnotRows:
+    @pytest.mark.parametrize("coupling", [None, LinearShift(0.8)])
+    def test_no_two_dimensional_evaluation(self, monkeypatch, coupling):
+        # the double-prime sum reads the table's own rows at its prime knots
+        g1 = np.linspace(-8 * SIGMA_PM, 8 * SIGMA_PM, 41)
+        g2 = np.linspace(-6 * SIGMA_PM, 6 * SIGMA_PM, 33)
+        x, y = g1[:, None] / SIGMA_PM, g2[None, :] / SIGMA_PM
+        pm2d = Tabulated2D(g1, g2, np.exp(-(x * x - x * y + y * y) / 1.5)).normalize()
+        src = SourceModel.cpdc(Gaussian(sigma=1e12), pm2d, CENTRALS)
+        calls = []
+        evaluate = Tabulated2D.evaluate
+        monkeypatch.setattr(Tabulated2D, "evaluate",
+                            lambda self, *a: calls.append(a) or evaluate(self, *a))
+        cfg = OracleConfig(n_pump=33, n_prime=48, n_dprime=40, pump_coupling=coupling)
+        t = interference_term_3d(src, DelayTriple(0.3e-12, 0.2 / SIGMA_PM, -0.1 / SIGMA_PM),
+                                 0.0, cfg)
+        assert math.isfinite(t.value)
+        assert calls == []
