@@ -13,7 +13,10 @@ factorization degrades as the pump stops being narrowband.
 The double-prime axis is contracted first, leaving a profile over the
 prime detuning. A bilinear table is linear in the prime detuning between
 its knots, so its profile is the exact linear interpolation of the
-contracted column at the prime knots; the coupled prime sum then
+contracted column at the prime knots. At a prime knot the table is its
+own row, linear along the double-prime axis, so the column reads the
+stored rows with the table's own cell rule and no 2D evaluation runs (the
+result is bit-identical to one); the coupled prime sum then
 evaluates that profile at every shifted prime detuning in one array, with
 no loop over the pump axis. Memory stays O(n_pump * n_prime).
 
@@ -35,7 +38,7 @@ import numpy as np
 from .coherence import DelayTriple, _trapezoid_weights
 from .pathgeom import carrier_omegas
 from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_time
-from .spectra import Separable, Tabulated2D, interpolation_cell, joint_widths
+from .spectra import Separable, Tabulated2D, _interpolation_cell, joint_widths
 
 # Zero-delay magnitude of the interference term (2 * g * g' * cos with
 # everything at 1); relative errors are quoted against this scale.
@@ -160,10 +163,9 @@ def _triple_sum(source: SourceModel, delays: DelayTriple, cfg: OracleConfig) -> 
         profile = np.asarray(pm.d1.evaluate(shifted)) * s2
     else:
         # bilinear: linear in the prime detuning between knots, so the
-        # column summed at the prime knots interpolates exactly; at a knot
-        # the table is its own row, linear along the dprime axis (which
-        # spans the table, so nothing is masked)
-        j, ty = interpolation_cell(pm.grid2, dprime_axis)
+        # column summed at the prime knots interpolates exactly; there the
+        # table is its rows, and the dprime axis spans grid2 (no mask)
+        j, ty = _interpolation_cell(pm.grid2, dprime_axis)
         col = ((1 - ty) * pm.values[:, j] + ty * pm.values[:, j + 1]) @ e2
         profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
                    + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))

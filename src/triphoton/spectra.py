@@ -411,7 +411,7 @@ class Separable:
         return Separable(self.d1.normalize(), self.d2.normalize())
 
 
-def interpolation_cell(grid: np.ndarray, x):
+def _interpolation_cell(grid: np.ndarray, x):
     """Left knot index of the cell holding ``x`` and the fraction across it.
 
     ``grid`` is finite and strictly increasing. The index is clipped to a real
@@ -467,8 +467,8 @@ class Tabulated2D:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
-        i, tx = interpolation_cell(self.grid1, x)
-        j, ty = interpolation_cell(self.grid2, y)
+        i, tx = _interpolation_cell(self.grid1, x)
+        j, ty = _interpolation_cell(self.grid2, y)
         v = ((1 - tx) * (1 - ty) * self.values[i, j]
              + tx * (1 - ty) * self.values[i + 1, j]
              + (1 - tx) * ty * self.values[i, j + 1]

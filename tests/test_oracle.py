@@ -57,12 +57,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^support_multiplier must be finite$"):
             OracleConfig(support_multiplier=value)
 
-    def test_existing_messages_unchanged(self):
-        with pytest.raises(ValueError, match="^n_pump must be at least 32$"):
-            OracleConfig(n_pump=16)
-        with pytest.raises(ValueError, match="^support_multiplier must be at least 4$"):
-            OracleConfig(support_multiplier=math.nan)
-
 
 class TestUncoupledAgreement:
     def test_zero_delays_give_full_term(self):
