@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .constants import SPEED_OF_LIGHT
 from .errors import (InsufficientSamplingError, IntegrationError,
                      NormalizationError, ParseError, ValidationError)
-from .spectra import (Gaussian, GridSample, JointSpectralDensity, Lorentzian,
-                      Separable, SincSquared, SpectralDensity, Tabulated,
-                      Tabulated2D)
+from .spectra import (Gaussian, JointSpectralDensity, Lorentzian, Separable,
+                      SincSquared, SpectralDensity, Tabulated, Tabulated2D)
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
                        SourceKind, carrier_omegas, carrier_wavenumbers,
                        cpdc_freq_inverse, cpdc_freq_transform, reduce_cpdc,
@@ -39,8 +38,8 @@ __all__ = [
     "InsufficientSamplingError", "IntegrationError", "NormalizationError",
     "ParseError", "ValidationError",
     # spectra
-    "Gaussian", "GridSample", "JointSpectralDensity", "Lorentzian", "Separable",
-    "SincSquared", "SpectralDensity", "Tabulated", "Tabulated2D",
+    "Gaussian", "JointSpectralDensity", "Lorentzian", "Separable", "SincSquared",
+    "SpectralDensity", "Tabulated", "Tabulated2D",
     # pathgeom
     "CentralFrequencies", "PathConfiguration", "ReducedParameters", "SourceKind",
     "carrier_omegas", "carrier_wavenumbers",

@@ -68,14 +68,6 @@ _PHASE_KEYS = [f"phase_{t}_rad" for t in
                ("a1", "b1", "c1", "p1", "a2", "b2", "c2", "p2")]
 _DIRECT_KEYS = ["delta_l_m", "delta_l_prime_m", "delta_l_dprime_m", "delta_phi_rad"]
 
-_SWEEP_VARIABLES = {
-    "delta_phi": SweepVariable.DELTA_PHI,
-    "delta_l": SweepVariable.DELTA_L,
-    "delta_l_prime": SweepVariable.DELTA_L_PRIME,
-    "delta_l_dprime": SweepVariable.DELTA_L_DPRIME,
-    "diagonal": SweepVariable.DIAGONAL,
-}
-
 
 @dataclass(frozen=True)
 class ValidateSpec:
@@ -279,14 +271,16 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     sweep = None
     if store.has("sweep.variable"):
         var_raw = store.get("sweep.variable").lower()
-        if var_raw not in _SWEEP_VARIABLES:
-            raise ValidationError(f"sweep.variable: unknown variable {var_raw!r}")
+        try:
+            variable = SweepVariable(var_raw)
+        except ValueError:
+            raise ValidationError(
+                f"sweep.variable: unknown variable {var_raw!r}") from None
         start = store.get_float("sweep.start", required=True)
         stop = store.get_float("sweep.stop", required=True)
         n = store.get_int("sweep.n_points", required=True)
         try:
-            sweep = SweepSpec(_SWEEP_VARIABLES[var_raw], start, stop, n,
-                              geometry, source, amps)
+            sweep = SweepSpec(variable, start, stop, n, geometry, source, amps)
         except ValueError as e:
             raise ValidationError(f"sweep.{e}") from e  # names the sweep.* key
 

@@ -22,6 +22,7 @@ visibility and the per-period envelope, so a scan costs O(rows log rows).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +35,7 @@ from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
                     _assemble_rate, _native_pm_delays)
-from .spectra import joint_widths
+from .spectra import Tabulated2D, joint_widths
 
 
 class SweepVariable(Enum):
@@ -58,6 +59,8 @@ class SweepSpec:
     amps: AlternativeAmplitudes
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError("n_points must be an integer")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
         for name in ("start", "stop"):
@@ -408,7 +411,11 @@ def category_iii_specs(source: SourceModel, amps: AlternativeAmplitudes,
     residual fringes and the extractor flags it.
     """
     n_points = n_points | 1  # odd, so the origin is sampled exactly
-    w1, w2 = joint_widths(source.phase_matching)
+    pm = source.phase_matching
+    if isinstance(pm, Tabulated2D):  # its joint_widths are grid half-spans
+        w1, w2 = (m.characteristic_width for m in pm.marginals())
+    else:
+        w1, w2 = joint_widths(pm)
     w_prime, w_dprime = SPEED_OF_LIGHT / w1, SPEED_OF_LIGHT / w2
     fixed = ReducedParameters(0.0, 0.0, 0.0, delta_phi)
     spec_p = SweepSpec(SweepVariable.DELTA_L_PRIME, -widths * w_prime,

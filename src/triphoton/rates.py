@@ -66,10 +66,14 @@ class AlternativeAmplitudes:
     c_mag_sq: float = 1.0
 
     def __post_init__(self):
-        if not (self.k1_mag >= 0 and self.k2_mag >= 0):
-            raise ValueError("amplitude magnitudes must be nonnegative")
-        if not self.c_mag_sq > 0:
-            raise ValueError("c_mag_sq must be positive")
+        k1, k2, c = self.k1_mag, self.k2_mag, self.c_mag_sq
+        if not (0 <= k1 < math.inf and 0 <= k2 < math.inf):
+            raise ValueError("amplitude magnitudes must be finite and nonnegative")
+        if not 0 < c < math.inf:
+            raise ValueError("c_mag_sq must be finite and positive")
+        # the rate peaks at twice the baseline; x * x overflows to inf where x ** 2 raises
+        if 2.0 * c * (k1 * k1 + k2 * k2) == math.inf:
+            raise ValueError("the peak rate 2 * c_mag_sq * (k1_mag**2 + k2_mag**2) overflows")
 
     @classmethod
     def balanced(cls, total_scale: float = 1.0) -> "AlternativeAmplitudes":

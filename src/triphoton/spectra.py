@@ -20,28 +20,7 @@ import numpy as np
 
 from .errors import NormalizationError
 
-# Tail mass above which a sample grid is flagged as badly truncated.
-HEAVY_TAIL_THRESHOLD = 1e-8
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class GridSample:
-    """Pointwise density samples plus the mass left outside the grid.
-
-    ``tail_mass`` is exact (per-shape closed form), not a quadrature
-    estimate, so heavy-tailed shapes report their truncation honestly
-    instead of silently absorbing it.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    tail_mass: float
-
-    @property
-    def heavy_tail(self) -> bool:
-        return self.tail_mass > HEAVY_TAIL_THRESHOLD
 
 
 class SpectralDensity:
@@ -95,22 +74,6 @@ class SpectralDensity:
     def support(self) -> tuple[float, float]:
         """Interval outside which the density is identically zero."""
         return (-math.inf, math.inf)
-
-    def sample_grid(self, n_points: int, support_multiplier: float) -> GridSample:
-        """Uniform grid of ``n_points`` spanning ``+- support_multiplier`` widths.
-
-        The grid is centered on the peak; the returned tail mass is the
-        exact mass outside the grid.
-        """
-        if n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if not support_multiplier > 0:
-            raise ValueError("support_multiplier must be positive")
-        half = support_multiplier * self.characteristic_width
-        grid = np.linspace(self.center - half, self.center + half, int(n_points))
-        values = np.asarray(self.evaluate(grid), dtype=float)
-        tail = self.mass_outside(float(grid[0]), float(grid[-1]))
-        return GridSample(grid=grid, values=values, tail_mass=float(tail))
 
 
 def _check_width(name: str, value: float) -> None:
@@ -373,16 +336,6 @@ class Tabulated(SpectralDensity):
                 f"tabulated density has non-normalizable area {self._area!r}")
         return Tabulated(self.grid, self.values / self._area)
 
-    def mass_outside(self, lo: float, hi: float) -> float:
-        # exact piecewise-linear integral of the stored samples inside [lo, hi]
-        lo = max(lo, float(self.grid[0]))
-        hi = min(hi, float(self.grid[-1]))
-        if hi <= lo:
-            return self._area
-        xs = np.concatenate(([lo], self.grid[(self.grid > lo) & (self.grid < hi)], [hi]))
-        inside = float(np.trapezoid(self.evaluate(xs), xs))
-        return self._area - inside
-
     def support(self) -> tuple[float, float]:
         return (float(self.grid[0]), float(self.grid[-1]))
 
@@ -477,6 +430,12 @@ class Tabulated2D:
                   & (y >= self.grid2[0]) & (y <= self.grid2[-1]))
         out = np.where(inside, v, 0.0)
         return out if out.ndim else float(out)
+
+    def marginals(self) -> tuple[Tabulated, Tabulated]:
+        """The 1D densities on ``grid1`` and ``grid2``: the trapezoid of
+        ``values`` along the other axis."""
+        return (Tabulated(self.grid1, np.trapezoid(self.values, self.grid2, axis=1)),
+                Tabulated(self.grid2, np.trapezoid(self.values, self.grid1, axis=0)))
 
     def normalize(self) -> "Tabulated2D":
         if not math.isfinite(self._area) or self._area <= 0:

@@ -127,6 +127,23 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        (CATEGORY_I + "amplitudes.k1 = 1e200\namplitudes.k2 = 1e200\n",
+         "amplitudes: the peak rate 2 * c_mag_sq * (k1_mag**2 + k2_mag**2) overflows"),
+        (CATEGORY_I + "amplitudes.c_mag_sq = 1e300\namplitudes.k2 = 1e10\n",
+         "amplitudes: the peak rate 2 * c_mag_sq * (k1_mag**2 + k2_mag**2) overflows"),
+        (CATEGORY_I.replace("sweep.variable = delta_phi", "sweep.variable = Delta_X"),
+         "sweep.variable: unknown variable 'delta_x'"),
+    ], ids=["k1_k2_overflow", "c_mag_sq_overflow", "unknown_sweep_variable"])
+    def test_bad_amplitudes_or_variable_named(self, tmp_path, capsys, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("lines, message", [
         ("geometry.length_a1_m = 1e308\ngeometry.length_p1_m = 1.7e308\n",
          "geometry: delta_l must be finite, got inf"),

@@ -126,6 +126,16 @@ class TestRunSweep:
         assert len(calls) == 3  # pump, then both phase-matching axes
         assert all(np.size(delays) == 1 for delays in calls)
 
+    @pytest.mark.parametrize("n_points", [5.0, 5.5])
+    def test_spec_rejects_non_integer_n_points(self, n_points):
+        # before the check these built, then run_sweep failed inside np.linspace
+        with pytest.raises(ValueError, match="^n_points must be an integer$"):
+            SweepSpec(SweepVariable.DELTA_PHI, 0.0, 1.0, n_points,
+                      ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
+        spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 1.0, np.int64(5),
+                         ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
+        assert len(run_sweep(spec)) == 5
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.DELTA_PHI, 0.0, 1.0, 2,
@@ -362,6 +372,21 @@ class TestCategoryIII:
         f1 = extract_dip_metrics(run_sweep(sp1), run_sweep(sd1)).fwhm_dprime
         f2 = extract_dip_profile(run_sweep(sd2)).fwhm
         assert abs(f1 - f2) <= 1e-6 * f1
+
+    def test_tabulated2d_scans_reach_half_depth(self):
+        # a correlated table: joint_widths gives its grid half-spans (8 sigma),
+        # which kept the scans inside the dip
+        rho, s1, s2 = 0.5, self.sigma_prime, 3e12
+        g = np.linspace(-8, 8, 161)
+        x, y = g[:, None], g[None, :]
+        pm = Tabulated2D(g * s1, g * s2, np.exp(-(x * x - 2 * rho * x * y + y * y)
+                                                / (2 * (1 - rho * rho)))).normalize()
+        src = SourceModel.cpdc(self.src.pump, pm, self.src.centrals)
+        sp, sd = category_iii_specs(src, AMPS, math.pi)
+        metrics = extract_dip_metrics(run_sweep(sp), run_sweep(sd))
+        for fwhm, sigma in ((metrics.fwhm_prime, s1), (metrics.fwhm_dprime, s2)):
+            expected = SPEED_OF_LIGHT * 2 * math.sqrt(2 * math.log(2)) / sigma
+            assert fwhm == pytest.approx(expected, rel=0.01)
 
     def test_mismatched_kinds_rejected(self):
         sp, _ = category_iii_specs(self.src, AMPS, math.pi)

@@ -136,6 +136,21 @@ class TestAmplitudeValidation:
         with pytest.raises(ValueError):
             AlternativeAmplitudes.balanced(0.0)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AlternativeAmplitudes(math.inf, 1.0),
+         "amplitude magnitudes must be finite and nonnegative"),
+        (lambda: AlternativeAmplitudes.balanced(math.inf),
+         "amplitude magnitudes must be finite and nonnegative"),
+        (lambda: AlternativeAmplitudes(1.0, 1.0, math.inf),
+         "c_mag_sq must be finite and positive"),
+        (lambda: AlternativeAmplitudes(1e200, 1e200), "the peak rate .* overflows"),
+        (lambda: AlternativeAmplitudes(1.0, 1e154, 1.0), "the peak rate .* overflows"),
+    ], ids=["k1_inf", "balanced_inf", "c_mag_sq_inf", "k1_k2_overflow", "twice_overflows"])
+    def test_non_finite_or_overflowing_amplitudes_rejected(self, make, message):
+        # before the check these gave nan or inf rates, or an OverflowError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_balanced_baseline(self):
         amps = AlternativeAmplitudes.balanced(3.0)
         assert amps.baseline == pytest.approx(3.0, rel=1e-12)

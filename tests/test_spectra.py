@@ -40,46 +40,16 @@ def test_analytic_shapes_have_unit_area(density):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gaussian_quadrature_area_within_1e6():
-    s = Gaussian(sigma=1.0).sample_grid(4096, 8.0)
-    assert np.trapezoid(s.values, s.grid) == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("density", ALL_SHAPES + [
-    Tabulated([-1.0, -0.2, 0.4, 1.0], [0.0, 1.0, 2.0, 0.0]).normalize()])
-def test_sample_grid_mass_accounting(density):
-    s = density.sample_grid(2048, 8.0)
-    inside = float(np.trapezoid(s.values, s.grid))
-    assert inside + s.tail_mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_sample_grid_span():
-    s = Gaussian(sigma=1.0).sample_grid(1024, 6.0)
-    assert s.grid[0] == pytest.approx(-6.0)
-    assert s.grid[-1] == pytest.approx(6.0)
-    assert len(s.grid) == 1024
-
-
 def test_gaussian_tail_mass_matches_erfc():
-    s = Gaussian(sigma=1.0).sample_grid(1024, 6.0)
-    assert s.tail_mass == pytest.approx(1.9731752900754024e-09, rel=1e-9)
-    assert s.tail_mass < 2e-9
-    assert not s.heavy_tail
+    tail = Gaussian(sigma=1.0).mass_outside(-6.0, 6.0)
+    assert tail == pytest.approx(1.9731752900754024e-09, rel=1e-9)
+    assert tail < 2e-9
 
 
 def test_lorentzian_tail_mass_matches_arctan():
-    s = Lorentzian(gamma=1.0).sample_grid(1024, 6.0)
-    assert s.tail_mass == pytest.approx(1 - 2 * math.atan(6.0) / math.pi, rel=1e-12)
-    assert s.tail_mass == pytest.approx(0.10513691342250675, rel=1e-12)
-    assert s.heavy_tail
-
-
-def test_sample_grid_preconditions():
-    g = Gaussian(sigma=1.0)
-    with pytest.raises(ValueError):
-        g.sample_grid(8, 6.0)
-    with pytest.raises(ValueError):
-        g.sample_grid(64, 0.0)
+    tail = Lorentzian(gamma=1.0).mass_outside(-6.0, 6.0)
+    assert tail == pytest.approx(1 - 2 * math.atan(6.0) / math.pi, rel=1e-12)
+    assert tail == pytest.approx(0.10513691342250675, rel=1e-12)
 
 
 def test_invalid_widths_rejected():
@@ -158,6 +128,15 @@ def test_joint_widths():
     assert joint_widths(tab) == (2.0, 4.0)
     with pytest.raises(TypeError):
         joint_widths(Gaussian(sigma=1.0))
+
+
+def test_tabulated2d_marginals_of_a_product_are_its_factors():
+    g1, g2 = np.linspace(-1, 1, 5), np.linspace(0, 3, 7)
+    v1, v2 = 1 - np.abs(g1), g2 * (3 - g2)
+    m1, m2 = Tabulated2D(g1, g2, np.outer(v1, v2)).marginals()
+    assert np.array_equal(m1.grid, g1) and np.array_equal(m2.grid, g2)
+    assert np.allclose(m1.values, v1 * np.trapezoid(v2, g2), rtol=1e-14, atol=0)
+    assert np.allclose(m2.values, v2 * np.trapezoid(v1, g1), rtol=1e-14, atol=0)
 
 
 def test_separable_is_pointwise_product():
