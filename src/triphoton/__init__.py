@@ -10,8 +10,9 @@ rate against a brute-force 3D integration.
 __version__ = "0.1.0"
 
 from .constants import SPEED_OF_LIGHT
-from .errors import (InsufficientSamplingError, IntegrationError,
-                     NormalizationError, ParseError, ValidationError)
+from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
+                     IntegrationError, NormalizationError, ParseError,
+                     ValidationError)
 from .spectra import (Gaussian, JointSpectralDensity, Lorentzian, Separable,
                       SincSquared, SpectralDensity, Tabulated, Tabulated2D)
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
@@ -35,7 +36,8 @@ from .experiments import (DipMetrics, DipProfile, ExtremumKind, FringeMetrics,
 __all__ = [
     "SPEED_OF_LIGHT", "__version__",
     # errors
-    "InsufficientSamplingError", "IntegrationError", "NormalizationError",
+    "CarrierPhaseOverflowError", "InsufficientSamplingError", "IntegrationError",
+    "NormalizationError",
     "ParseError", "ValidationError",
     # spectra
     "Gaussian", "JointSpectralDensity", "Lorentzian", "Separable", "SincSquared",

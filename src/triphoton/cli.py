@@ -51,8 +51,9 @@ import numpy as np
 
 from . import __version__
 from .coherence import DelayTriple
-from .errors import (InsufficientSamplingError, IntegrationError,
-                     NormalizationError, ParseError, ValidationError)
+from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
+                     IntegrationError, NormalizationError, ParseError,
+                     ValidationError)
 from .experiments import (SweepSpec, SweepTable, SweepVariable,
                           extract_dip_profile, extract_fringe_metrics, run_sweep)
 from .oracle import LinearShift, OracleConfig, factorization_error_sweep
@@ -281,6 +282,8 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
         n = store.get_int("sweep.n_points", required=True)
         try:
             sweep = SweepSpec(variable, start, stop, n, geometry, source, amps)
+        except CarrierPhaseOverflowError as e:  # the geometry or the range, not one key
+            raise ValidationError(str(e)) from e
         except ValueError as e:
             raise ValidationError(f"sweep.{e}") from e  # names the sweep.* key
 

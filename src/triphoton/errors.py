@@ -22,6 +22,10 @@ class IntegrationError(RuntimeError):
         self.index = None
 
 
+class CarrierPhaseOverflowError(ValueError):
+    """A geometry whose carrier phase ``omega * tau`` overflows a double."""
+
+
 class InsufficientSamplingError(ValueError):
     """A sweep table is too sparse or too short for metric extraction."""
 

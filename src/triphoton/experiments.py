@@ -29,7 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import InsufficientSamplingError, IntegrationError
+from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
+                     IntegrationError)
 from .coherence import _polar, joint_transforms, transforms
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
@@ -71,6 +72,39 @@ class SweepSpec:
             raise ValueError("start must be below stop")
         if not math.isfinite(self.stop - self.start):
             raise ValueError("start and stop must be a finite distance apart")
+        self._check_carrier_phase()
+
+    def _check_carrier_phase(self):
+        """Reject a range whose carrier phase overflows, before any transform runs.
+
+        The phase is affine in the swept value, so it is finite on the
+        whole range when it is finite at both ends.
+        """
+        try:
+            w_p0, w0_prime, w0_dprime = carrier_omegas(
+                self.source.centrals, self.source.kind, self.fixed.topdc_choice)
+        except ValueError:
+            return  # an invalid labeling, which run_sweep rejects before any row
+        names = ("delta_l", "delta_l_prime", "delta_l_dprime")
+        swept = _swept_names(self.variable)
+        for end_name, end in (("start", self.start), ("stop", self.stop)):
+            v = {name: end if name in swept else float(getattr(self.fixed, name))
+                 for name in (*names, "delta_phi")}
+            dt, dt_prime, dt_dprime = (v[name] / SPEED_OF_LIGHT for name in names)
+            # summed in the order of rates._assemble_rate
+            arg = w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime + v["delta_phi"]
+            if not math.isfinite(arg):
+                raise CarrierPhaseOverflowError(
+                    f"the carrier phase overflows at the sweep {end_name}: "
+                    + ", ".join(f"{name} = {v[name]!r}" for name in names)
+                    + f" m, delta_phi = {v['delta_phi']!r} rad")
+
+
+def _swept_names(variable: SweepVariable) -> tuple[str, ...]:
+    """The :class:`ReducedParameters` fields a sweep of ``variable`` sets."""
+    if variable is SweepVariable.DIAGONAL:
+        return ("delta_l_prime", "delta_l_dprime")
+    return (variable.value,)
 
 
 @dataclass(frozen=True)
@@ -112,8 +146,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     values = np.linspace(spec.start, spec.stop, spec.n_points)
     source, choice = spec.source, spec.fixed.topdc_choice
     carriers = carrier_omegas(source.centrals, source.kind, choice)
-    swept = (("delta_l_prime", "delta_l_dprime")
-             if spec.variable is SweepVariable.DIAGONAL else (spec.variable.value,))
+    swept = _swept_names(spec.variable)
     dl, dlp, dldp, dphi = (
         values if name in swept
         else np.full(values.size, float(getattr(spec.fixed, name)))

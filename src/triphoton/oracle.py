@@ -20,6 +20,22 @@ result is bit-identical to one); the coupled prime sum then
 evaluates that profile at every shifted prime detuning in one array, with
 no loop over the pump axis. Memory stays O(n_pump * n_prime).
 
+Everything but the three delay phase columns is delay-independent, so
+the core :func:`_triple_sum` builds the axes, the trapezoid weights, the
+weighted pump column and the density columns (or the table's knot-row
+matrix) once per grid and then sums delay by delay, and
+:func:`interference_term_3d` is the one-row view of the terms built
+from those sums (:func:`_interference_terms`). The factorization
+sweep therefore builds each bandwidth ratio's grids once, computes the
+phase-matching factor once per delay for all ratios, and returns, row for
+row, what the per-delay entry points return.
+
+The grid spans a fixed number of widths of an infinite-support shape, so
+the sum misses that shape's mass beyond the window. That mass is known
+exactly and is reported per term as ``tail_mass``; at zero delay the
+term falls short of 2 by about ``2 * tail_mass``. It is flagged, not
+divided out, since that correction holds only at zero delay.
+
 Trapezoid tensor quadrature is used deliberately: it shares no method
 with the adaptive engine in :mod:`triphoton.coherence` (only the
 trapezoid-weight helper), so a disagreement localizes a bug instead of
@@ -31,13 +47,17 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherence import DelayTriple, _trapezoid_weights
+from .coherence import (DelayTriple, _polar, _trapezoid_weights, joint_transforms,
+                        transforms)
+from .errors import IntegrationError
 from .pathgeom import carrier_omegas
-from .rates import AlternativeAmplitudes, RateResult, SourceModel, rate_time
+from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
+                    rate_time)
 from .spectra import Separable, Tabulated2D, _interpolation_cell, joint_widths
 
 # Zero-delay magnitude of the interference term (2 * g * g' * cos with
@@ -87,11 +107,16 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleTerm:
-    """3D interference term with its self-consistency diagnostics."""
+    """3D interference term with its self-consistency diagnostics.
+
+    ``tail_mass`` is the joint mass outside the integration window,
+    ``1 - prod(1 - m)`` over the axes' masses ``m`` beyond their spans.
+    """
 
     value: float
     imag_residual: float
     coarse_value: float
+    tail_mass: float
 
     @property
     def coarse_rel_change(self) -> float:
@@ -100,6 +125,10 @@ class OracleTerm:
     @property
     def coarse_grid_warning(self) -> bool:
         return self.coarse_rel_change > COARSE_GRID_TOLERANCE
+
+    @property
+    def truncated(self) -> bool:
+        return self.tail_mass > COARSE_GRID_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -111,6 +140,11 @@ class RatioErrorRow:
     factorized: float
     oracle: float
     rel_error: float
+    tail_mass: float
+
+    @property
+    def truncated(self) -> bool:
+        return self.tail_mass > COARSE_GRID_TOLERANCE
 
 
 def _span(density, mult: float) -> tuple[float, float]:
@@ -120,6 +154,17 @@ def _span(density, mult: float) -> tuple[float, float]:
         return lo, hi
     half = mult * density.characteristic_width
     return density.center - half, density.center + half
+
+
+def _tail_mass(source: SourceModel, mult: float) -> float:
+    """Joint mass the grid misses: each infinite-support axis loses its mass
+    outside its span; a table is integrated over its whole support."""
+    pm = source.phase_matching
+    kept = 1.0
+    for density in (source.pump, *((pm.d1, pm.d2) if isinstance(pm, Separable) else ())):
+        if not all(math.isfinite(x) for x in density.support()):
+            kept *= 1.0 - density.mass_outside(*_span(density, mult))
+    return 1.0 - kept
 
 
 def _axes(source: SourceModel, cfg: OracleConfig):
@@ -146,30 +191,71 @@ def _axes(source: SourceModel, cfg: OracleConfig):
     return pump_axis, prime_axis, dprime_axis
 
 
-def _triple_sum(source: SourceModel, delays: DelayTriple, cfg: OracleConfig) -> complex:
-    """Tensor trapezoid of pump(w) pm(w'-s*w, w'') exp(-i(w dt + w' dt' + w'' dt''))."""
+def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
+                cfg: OracleConfig) -> np.ndarray:
+    """Tensor trapezoid of pump(w) pm(w'-s*w, w'') exp(-i(w dt + w' dt' + w'' dt''))
+    at each delay triple; the grid and its density columns are built once."""
     pump_axis, prime_axis, dprime_axis = _axes(source, cfg)
-    ep = (_trapezoid_weights(pump_axis) * np.asarray(source.pump.evaluate(pump_axis))
-          * np.exp(-1j * pump_axis * delays.delta_tau))
-    e1 = _trapezoid_weights(prime_axis) * np.exp(-1j * prime_axis * delays.delta_tau_prime)
-    e2 = _trapezoid_weights(dprime_axis) * np.exp(-1j * dprime_axis * delays.delta_tau_dprime)
+    weighted_pump = (_trapezoid_weights(pump_axis)
+                     * np.asarray(source.pump.evaluate(pump_axis)))
+    w1 = _trapezoid_weights(prime_axis)
+    w2 = _trapezoid_weights(dprime_axis)
 
     # the dprime sum is taken first; what remains is a profile over the
     # prime detuning, which the pump couples to only through the shift
     shifted = prime_axis[None, :] - cfg.slope * pump_axis[:, None]
     pm = source.phase_matching
     if isinstance(pm, Separable):
-        s2 = complex(np.asarray(pm.d2.evaluate(dprime_axis)) @ e2)
-        profile = np.asarray(pm.d1.evaluate(shifted)) * s2
+        v2 = np.asarray(pm.d2.evaluate(dprime_axis))
+        v1 = np.asarray(pm.d1.evaluate(shifted))
     else:
         # bilinear: linear in the prime detuning between knots, so the
         # column summed at the prime knots interpolates exactly; there the
         # table is its rows, and the dprime axis spans grid2 (no mask)
         j, ty = _interpolation_cell(pm.grid2, dprime_axis)
-        col = ((1 - ty) * pm.values[:, j] + ty * pm.values[:, j + 1]) @ e2
-        profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
-                   + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
-    return complex(ep @ (profile @ e1))
+        knot_rows = (1 - ty) * pm.values[:, j] + ty * pm.values[:, j + 1]
+
+    out = np.empty(len(delays), dtype=complex)
+    for k, d in enumerate(delays):
+        ep = weighted_pump * np.exp(-1j * pump_axis * d.delta_tau)
+        e1 = w1 * np.exp(-1j * prime_axis * d.delta_tau_prime)
+        e2 = w2 * np.exp(-1j * dprime_axis * d.delta_tau_dprime)
+        if isinstance(pm, Separable):
+            profile = v1 * complex(v2 @ e2)
+        else:
+            col = knot_rows @ e2
+            profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
+                       + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
+        out[k] = ep @ (profile @ e1)
+    return out
+
+
+def _interference_terms(source: SourceModel, delays: Sequence[DelayTriple],
+                        delta_phi: float, cfg: OracleConfig) -> list[OracleTerm]:
+    """:func:`interference_term_3d` at each delay triple, with each grid
+    level's tensor sums taken in one :func:`_triple_sum` call."""
+    w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind, 1)
+    raw = _triple_sum(source, delays, cfg)
+    coarse_cfg = replace(cfg,
+                         n_pump=max(32, cfg.n_pump // 2 + 1),
+                         n_prime=max(32, cfg.n_prime // 2 + 1),
+                         n_dprime=max(32, cfg.n_dprime // 2 + 1))
+    raw_coarse = _triple_sum(source, delays, coarse_cfg)
+    tail = _tail_mass(source, cfg.support_multiplier)
+    terms = []
+    for d, fine, coarse in zip(delays, raw.tolist(), raw_coarse.tolist()):
+        arg0 = (delta_phi + w_p0 * d.delta_tau
+                + w0_prime * d.delta_tau_prime
+                + w0_dprime * d.delta_tau_dprime)
+        phase0 = complex(math.cos(arg0), -math.sin(arg0))
+        # the raw sum is real for even centered densities; its imaginary
+        # part is the numerical residue worth reporting (the carrier
+        # rotation would mix real and imaginary parts trivially)
+        terms.append(OracleTerm(value=2.0 * (phase0 * fine).real,
+                                imag_residual=abs(fine.imag),
+                                coarse_value=2.0 * (phase0 * coarse).real,
+                                tail_mass=tail))
+    return terms
 
 
 def interference_term_3d(source: SourceModel, delays: DelayTriple,
@@ -177,26 +263,10 @@ def interference_term_3d(source: SourceModel, delays: DelayTriple,
     """Interference term from the direct 3D sum, normalized like 2*g*g'*cos.
 
     The same sum at roughly half resolution per axis is reported alongside;
-    a large relative change flags the grid as too coarse to trust.
+    a large relative change flags the grid as too coarse to trust. The
+    one-row view of :func:`_interference_terms`.
     """
-    w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind, 1)
-    arg0 = (delta_phi + w_p0 * delays.delta_tau
-            + w0_prime * delays.delta_tau_prime
-            + w0_dprime * delays.delta_tau_dprime)
-    phase0 = complex(math.cos(arg0), -math.sin(arg0))
-
-    raw = _triple_sum(source, delays, cfg)
-    coarse_cfg = replace(cfg,
-                         n_pump=max(32, cfg.n_pump // 2 + 1),
-                         n_prime=max(32, cfg.n_prime // 2 + 1),
-                         n_dprime=max(32, cfg.n_dprime // 2 + 1))
-    raw_coarse = _triple_sum(source, delays, coarse_cfg)
-    # the raw sum is real for even centered densities; its imaginary part
-    # is the numerical residue worth reporting (the carrier rotation would
-    # mix real and imaginary parts trivially)
-    return OracleTerm(value=2.0 * (phase0 * raw).real,
-                      imag_residual=abs(raw.imag),
-                      coarse_value=2.0 * (phase0 * raw_coarse).real)
+    return _interference_terms(source, [delays], delta_phi, cfg)[0]
 
 
 def factorized_interference_term(source: SourceModel, delays: DelayTriple,
@@ -215,20 +285,42 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     For each ratio the pump is rescaled to ``ratio`` times the prime-axis
     phase-matching width and both engines are evaluated at every delay.
     Relative errors are quoted against the zero-delay interference scale.
+
+    Each row equals :func:`factorized_interference_term` and
+    :func:`interference_term_3d` at its ratio and delay bit for bit: g' is
+    computed once per delay, g once per ratio, and the oracle builds each
+    ratio's grids once. A transform failure raises the error of the first
+    failing row in ratio-major order, g before g' within a row.
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
     pm_width, _ = joint_widths(source.phase_matching)
+    columns = tuple(np.array([getattr(d, name) for d in delays], dtype=float)
+                    for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"))
+    carriers = carrier_omegas(source.centrals, source.kind, 1)
+    amps = AlternativeAmplitudes.balanced()
+    gp = None
     rows: list[RatioErrorRow] = []
     for ratio in ratios:
         factor = ratio * pm_width / source.pump.characteristic_width
         src = source.with_pump(source.pump.with_width_scaled(factor))
-        for d in delays:
-            fac = factorized_interference_term(src, d, 0.0)
-            orc = interference_term_3d(src, d, 0.0, cfg).value
+        if gp is None:  # g' does not depend on the pump
+            try:
+                gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))
+            except IntegrationError as e:  # unless g fails first, at or before that row
+                transforms(src.pump, columns[0][:e.index + 1])
+                raise
+        g = _polar(transforms(src.pump, columns[0]))
+        _, arg, _ = _assemble_rate(columns, 0.0, *g, *gp, carriers,
+                                   amps.amplitude_visibility, amps.baseline)
+        terms = _interference_terms(src, delays, 0.0, cfg)
+        for d, g_mag, gp_mag, a, term in zip(delays, g[0].tolist(), gp[0].tolist(),
+                                             arg.tolist(), terms):
+            fac = 2.0 * g_mag * gp_mag * math.cos(a)
             rows.append(RatioErrorRow(
-                ratio=ratio, delays=d, factorized=fac, oracle=orc,
-                rel_error=abs(fac - orc) / INTERFERENCE_SCALE))
+                ratio=ratio, delays=d, factorized=fac, oracle=term.value,
+                rel_error=abs(fac - term.value) / INTERFERENCE_SCALE,
+                tail_mass=term.tail_mass))
     return rows
 
 

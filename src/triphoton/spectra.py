@@ -175,7 +175,8 @@ class Gaussian(_AnalyticShape):
         return 0.5 * (math.erfc(-a) + math.erfc(b))
 
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
-        mag = np.exp(-0.5 * (self.sigma * delays) ** 2)
+        with np.errstate(over="ignore"):  # past |sigma * delay| ~ 1.3e154 the square is inf
+            mag = np.exp(-0.5 * (self.sigma * delays) ** 2)
         return mag * np.exp(-1j * (self.center_offset * delays))
 
 

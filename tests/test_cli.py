@@ -156,6 +156,20 @@ class TestParseConfig:
         assert main(["reduce", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
 
+    def test_overflowing_carrier_phase_rejected(self, tmp_path, capsys):
+        # every key is finite, but omega_p0 * delta_l / c overflows; before the
+        # check the sweep exited 0 with NaN rates and RuntimeWarnings
+        text = CATEGORY_I.replace("geometry.delta_l_m = 0", "geometry.delta_l_m = 1e308")
+        message = ("the carrier phase overflows at the sweep start: delta_l = 1e+308, "
+                   "delta_l_prime = 0.0, delta_l_dprime = 0.0 m, delta_phi = 0.0 rad")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_range_overflow_rejected(self, tmp_path, capsys):
         text = (CATEGORY_I.replace("sweep.start = 0", "sweep.start = -1.7e308")
                 .replace("sweep.stop = 6.283185307179586", "sweep.stop = 1.7e308"))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from triphoton import coherence, experiments
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.coherence import gamma_pump
-from triphoton.errors import InsufficientSamplingError, IntegrationError
+from triphoton.errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
+                              IntegrationError)
 from triphoton.experiments import (ExtremumKind, SweepSpec, SweepTable,
                                    SweepVariable, category_i_spec,
                                    category_ii_spec, category_iii_specs,
@@ -155,6 +156,29 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SweepSpec(SweepVariable.DELTA_PHI, start, stop, 9,
                       ReducedParameters(0, 0, 0, 0), cpdc_source(), AMPS)
+
+    @pytest.mark.parametrize("variable, start, stop, fixed, end", [
+        (SweepVariable.DELTA_PHI, 0.0, 1.0, (1e308, 0.0, 0.0, 0.0), "start"),
+        (SweepVariable.DELTA_L, 0.0, 1e308, (0.0, 0.0, 0.0, 0.0), "stop"),
+        (SweepVariable.DIAGONAL, -1e308, 0.0, (0.0, 5.0, 5.0, 0.0), "start"),
+        # each term is finite, their sum is not
+        (SweepVariable.DELTA_PHI, 0.0, 1.7e308, (7e300, 0.0, 0.0, 0.0), "stop"),
+    ])
+    def test_spec_rejects_overflowing_carrier_phase(self, variable, start, stop, fixed, end):
+        # before the check these swept, writing NaN rates with RuntimeWarnings
+        source = cpdc_source(centrals=CentralFrequencies(2.4e15, 1.0e15, 0.9e15))
+        with pytest.raises(CarrierPhaseOverflowError,
+                           match=f"^the carrier phase overflows at the sweep {end}: "):
+            SweepSpec(variable, start, stop, 9, ReducedParameters(*fixed), source, AMPS)
+
+    def test_gaussian_pump_decays_to_zero_past_squared_overflow(self):
+        # sigma * tau = 1e12 rad/s * 1e151 m / c = 3.3e154, whose square is inf;
+        # the carrier phase is finite, so the sweep runs and g is exactly 0
+        spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 2 * math.pi, 9,
+                         ReducedParameters(1e151, 0.0, 0.0, 0.0), cpdc_source(), AMPS)
+        table = run_sweep(spec)
+        assert np.all(table.gamma_mag == 0.0)
+        assert np.all(table.rates == table.baseline)
 
 
 _W = 1e13  # rad/s, spectral width scale of the property-test sources

@@ -1,18 +1,23 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triphoton import oracle
+from triphoton import coherence, oracle
 from triphoton.coherence import DelayTriple
+from triphoton.errors import IntegrationError
 from triphoton.oracle import (INTERFERENCE_SCALE, LinearShift, OracleConfig,
                               factorization_error_sweep,
                               factorized_interference_term,
                               interference_term_3d, max_error_by_ratio)
 from triphoton.pathgeom import CentralFrequencies
 from triphoton.rates import SourceModel
-from triphoton.spectra import Gaussian, Separable, Tabulated, Tabulated2D
+from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared, Tabulated,
+                               Tabulated2D, joint_widths)
 
 CENTRALS = CentralFrequencies(2.4e15, 1.2e15, 1.2e15)
 SIGMA_PM = 2e12
@@ -241,7 +246,7 @@ class TestTabulated2DJoint:
             v = pm2d.evaluate(prime_axis[:, None] - slope * pump_axis[i], dprime_axis[None, :])
             ref += ep[i] * (e1 @ v @ e2)
 
-        got = oracle._triple_sum(src, d, cfg)
+        got = oracle._triple_sum(src, [d], cfg)[0]
         assert abs(ref) > 0.1
         assert abs(got - ref) <= 1e-12 * INTERFERENCE_SCALE
 
@@ -260,6 +265,12 @@ def _knot_row_reference_sum(source, delays, cfg):
     profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
                + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
     return complex(ep @ (profile @ e1))
+
+
+def _each_delay(triple_sum):
+    """A one-delay tensor sum in the signature of the oracle's ``_triple_sum``,
+    which takes a sequence of delay triples and returns their sums."""
+    return lambda source, delays, cfg: np.array([triple_sum(source, d, cfg) for d in delays])
 
 
 def _jittered_grid(rng, n, span):
@@ -300,10 +311,10 @@ class TestKnotRowContraction:
             d = DelayTriple(*(rng.uniform(-1.5, 1.5, 3) / SIGMA_PM))
             phi = float(rng.uniform(0, 2 * math.pi))
 
-            assert oracle._triple_sum(src, d, cfg) == _knot_row_reference_sum(src, d, cfg)
+            assert oracle._triple_sum(src, [d], cfg)[0] == _knot_row_reference_sum(src, d, cfg)
             got = interference_term_3d(src, d, phi, cfg)
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_triple_sum", _knot_row_reference_sum)
+                m.setattr(oracle, "_triple_sum", _each_delay(_knot_row_reference_sum))
                 want = interference_term_3d(src, d, phi, cfg)
             assert got.value == want.value
             assert got.imag_residual == want.imag_residual
@@ -328,3 +339,170 @@ class TestTabulated2DReadsKnotRows:
                                  0.0, cfg)
         assert math.isfinite(t.value)
         assert calls == []
+
+
+def _ratio_source(source, ratio):
+    """The source a factorization sweep evaluates at ``ratio``."""
+    pm_width, _ = joint_widths(source.phase_matching)
+    factor = ratio * pm_width / source.pump.characteristic_width
+    return source.with_pump(source.pump.with_width_scaled(factor))
+
+
+def _gaussian_table(rho, w1, w2, n=97):
+    g = np.linspace(-8, 8, n)
+    x, y = g[:, None], g[None, :]
+    return Tabulated2D(g * w1, g * w2, np.exp(-(x * x - 2 * rho * x * y + y * y)
+                                              / (2 * (1 - rho * rho)))).normalize()
+
+
+_SHAPES = (Gaussian, Lorentzian, SincSquared)
+_widths = st.floats(0.5, 2.0).map(lambda f: f * SIGMA_PM)
+_offsets = st.floats(-0.3, 0.3).map(lambda f: f * SIGMA_PM)
+_delay_widths = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _sweep_sources(draw):
+    kind = draw(st.sampled_from([*_SHAPES, Tabulated]))
+    if kind is Tabulated:  # the quadrature path
+        pump = Tabulated([-SIGMA_PM, 0.0, 0.5 * SIGMA_PM, SIGMA_PM],
+                         [0.0, 1.0, 0.6, 0.0], center_offset=draw(_offsets)).normalize()
+    else:
+        pump = kind(draw(_widths), center_offset=draw(_offsets))
+    if draw(st.booleans()):  # at most 1.5 table widths of delay, which the 2D engine resolves
+        table_widths = st.floats(0.5, 1.0).map(lambda f: f * SIGMA_PM)
+        pm = _gaussian_table(draw(st.floats(-0.6, 0.6)), draw(table_widths), draw(table_widths))
+    else:
+        pm = Separable(*(draw(st.sampled_from(_SHAPES))(draw(_widths),
+                                                         center_offset=draw(_offsets))
+                         for _ in range(2)))
+    return SourceModel.cpdc(pump, pm, CENTRALS)
+
+
+class TestBatchedSweep:
+    """The sweep builds each ratio's grids once and g' once per delay, yet
+    every row is what the per-delay entry points return."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(source=_sweep_sources(),
+           ratios=st.lists(st.sampled_from([1.0, 0.3, 0.05]), min_size=1, max_size=3),
+           fractions=st.lists(st.tuples(_delay_widths, _delay_widths, _delay_widths),
+                              min_size=1, max_size=4),
+           slope=st.sampled_from([None, 0.0, 0.8]))
+    def test_rows_equal_per_delay_views(self, source, ratios, fractions, slope):
+        delays = [DelayTriple(a / SIGMA_PM, b / SIGMA_PM, c / SIGMA_PM)
+                  for a, b, c in fractions]
+        cfg = OracleConfig(n_pump=33, n_prime=40, n_dprime=36,
+                           pump_coupling=None if slope is None else LinearShift(slope))
+        rows = factorization_error_sweep(source, delays, ratios, cfg)
+        assert [(r.ratio, r.delays) for r in rows] == [(q, d) for q in ratios for d in delays]
+        for row in rows:
+            src = _ratio_source(source, row.ratio)
+            term = interference_term_3d(src, row.delays, 0.0, cfg)
+            assert row.factorized == factorized_interference_term(src, row.delays, 0.0)
+            assert row.oracle == term.value
+            assert row.tail_mass == term.tail_mass
+            assert row.rel_error == abs(row.factorized - row.oracle) / INTERFERENCE_SCALE
+
+    def test_triple_sum_patch_reaches_both_entry_points(self, monkeypatch):
+        def broken(source, delays, cfg):
+            raise RuntimeError("patched tensor sum")
+
+        monkeypatch.setattr(oracle, "_triple_sum", broken)
+        d = DelayTriple(0.0, 0.0, 0.0)
+        with pytest.raises(RuntimeError, match="^patched tensor sum$"):
+            interference_term_3d(gaussian_source(), d, 0.0, OracleConfig())
+        with pytest.raises(RuntimeError, match="^patched tensor sum$"):
+            factorization_error_sweep(gaussian_source(), [d], [1.0], OracleConfig())
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_grids_built_once_per_ratio_and_g_prime_once_per_delay(self, monkeypatch,
+                                                                   tabulated):
+        pm = (_gaussian_table(0.4, SIGMA_PM, 1.5 * SIGMA_PM) if tabulated
+              else Separable(Gaussian(sigma=SIGMA_PM), Lorentzian(gamma=1.5 * SIGMA_PM)))
+        source = SourceModel.cpdc(Gaussian(sigma=1e12), pm, CENTRALS)
+        evaluated, joint = [], []
+        for cls in (Gaussian, Lorentzian, Tabulated2D):
+            monkeypatch.setattr(cls, "evaluate", lambda self, *a, _f=cls.evaluate:
+                                evaluated.append(self) or _f(self, *a))
+        transform = coherence._tabulated2d_transform
+        monkeypatch.setattr(coherence, "_tabulated2d_transform",
+                            lambda *a: joint.append(a) or transform(*a))
+        delays = [DelayTriple(f / 1e12, f / SIGMA_PM, -f / SIGMA_PM) for f in (0.0, 0.4, 0.9)]
+        cfg = OracleConfig(n_pump=33, n_prime=33, n_dprime=33, pump_coupling=LinearShift(0.5))
+        rows = factorization_error_sweep(source, delays, [1.0, 0.1], cfg)
+        assert len(rows) == 6
+        assert len(joint) == (3 if tabulated else 0)
+        # per ratio, the fine and the coarse grid evaluate each density once:
+        # the shared phase-matching factors twice per ratio, each ratio's pump twice
+        counts = Counter(map(id, evaluated))
+        factors = [] if tabulated else [pm.d1, pm.d2]
+        assert [counts.pop(id(d)) for d in factors] == [4] * len(factors)
+        assert sorted(counts.values()) == [2, 2]
+
+
+class TestSweepErrorOrder:
+    """A failing sweep raises what the per-row evaluation raises first: ratio
+    by ratio, delay by delay, g before g' (messages as the row-by-row sweep
+    raised them)."""
+
+    PUMP_MESSAGE = "coherence quadrature at delay 1e-07 s needs 1.6e+06 pieces, more than the 262144 allowed"
+    TABLE_MESSAGE = ("2D tabulated transform inconsistent under grid halving at cell (0, 0) "
+                     "(estimated error 1.994e-01); the table is too coarse for delays "
+                     "(3.500e-12, 3.500e-12)")
+
+    def _sweep(self, delays, ratios=(1.0, 0.5)):
+        g = np.linspace(-6 * SIGMA_PM, 6 * SIGMA_PM, 49)
+        pm = Tabulated2D(g, g, np.exp(-(g[:, None] ** 2 + g[None, :] ** 2)
+                                      / (2 * SIGMA_PM ** 2))).normalize()
+        pump = Tabulated([-SIGMA_PM, 0.0, SIGMA_PM], [0.0, 1.0, 0.0]).normalize()
+        source = SourceModel.cpdc(pump, pm, CENTRALS)
+        cfg = OracleConfig(n_pump=32, n_prime=32, n_dprime=32)
+        with pytest.raises(IntegrationError) as info:
+            factorization_error_sweep(source, delays, list(ratios), cfg)
+        return str(info.value)
+
+    def test_pump_too_coarse_for_largest_delay(self):
+        # the table fails at the same delay; g comes first in the row
+        s = SIGMA_PM
+        delays = [DelayTriple(0, 0, 0), DelayTriple(0, 0.3 / s, 0.2 / s),
+                  DelayTriple(1e-7, 7 / s, 7 / s)]
+        assert self._sweep(delays) == self.PUMP_MESSAGE
+
+    def test_pump_fails_at_a_later_ratio_only(self):
+        s = SIGMA_PM
+        delays = [DelayTriple(0, 0, 0), DelayTriple(1e-7, 0.1 / s, 0.0)]
+        assert self._sweep(delays, ratios=(0.01, 1.0)) == self.PUMP_MESSAGE
+
+    def test_table_fails_first(self):
+        s = SIGMA_PM
+        delays = [DelayTriple(0, 0, 0), DelayTriple(0, 7 / s, 7 / s), DelayTriple(1e-7, 0, 0)]
+        assert self._sweep(delays) == self.TABLE_MESSAGE
+
+
+class TestTruncation:
+    """The grid's window misses the mass of an infinite-support shape beyond
+    it; at zero delay the term is 2 * (1 - tail_mass)."""
+
+    @pytest.mark.parametrize("pump, pm, tail", [
+        (Gaussian(sigma=1e12), Separable(Gaussian(sigma=2e12), Lorentzian(gamma=2e12)), 0.0792),
+        (SincSquared(width=1e12), Separable(Gaussian(sigma=2e12), Gaussian(sigma=2e12)), 0.0394),
+    ])
+    def test_heavy_tail_is_flagged(self, pump, pm, tail):
+        t = interference_term_3d(SourceModel.cpdc(pump, pm, CENTRALS),
+                                 DelayTriple(0, 0, 0), 0.0, OracleConfig())
+        assert t.truncated
+        assert t.tail_mass == pytest.approx(tail, abs=1e-4)
+        assert abs(t.value - 2.0 * (1.0 - t.tail_mass)) <= 1e-4
+
+    def test_gaussian_window_is_not_truncated(self):
+        t = interference_term_3d(gaussian_source(), DelayTriple(0, 0, 0), 0.0, OracleConfig())
+        assert not t.truncated
+        assert 0.0 < t.tail_mass < 1e-14
+
+    def test_tables_have_no_tail(self):
+        src = SourceModel.cpdc(triangle_source().pump,
+                               _gaussian_table(0.3, SIGMA_PM, SIGMA_PM), CENTRALS)
+        rows = factorization_error_sweep(src, [DelayTriple(0, 0, 0)], [1.0, 0.2],
+                                         OracleConfig(n_pump=33, n_prime=33, n_dprime=33))
+        assert [(r.tail_mass, r.truncated) for r in rows] == [(0.0, False)] * 2

@@ -217,3 +217,10 @@ def test_sine_integral_matches_scipy():
     assert _sine_integral(math.inf) == float(sici(math.inf)[0]) == math.pi / 2
     assert _sine_integral(-math.inf) == -math.pi / 2
     assert math.isnan(_sine_integral(math.nan))
+
+
+def test_gaussian_transform_is_zero_where_its_exponent_overflows():
+    # |sigma * tau| beyond ~1.3e154 squares to inf; the limit is exactly 0
+    z = Gaussian(sigma=1e12, center_offset=3e11).analytic_transform(
+        np.array([2e142, -1e200, 1e296]))
+    assert np.array_equal(z, np.zeros(3))
