@@ -383,8 +383,11 @@ def _validate_delays(config: RunConfig) -> list[DelayTriple]:
 
 def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     spec = config.validate
-    rows = factorization_error_sweep(config.source, _validate_delays(config),
-                                     list(spec.ratios), spec.oracle)
+    try:
+        rows = factorization_error_sweep(config.source, _validate_delays(config),
+                                         list(spec.ratios), spec.oracle)
+    except CarrierPhaseOverflowError as e:  # mapped as parse_config maps a sweep's
+        raise ValidationError(str(e)) from e
     line = _row_format(config.csv_precision, 7)
     out_rows = [line(r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
                      r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)

@@ -8,10 +8,9 @@ phase-matching coherence envelope, the three-photon analog of a
 Hong-Ou-Mandel scan).
 
 A sweep produces a table of numpy columns, one entry per row: the
-parameter values, the rate and its interference ingredients. Parameters,
-delays and coherence factors are columns too, and the rate is assembled
-for all rows at once; the array coherence cores run once per distinct
-delay, so a phase scan pays for its two factors once, not once per row.
+parameter values, the rate and its interference ingredients, all rows
+from one call of the rate core of :mod:`triphoton.rates`, so a phase scan
+pays for its two coherence factors once, not once per row.
 Metric extraction works on the tables alone so it applies equally to the
 CLI's CSV pipeline. It is array code with no loop over rows or periods:
 one window rule (sample count, max and min per window, from
@@ -31,11 +30,10 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
                      IntegrationError)
-from .coherence import _polar, joint_transforms, transforms
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
-from .rates import (AlternativeAmplitudes, RateResult, SourceModel,
-                    _assemble_rate, _native_pm_delays)
+from .rates import (AlternativeAmplitudes, SourceModel, _carrier_phase,
+                    _rate_columns)
 from .spectra import Tabulated2D, joint_widths
 
 
@@ -75,36 +73,32 @@ class SweepSpec:
         self._check_carrier_phase()
 
     def _check_carrier_phase(self):
-        """Reject a range whose carrier phase overflows, before any transform runs.
-
-        The phase is affine in the swept value, so it is finite on the
-        whole range when it is finite at both ends.
-        """
+        """Reject a range whose carrier phase overflows, before any transform
+        runs; the phase is affine in the swept value, so the ends decide."""
         try:
-            w_p0, w0_prime, w0_dprime = carrier_omegas(
-                self.source.centrals, self.source.kind, self.fixed.topdc_choice)
+            carriers = carrier_omegas(self.source.centrals, self.source.kind,
+                                      self.fixed.topdc_choice)
         except ValueError:
             return  # an invalid labeling, which run_sweep rejects before any row
-        names = ("delta_l", "delta_l_prime", "delta_l_dprime")
-        swept = _swept_names(self.variable)
-        for end_name, end in (("start", self.start), ("stop", self.stop)):
-            v = {name: end if name in swept else float(getattr(self.fixed, name))
-                 for name in (*names, "delta_phi")}
-            dt, dt_prime, dt_dprime = (v[name] / SPEED_OF_LIGHT for name in names)
-            # summed in the order of rates._assemble_rate
-            arg = w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime + v["delta_phi"]
-            if not math.isfinite(arg):
+        ends = _parameter_columns(self, np.array([self.start, self.stop]))
+        for end_name, row in zip(("start", "stop"), zip(*(c.tolist() for c in ends))):
+            try:
+                _carrier_phase(carriers, [x / SPEED_OF_LIGHT for x in row[:3]], row[3])
+            except CarrierPhaseOverflowError:
                 raise CarrierPhaseOverflowError(
-                    f"the carrier phase overflows at the sweep {end_name}: "
-                    + ", ".join(f"{name} = {v[name]!r}" for name in names)
-                    + f" m, delta_phi = {v['delta_phi']!r} rad")
+                    f"the carrier phase overflows at the sweep {end_name}: delta_l = "
+                    f"{row[0]!r}, delta_l_prime = {row[1]!r}, delta_l_dprime = "
+                    f"{row[2]!r} m, delta_phi = {row[3]!r} rad") from None
 
 
-def _swept_names(variable: SweepVariable) -> tuple[str, ...]:
-    """The :class:`ReducedParameters` fields a sweep of ``variable`` sets."""
-    if variable is SweepVariable.DIAGONAL:
-        return ("delta_l_prime", "delta_l_dprime")
-    return (variable.value,)
+def _parameter_columns(spec: SweepSpec, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(delta_l, delta_l_prime, delta_l_dprime, delta_phi)`` columns at the
+    swept ``values``: the fields the variable names take them, the rest are fixed."""
+    swept = (("delta_l_prime", "delta_l_dprime")
+             if spec.variable is SweepVariable.DIAGONAL else (spec.variable.value,))
+    return tuple(values if name in swept
+                 else np.full(values.size, float(getattr(spec.fixed, name)))
+                 for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"))
 
 
 @dataclass(frozen=True)
@@ -121,14 +115,6 @@ class SweepTable:
     visibility_bound: np.ndarray
     baseline: float
 
-    @property
-    def results(self) -> tuple[RateResult, ...]:
-        """The rows as :class:`RateResult` values with Python-float fields."""
-        columns = (self.rates, self.gamma_mag, self.gamma_prime_mag,
-                   self.cosine_argument, self.visibility_bound)
-        return tuple(RateResult(*row, float(self.baseline))
-                     for row in zip(*(c.tolist() for c in columns)))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -136,52 +122,21 @@ class SweepTable:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the rate across the sweep; aborts on the first bad row.
 
-    Parameters and delays are numpy columns, and one array-valued assembly
-    makes every row. Each coherence factor is computed once per distinct
-    delay (g per collective delay, g' per native asymmetry-delay pair) by
-    the array cores, whose one-row views :func:`rate_length` uses, so
-    every row equals it bit for bit; a failing sweep names the row where
-    :func:`rate_length` fails first.
+    The rate core that :func:`rate_length` views one row of makes every
+    row, so each equals it bit for bit, and a failing sweep names the row
+    where :func:`rate_length` fails first.
     """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
-    source, choice = spec.source, spec.fixed.topdc_choice
-    carriers = carrier_omegas(source.centrals, source.kind, choice)
-    swept = _swept_names(spec.variable)
-    dl, dlp, dldp, dphi = (
-        values if name in swept
-        else np.full(values.size, float(getattr(spec.fixed, name)))
-        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"))
-    delays = tuple(x / SPEED_OF_LIGHT for x in (dl, dlp, dldp))
-    if not all(np.isfinite(d).all() for d in delays):
-        raise ValueError("delays must be finite")
-    u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
-    failures = []
-
-    def per_row(core, density, *columns):
-        # the core once per distinct key (+0.0 and -0.0 alike; a zero delay
-        # has the same sign in every row or is in one row) in order of first
-        # appearance, gathered back to rows; a failure keeps its key's first row
-        _, first, inverse = np.unique(np.column_stack(columns), axis=0,
-                                      return_index=True, return_inverse=True)
-        rows = np.sort(first)
-        try:
-            z = core(density, *(c[rows] for c in columns))
-            return _polar(z[np.searchsorted(rows, first)[inverse.reshape(-1)]])
-        except IntegrationError as e:
-            failures.append((int(rows[e.index]), e))
-
-    g = per_row(transforms, source.pump, delays[0])
-    gp = per_row(joint_transforms, source.phase_matching, u, v)
-    if failures:  # g before g' in the same row, as rate_length computes them
-        i, e = min(failures, key=lambda f: f[0])
+    *lengths, dphi = _parameter_columns(spec, values)
+    try:
+        columns = _rate_columns(spec.source, [x / SPEED_OF_LIGHT for x in lengths],
+                                dphi, spec.amps, spec.fixed.topdc_choice, "auto")
+    except IntegrationError as e:
+        i = e.index
         raise IntegrationError(
-            f"sweep row {i} ({spec.variable.value} = {values[i]!r}): {e}",
+            f"sweep row {i} ({spec.variable.value} = {float(values[i])!r}): {e}",
             value=e.value, error_estimate=e.error_estimate) from e
-    rates, arg, vis = _assemble_rate(delays, dphi, *g, *gp, carriers,
-                                     spec.amps.amplitude_visibility,
-                                     spec.amps.baseline)
-    return SweepTable(spec.variable, values, rates, g[0], gp[0], arg, vis,
-                      float(spec.amps.baseline))
+    return SweepTable(spec.variable, values, *columns, float(spec.amps.baseline))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .coherence import (DelayTriple, _polar, _trapezoid_weights, joint_transform
 from .errors import IntegrationError
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
-                    rate_time)
+                    _carrier_phase, rate_time)
 from .spectra import Separable, Tabulated2D, _interpolation_cell, joint_widths
 
 # Zero-delay magnitude of the interference term (2 * g * g' * cos with
@@ -289,16 +289,16 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     Each row equals :func:`factorized_interference_term` and
     :func:`interference_term_3d` at its ratio and delay bit for bit: g' is
     computed once per delay, g once per ratio, and the oracle builds each
-    ratio's grids once. A transform failure raises the error of the first
-    failing row in ratio-major order, g before g' within a row.
+    ratio's grids once. An overflowing carrier phase raises before any sum
+    runs; a transform failure raises the error of the first failing row in
+    ratio-major order, g before g' within a row.
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
     pm_width, _ = joint_widths(source.phase_matching)
     columns = tuple(np.array([getattr(d, name) for d in delays], dtype=float)
                     for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"))
-    carriers = carrier_omegas(source.centrals, source.kind, 1)
-    amps = AlternativeAmplitudes.balanced()
+    phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1), columns, 0.0)
     gp = None
     rows: list[RatioErrorRow] = []
     for ratio in ratios:
@@ -311,8 +311,7 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
                 transforms(src.pump, columns[0][:e.index + 1])
                 raise
         g = _polar(transforms(src.pump, columns[0]))
-        _, arg, _ = _assemble_rate(columns, 0.0, *g, *gp, carriers,
-                                   amps.amplitude_visibility, amps.baseline)
+        _, arg, _ = _assemble_rate(phase, *g, *gp, 1.0, 1.0)  # the argument only
         terms = _interference_terms(src, delays, 0.0, cfg)
         for d, g_mag, gp_mag, a, term in zip(delays, g[0].tolist(), gp[0].tolist(),
                                              arg.tolist(), terms):

@@ -10,8 +10,11 @@ coherence factors carry (nonzero only for asymmetric densities). For
 equal alternative amplitudes the bracket reduces to C [1 + g g' cos], a
 textbook visibility form, because the densities are unit-area.
 
-Entry points accept either a delay triple (seconds) or reduced lengths
-(meters); the two agree exactly since the length form just divides by c.
+One column core computes every row at once, each coherence factor once
+per distinct delay, after rejecting an overflowing carrier phase; the
+entry points are its one-row views, so they equal a sweep bit for bit.
+They accept either a delay triple (seconds) or reduced lengths (meters);
+the two agree exactly since the length form just divides by c.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coherence import DelayTriple, gamma_pump, gamma_prime
+from .coherence import DelayTriple, _polar, joint_transforms, transforms
+from .coherence import gamma_prime  # noqa: F401  (bench/spans.py traces rates.gamma_prime)
+from .errors import CarrierPhaseOverflowError, IntegrationError
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind, carrier_omegas
 from .spectra import JointSpectralDensity, SpectralDensity
 
@@ -111,8 +116,7 @@ class RateResult:
     baseline: float
 
 
-def _native_pm_delays(kind: SourceKind, choice: int,
-                      dt_prime: float, dt_dprime: float) -> tuple[float, float]:
+def _native_pm_delays(kind: SourceKind, choice: int, dt_prime, dt_dprime):
     """Map choice-n asymmetry delays to the joint density's native coordinates.
 
     The three third-order labelings are linear reshuffles of the same
@@ -136,31 +140,69 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
 
     With equal amplitudes this is the C [1 + g g' cos(...)] form; unequal
     amplitudes give the general bracket with its 2|K1||K2| factor. An
-    invalid labeling is rejected before any coherence factor is computed.
+    invalid labeling or an overflowing carrier phase is rejected before
+    any coherence factor is computed.
     """
+    columns = _rate_columns(source, [np.array([d]) for d in astuple(delays)],
+                            delta_phi, amps, choice, method)
+    return RateResult(*(float(c[0]) for c in columns), float(amps.baseline))
+
+
+def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int, method: str):
+    """The :class:`RateResult` columns but the baseline at the delay columns
+    ``(dt, dt', dt'')`` (s) and ``delta_phi``; a transform failure re-raises the
+    first failing row's error (g before g') with that row as ``index``."""
     carriers = carrier_omegas(source.centrals, source.kind, choice)
-    g = gamma_pump(source.pump, delays.delta_tau, method=method)
-    u, v = _native_pm_delays(source.kind, choice,
-                             delays.delta_tau_prime, delays.delta_tau_dprime)
-    gp = gamma_prime(source.phase_matching, u, v, method=method)
-    rate, arg, vis = _assemble_rate(astuple(delays), delta_phi, g.magnitude, g.phase,
-                                    gp.magnitude, gp.phase, carriers,
-                                    amps.amplitude_visibility, amps.baseline)
-    return RateResult(float(rate), g.magnitude, gp.magnitude, float(arg),
-                      float(vis), float(amps.baseline))
+    phase = _carrier_phase(carriers, delays, delta_phi)
+    u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
+    try:
+        g = _per_key(transforms, source.pump, method, delays[0])
+    except IntegrationError as e:  # unless g' fails in an earlier row
+        _per_key(joint_transforms, source.phase_matching, method, u[:e.index],
+                 v[:e.index])
+        raise
+    gp = _per_key(joint_transforms, source.phase_matching, method, u, v)
+    rate, arg, vis = _assemble_rate(phase, *g, *gp, amps.amplitude_visibility,
+                                    amps.baseline)
+    return rate, g[0], gp[0], arg, vis
 
 
-def _assemble_rate(delays, delta_phi, g_mag, g_phase, gp_mag, gp_phase,
-                   carriers: tuple[float, float, float],
+def _per_key(core, density, method: str, *columns: np.ndarray):
+    """``core`` in polar form once per distinct row of the one or two columns
+    (+0.0 and -0.0 alike; a zero delay has the same sign in every row or is
+    in one row), gathered back to rows; a failure gets its key's first row as
+    ``index``. The complex key ``u + iv`` is exact and sorts as the rows do."""
+    key = columns[0] + 1j * columns[1] if len(columns) == 2 else columns[0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.sort(first)
+    try:
+        z = core(density, *(c[rows] for c in columns), method)
+    except IntegrationError as e:
+        e.index = int(rows[e.index])
+        raise
+    return _polar(z[np.searchsorted(rows, first)[inverse]])
+
+
+def _carrier_phase(carriers: tuple[float, float, float], delays, delta_phi):
+    """``w_p0*dt + w0'*dt' + w0''*dt'' + delta_phi`` per row, summed in that order;
+    a row where it overflows raises :class:`CarrierPhaseOverflowError`."""
+    (w_p0, w0_prime, w0_dprime), (dt, dt_prime, dt_dprime) = carriers, delays
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime + delta_phi
+    bad = np.flatnonzero(~np.isfinite(phase))
+    if bad.size:
+        row = [float(np.ravel(x)[bad[0]]) for x in np.broadcast_arrays(*delays, delta_phi)]
+        raise CarrierPhaseOverflowError(
+            "the carrier phase overflows at delta_tau = {!r}, delta_tau_prime = {!r}, "
+            "delta_tau_dprime = {!r} s, delta_phi = {!r} rad".format(*row))
+    return phase
+
+
+def _assemble_rate(phase, g_mag, g_phase, gp_mag, gp_phase,
                    amplitude_visibility: float, baseline: float):
-    """``(rate, cosine_argument, visibility_bound)`` from the delay triple,
-    the coherence factors in polar form and the setup's constants.
-    Elementwise: a sweep passes numpy columns and :func:`rate_time` one row
-    of floats, and both get the same operations in the same order."""
-    w_p0, w0_prime, w0_dprime = carriers
-    dt, dt_prime, dt_dprime = delays
-    arg = (w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime
-           + delta_phi + g_phase + gp_phase)
+    """``(rate, cosine_argument, visibility_bound)`` from the carrier phase, the
+    coherence factors in polar form and the setup's constants, elementwise."""
+    arg = phase + g_phase + gp_phase
     vis = amplitude_visibility * g_mag * gp_mag
     rate = baseline * (1.0 + vis * np.cos(arg))
     return rate, arg, vis

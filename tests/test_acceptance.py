@@ -53,8 +53,8 @@ def test_criterion_1_category_i_fringe():
         CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
     table = run_sweep(category_i_spec(source, AMPS))
     # pointwise cosine law with C = 1
-    for phi, r in zip(table.values, table.results):
-        assert abs(r.rate - (1.0 + math.cos(phi))) <= 1e-9
+    for phi, rate in zip(table.values, table.rates):
+        assert abs(rate - (1.0 + math.cos(phi))) <= 1e-9
     metrics = extract_fringe_metrics(table)
     assert abs(metrics.visibility - 1.0) <= 1e-9
     # the ideal visibility bounds the reported experimental value from above

@@ -452,6 +452,21 @@ class TestValidateCommand:
         # coupled factorization error shrinks with the bandwidth ratio
         assert max(errors[2:]) < max(errors[:2])
 
+    def test_overflowing_carrier_phase_rejected(self, tmp_path, capsys):
+        # every delay is finite, but omega_p0 * delta_tau overflows; before the
+        # check every oracle sum ran, then a ValueError traceback ended the run
+        text = MINIMAL_SOURCE + (
+            "geometry.delta_l_m = 0\n"
+            "validate.delay_span_widths = 1e305\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValidationError: the carrier phase overflows at delta_tau = 5e+292, "
+            "delta_tau_prime = 2.5e+292, delta_tau_dprime = 1.6666666666666666e+292 s, "
+            "delta_phi = 0.0 rad\n")
+        assert not (out / "validate.csv").exists()
+
     def test_narrowband_errors_small(self, tmp_path):
         text = MINIMAL_SOURCE + (
             "geometry.delta_l_m = 0\n"

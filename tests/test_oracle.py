@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from triphoton import coherence, oracle
 from triphoton.coherence import DelayTriple
-from triphoton.errors import IntegrationError
+from triphoton.errors import CarrierPhaseOverflowError, IntegrationError
 from triphoton.oracle import (INTERFERENCE_SCALE, LinearShift, OracleConfig,
                               factorization_error_sweep,
                               factorized_interference_term,
@@ -439,6 +439,20 @@ class TestBatchedSweep:
         factors = [] if tabulated else [pm.d1, pm.d2]
         assert [counts.pop(id(d)) for d in factors] == [4] * len(factors)
         assert sorted(counts.values()) == [2, 2]
+
+
+def test_overflowing_carrier_phase_rejected_before_any_sum(monkeypatch):
+    # before the check every sum ran, and the carrier phase overflowed to inf
+    calls = []
+    for name in ("_triple_sum", "transforms", "joint_transforms"):
+        core = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *a, _f=core, _n=name: calls.append(_n) or _f(*a))
+    delays = [DelayTriple(0.0, 0.0, 0.0), DelayTriple(1e300, 0.0, 0.0)]
+    with pytest.raises(CarrierPhaseOverflowError,
+                       match="^the carrier phase overflows at delta_tau = 1e\\+300, "):
+        factorization_error_sweep(gaussian_source(), delays, [1.0], OracleConfig())
+    assert calls == []
 
 
 class TestSweepErrorOrder:

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from triphoton.coherence import DelayTriple
 from triphoton.constants import SPEED_OF_LIGHT
-from triphoton.errors import IntegrationError
+from triphoton.errors import CarrierPhaseOverflowError, IntegrationError
 from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
                                 SourceKind, reduce_topdc)
 from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
@@ -210,6 +211,45 @@ def test_cpdc_labeling_rejected_before_coherence_factors():
         rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0))
     with pytest.raises(ValueError, match="CPDC"):
         rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0), choice=2)
+
+
+class TestCarrierPhaseOverflow:
+    """Every delay is finite, but the carrier phase w*tau is not: the scalar
+    entry points reject it before any coherence factor is computed (before,
+    they returned rate = nan with overflow RuntimeWarnings)."""
+
+    @pytest.fixture
+    def transform_calls(self, monkeypatch):
+        calls = []
+        for cls in (Gaussian, Lorentzian):
+            monkeypatch.setattr(cls, "analytic_transform", lambda self, *a,
+                                _f=cls.analytic_transform: calls.append(a) or _f(self, *a))
+        return calls
+
+    @pytest.mark.parametrize("delays, delta_phi, message", [
+        (DelayTriple(1e300, 0.0, 0.0), 0.0,
+         "delta_tau = 1e+300, delta_tau_prime = 0.0, delta_tau_dprime = 0.0 s, "
+         "delta_phi = 0.0 rad"),
+        # each term is finite, their sum is not
+        (DelayTriple(7e292, 0.0, 0.0), 1.7e308,
+         "delta_tau = 7e+292, delta_tau_prime = 0.0, delta_tau_dprime = 0.0 s, "
+         "delta_phi = 1.7e+308 rad"),
+    ], ids=["term_overflows", "sum_overflows"])
+    def test_rate_time_rejects_overflowing_phase(self, transform_calls, delays,
+                                                 delta_phi, message):
+        source = SourceModel.cpdc(Lorentzian(gamma=1e12),
+                                  Separable(Gaussian(sigma=2e12), Gaussian(sigma=3e12)),
+                                  CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
+        with pytest.raises(CarrierPhaseOverflowError,
+                           match=f"^{re.escape('the carrier phase overflows at ' + message)}$"):
+            rate_time(source, delays, delta_phi, AlternativeAmplitudes.balanced())
+        assert transform_calls == []
+
+    def test_rate_length_rejects_overflowing_phase(self, transform_calls):
+        with pytest.raises(CarrierPhaseOverflowError, match="^the carrier phase overflows"):
+            rate_length(gaussian_cpdc(), ReducedParameters(1e308, 0.0, 0.0),
+                        AlternativeAmplitudes.balanced())
+        assert transform_calls == []
 
 
 def test_sourcekind_tag():
