@@ -13,12 +13,13 @@ one-row views, so a sweep's columns equal the scalar values bit for bit.
 Numerical strategy
 ------------------
 Shapes with a known transform get a closed form, one numpy expression
-over the delay array. The generic path, run delay by delay, uses a
-composite Gauss-Legendre rule whose pieces break at every density knot
-and never span more than a fraction of an oscillation cycle, so each
-piece is polynomially smooth no matter how large the delay gets (silent
-accuracy loss on oscillatory integrands is the classic failure mode this
-avoids). A lower-order rule on the same pieces gives the error estimate.
+over the delay array. The generic path uses a composite Gauss-Legendre
+rule whose pieces break at every density knot and never span more than a
+fraction of an oscillation cycle, so each piece is polynomially smooth no
+matter how large the delay gets (silent accuracy loss on oscillatory
+integrands is the classic failure mode this avoids). A lower-order rule
+on the same pieces gives the error estimate. Delays with the same piece
+counts share one layout and one density evaluation per rule.
 
 * finite-support (tabulated) densities are integrated over their exact
   support with pieces breaking at the table knots;
@@ -108,45 +109,53 @@ class DelayTriple:
 _GL_HI = np.polynomial.legendre.leggauss(12)
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _MAX_PHASE_PER_PIECE = 1.5  # radians of oscillation per quadrature piece
-# Most quadrature pieces one transform may lay out: each holds ~0.7 kB while
-# the rules run, so the cap bounds a transform near 180 MB. Resolvable
+# Most quadrature pieces one transform may lay out: each holds ~0.84 kB while
+# the rules run, so the cap bounds a transform near 220 MB. Resolvable
 # delays stay far below it (the tests reach 8e4 pieces, the benchmark 400).
 _MAX_PIECES = 2 ** 18
 
 
-def _segmented_fourier(f, knots: np.ndarray, delay: float) -> tuple[complex, float]:
-    """``integral of f(x) exp(-i x delay) dx`` over [knots[0], knots[-1]].
+def _segmented_fourier(f, knots: np.ndarray,
+                       delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``integral of f(x) exp(-i x delay) dx`` over [knots[0], knots[-1]] per delay.
 
     Composite Gauss-Legendre with pieces that break at every knot (where
     tabulated densities kink) and never span more than a fraction of an
     oscillation cycle, so each piece is polynomially smooth. The error
     estimate compares against a lower-order rule on the same pieces.
+    Each delay's sum is taken alone on its layout's nodes; a delay over the
+    piece cap raises, with its position as ``index``, before any ``f`` call.
     """
     widths = np.diff(knots)
-    with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
-        n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
-    if not n_sub.sum() <= _MAX_PIECES:  # counted as floats, before any cast
-        raise IntegrationError(
-            f"coherence quadrature at delay {delay!r} s needs {n_sub.sum():.3g} "
-            f"pieces, more than the {_MAX_PIECES} allowed")
-    n_sub = n_sub.astype(int)
-    # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
-    first = np.cumsum(n_sub) - n_sub
-    j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)
-    piece_lo = np.repeat(knots[:-1], n_sub) + (
-        np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub))
-    piece_w = np.repeat(widths / n_sub, n_sub)
-
-    def rule(nodes_weights):
-        x_ref, w_ref = nodes_weights
-        x = piece_lo[:, None] + (0.5 * piece_w)[:, None] * (x_ref[None, :] + 1.0)
-        w = (0.5 * piece_w)[:, None] * w_ref[None, :]
-        vals = np.asarray(f(x)) * np.exp(-1j * x * delay)
-        return complex(np.sum(w * vals))
-
-    z_hi = rule(_GL_HI)
-    z_lo = rule(_GL_LO)
-    return z_hi, abs(z_hi - z_lo)
+    layouts = {}  # piece counts -> (counts, [(position, delay), ...])
+    for k, delay in enumerate(delays.tolist()):
+        with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
+            n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
+            if not n_sub.sum() <= _MAX_PIECES:  # counted as floats, before any cast
+                e = IntegrationError(
+                    f"coherence quadrature at delay {delay!r} s needs {n_sub.sum():.3g} "
+                    f"pieces, more than the {_MAX_PIECES} allowed")
+                e.index = k
+                raise e
+        layouts.setdefault(n_sub.tobytes(), (n_sub, []))[1].append((k, delay))
+    z, err = np.empty(len(delays), dtype=complex), np.empty(len(delays))
+    for n_sub, rows in layouts.values():
+        n_sub = n_sub.astype(int)
+        # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
+        first = np.cumsum(n_sub) - n_sub
+        j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)
+        piece_lo = np.repeat(knots[:-1], n_sub) + (
+            np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub))
+        piece_w = np.repeat(widths / n_sub, n_sub)
+        rules = []
+        for x_ref, w_ref in (_GL_HI, _GL_LO):
+            x = piece_lo[:, None] + (0.5 * piece_w)[:, None] * (x_ref[None, :] + 1.0)
+            rules.append((x, (0.5 * piece_w)[:, None] * w_ref[None, :], np.asarray(f(x))))
+        for k, delay in rows:
+            z_hi, z_lo = (complex(np.sum(w * (fx * np.exp(-1j * x * delay))))
+                          for x, w, fx in rules)
+            z[k], err[k] = z_hi, abs(z_hi - z_lo)
+    return z, err
 
 
 def _window_knots(width: float) -> np.ndarray:
@@ -158,27 +167,38 @@ def _window_knots(width: float) -> np.ndarray:
     return np.concatenate([-outer[::-1], inner, outer]) * width
 
 
-def _transform_quadrature(density: SpectralDensity, delay: float) -> complex:
-    """Generic Fourier integral of a 1D density at the given delay."""
+def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.ndarray:
+    """Generic Fourier integrals at the delays; the first failure gets its ``index``."""
     lo, hi = density.support()
-    if math.isinf(lo) or math.isinf(hi):
+    infinite = math.isinf(lo) or math.isinf(hi)
+    if infinite:
         # centered coordinates keep the oscillation count proportional to
         # delay * width rather than delay * carrier offset
         center = density.center
         knots = _window_knots(density.characteristic_width)
-        z, err = _segmented_fourier(lambda u: density.evaluate(center + u),
-                                    knots, delay)
-        z += density.oscillatory_tail(float(knots[-1]), delay)
-        if center != 0.0:
-            z *= complex(math.cos(center * delay), -math.sin(center * delay))
+        f = lambda u: density.evaluate(center + u)  # noqa: E731
     else:
         knots = density.grid if isinstance(density, Tabulated) \
             else np.linspace(lo, hi, 129)
-        z, err = _segmented_fourier(density.evaluate, knots, delay)
-    if err > _QUAD_ACCEPT * max(1.0, abs(z)):
-        raise IntegrationError(
-            f"coherence quadrature did not converge (estimated error {err:.3e})",
-            value=z, error_estimate=err)
+        f = density.evaluate
+    try:
+        z, err = _segmented_fourier(f, knots, delays)
+    except IntegrationError as e:  # unless an earlier delay fails to converge
+        _transform_quadrature(density, delays[:e.index])
+        raise
+    rows = zip(z.tolist(), np.broadcast_to(err, z.shape).tolist(), delays.tolist())
+    for k, (zk, ek, delay) in enumerate(rows):
+        if infinite:
+            zk += density.oscillatory_tail(float(knots[-1]), delay)
+            if center != 0.0:
+                zk *= complex(math.cos(center * delay), -math.sin(center * delay))
+        if ek > _QUAD_ACCEPT * max(1.0, abs(zk)):
+            e = IntegrationError(
+                f"coherence quadrature did not converge (estimated error {ek:.3e})",
+                value=zk, error_estimate=ek)
+            e.index = k
+            raise e
+        z[k] = zk
     return z
 
 
@@ -214,7 +234,7 @@ def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.nda
             return z
         if method == "closed_form":
             raise ValueError(f"{type(density).__name__} has no closed-form transform")
-    return _each(lambda delay: _transform_quadrature(density, delay), delays)
+    return _transform_quadrature(density, delays)
 
 
 def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:

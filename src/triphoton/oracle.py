@@ -54,7 +54,7 @@ import numpy as np
 
 from .coherence import (DelayTriple, _polar, _trapezoid_weights, joint_transforms,
                         transforms)
-from .errors import IntegrationError
+from .errors import CarrierPhaseOverflowError, IntegrationError
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
                     _carrier_phase, rate_time)
@@ -235,6 +235,14 @@ def _interference_terms(source: SourceModel, delays: Sequence[DelayTriple],
     """:func:`interference_term_3d` at each delay triple, with each grid
     level's tensor sums taken in one :func:`_triple_sum` call."""
     w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind, 1)
+    args0 = [delta_phi + w_p0 * d.delta_tau + w0_prime * d.delta_tau_prime
+             + w0_dprime * d.delta_tau_dprime for d in delays]
+    for d, arg0 in zip(delays, args0):
+        if not math.isfinite(arg0):
+            raise CarrierPhaseOverflowError(
+                "the carrier phase overflows at delta_tau = {!r}, delta_tau_prime = {!r}, "
+                "delta_tau_dprime = {!r} s, delta_phi = {!r} rad".format(*map(float, (
+                    d.delta_tau, d.delta_tau_prime, d.delta_tau_dprime, delta_phi))))
     raw = _triple_sum(source, delays, cfg)
     coarse_cfg = replace(cfg,
                          n_pump=max(32, cfg.n_pump // 2 + 1),
@@ -243,10 +251,7 @@ def _interference_terms(source: SourceModel, delays: Sequence[DelayTriple],
     raw_coarse = _triple_sum(source, delays, coarse_cfg)
     tail = _tail_mass(source, cfg.support_multiplier)
     terms = []
-    for d, fine, coarse in zip(delays, raw.tolist(), raw_coarse.tolist()):
-        arg0 = (delta_phi + w_p0 * d.delta_tau
-                + w0_prime * d.delta_tau_prime
-                + w0_dprime * d.delta_tau_dprime)
+    for arg0, fine, coarse in zip(args0, raw.tolist(), raw_coarse.tolist()):
         phase0 = complex(math.cos(arg0), -math.sin(arg0))
         # the raw sum is real for even centered densities; its imaginary
         # part is the numerical residue worth reporting (the carrier

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from triphoton import coherence
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
-                                 gamma_prime, gamma_pump, transform_1d)
+                                 gamma_prime, gamma_pump, transform_1d, transforms)
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.errors import IntegrationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
@@ -277,9 +277,128 @@ class TestSegmentedFourierLayout:
         n_sub = np.ceil(mixed * widths / coherence._MAX_PHASE_PER_PIECE)
         assert n_sub.min() == 1 and n_sub.max() > 1
         for delay in (0.0, -0.0, 0.3, mixed, -mixed, 3.7 * mixed, 2e4):
-            assert (coherence._segmented_fourier(density.evaluate, density.grid, delay)
+            z, err = coherence._segmented_fourier(density.evaluate, density.grid,
+                                                  np.array([delay]))
+            assert ((z[0], err[0])
                     == _segmented_fourier_listcomp(density.evaluate, density.grid,
                                                    delay))
+
+
+def _quadrature_reference(density, delay):
+    # the quadrature at one delay: the per-knot layout, then for infinite
+    # support the oscillatory tail and the centre phase
+    lo, hi = density.support()
+    if not (math.isinf(lo) or math.isinf(hi)):
+        return _segmented_fourier_listcomp(density.evaluate, density.grid, delay)[0]
+    center = density.center
+    knots = coherence._window_knots(density.characteristic_width)
+    z, _ = _segmented_fourier_listcomp(lambda u: density.evaluate(center + u), knots, delay)
+    z += density.oscillatory_tail(float(knots[-1]), delay)
+    if center != 0.0:
+        z *= complex(math.cos(center * delay), -math.sin(center * delay))
+    return z
+
+
+def _jittered_table(seed, n=61):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 0.1
+    grid -= grid[0] + 2.0
+    vals = np.exp(-grid ** 2) * (1.0 + rng.uniform(0.0, 0.3, grid.size))
+    return Tabulated(grid, vals).normalize()
+
+
+@st.composite
+def _quadrature_cases(draw):
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e12]))
+    kind = draw(st.sampled_from(["table", "gaussian", "lorentzian", "sinc_squared"]))
+    if kind == "table":
+        density = _jittered_table(draw(st.integers(0, 2 ** 32 - 1)),
+                                  draw(st.integers(2, 40)))
+        density = Tabulated(density.grid * scale, density.values / scale,
+                            center_offset=draw(st.floats(-5.0, 5.0)) * scale)
+        unit = 1.0 / float(np.median(np.diff(density.grid)))
+    else:
+        shape = {"gaussian": Gaussian, "lorentzian": Lorentzian,
+                 "sinc_squared": SincSquared}[kind]
+        density = shape(draw(st.floats(0.5, 2.0)) * scale,
+                        center_offset=draw(st.sampled_from([0.0, 3.0, -40.0])) * scale)
+        unit = 1.0 / density.characteristic_width
+    # multiples of the inverse knot spacing or width that split the pieces
+    # differently, signed, with repeats, +0.0 and -0.0
+    steps = st.sampled_from([0.3, 1.0, 1.6, 3.7, 9.0]).flatmap(
+        lambda m: st.floats(0.9 * m, 1.1 * m)).map(lambda t: t * unit)
+    picked = draw(st.lists(st.tuples(steps, st.sampled_from([1.0, -1.0])),
+                           min_size=1, max_size=5))
+    delays = [t * sign for t, sign in picked]
+    delays += draw(st.lists(st.sampled_from(delays), max_size=3)) + [0.0, -0.0]
+    return density, np.array(draw(st.permutations(delays)))
+
+
+class TestBatchedQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(_quadrature_cases())
+    def test_equals_per_delay_quadrature_bit_for_bit(self, case):
+        density, delays = case
+        z = transforms(density, delays, "quadrature")
+        assert z.tolist() == [_quadrature_reference(density, t) for t in delays.tolist()]
+
+    @pytest.mark.parametrize("density", [_jittered_table(5), Gaussian(sigma=1.0),
+                                         SincSquared(width=2.0, center_offset=7.0)])
+    def test_one_evaluation_per_rule_and_layout(self, density, monkeypatch):
+        calls = []
+        evaluate = type(density).evaluate
+        monkeypatch.setattr(type(density), "evaluate",
+                            lambda self, x: calls.append(np.shape(x)) or evaluate(self, x))
+        if isinstance(density, Tabulated):
+            knots, unit = density.grid, 1.0 / float(np.median(np.diff(density.grid)))
+        else:
+            knots = coherence._window_knots(density.characteristic_width)
+            unit = 1.0 / density.characteristic_width
+        delays = np.array([0.0, 3.7, -0.0, 0.01, 3.7, -3.7, 9.0, 0.3, 9.0]) * unit
+        layouts = {np.maximum(1, np.ceil(abs(t) * np.diff(knots)
+                                         / coherence._MAX_PHASE_PER_PIECE)).tobytes()
+                   for t in delays}
+        assert 3 <= len(layouts) < len(delays)
+        transforms(density, delays, "quadrature")
+        assert len(calls) == 2 * len(layouts)
+
+
+class _Stepped(Tabulated):
+    # a jump at 0.5 on one knot interval [-1, 1]: a piece boundary only when
+    # the interval is split four ways, so 2 < |delay| <= 3 converges and a
+    # delay that leaves one piece (|delay| <= 0.75) does not
+    def evaluate(self, x):
+        return super().evaluate(x) * (1.0 + 0.5 * (np.asarray(x) > 0.5))
+
+
+class TestQuadratureErrorOrder:
+    density = _Stepped([-1.0, 1.0], [0.5, 0.5])
+    capped = ("coherence quadrature at delay 1e+300 s needs 1.33e+300 pieces, "
+              "more than the 262144 allowed")
+
+    def _raised(self, delays):
+        with pytest.raises(IntegrationError) as info:
+            transforms(self.density, np.array(delays), "quadrature")
+        return info.value
+
+    def test_unresolved_delay_before_capped_one(self):
+        z, err = _segmented_fourier_listcomp(self.density.evaluate, self.density.grid, 0.3)
+        assert err > 1e-8
+        transform_1d(self.density, 2.5, "quadrature")  # four pieces: converges
+        e = self._raised([2.5, 0.3, 1e300, 0.3])
+        assert str(e) == f"coherence quadrature did not converge (estimated error {err:.3e})"
+        assert (e.index, e.value, e.error_estimate) == (1, z, err)
+
+    def test_capped_delay_before_unresolved_one(self):
+        e = self._raised([2.5, 1e300, 0.3])
+        assert str(e) == self.capped
+        assert (e.index, e.value, e.error_estimate) == (1, None, None)
+
+    def test_capped_first_delay_evaluates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(self.density, "evaluate", calls.append)
+        e = self._raised([1e300, 0.3, 2.5])
+        assert str(e) == self.capped and e.index == 0 and calls == []
 
 
 class TestSurfaceErrors:
@@ -294,8 +413,8 @@ class TestSurfaceErrors:
 
     def test_separable_axis_reported(self, monkeypatch):
         fourier = coherence._segmented_fourier
-        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delay: (
-            fourier(f, knots, delay)[0], 1.0 if delay == 0.5 else 0.0))
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
+            fourier(f, knots, delays)[0], np.where(delays == 0.5, 1.0, 0.0)))
         pm = Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0))
         with pytest.raises(IntegrationError, match=r"^surface column 2 \(all cells\): "):
             coherence_surface(pm, [0.0, 0.25], [0.0, 0.25, 0.5], method="quadrature")

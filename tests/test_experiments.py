@@ -105,8 +105,8 @@ class TestRunSweep:
         # pm2 failure first; with choice 2 the native delays fall as the rows
         # rise, so the first failing row holds the largest failing key
         fourier = coherence._segmented_fourier
-        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delay: (
-            fourier(f, knots, delay)[0], 1.0 if abs(delay) >= 0.45 / _W else 0.0))
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
+            fourier(f, knots, delays)[0], np.where(np.abs(delays) >= 0.45 / _W, 1.0, 0.0)))
         dprime = 0.6 * _L if choice == 1 else 0.0
         spec = SweepSpec(variable, 0.0, 0.8 * _L, 9,
                          ReducedParameters(0.0, 0.0, dprime, topdc_choice=choice),

@@ -455,6 +455,23 @@ def test_overflowing_carrier_phase_rejected_before_any_sum(monkeypatch):
     assert calls == []
 
 
+def test_interference_term_3d_rejects_overflowing_carrier_phase(monkeypatch):
+    # before the check _triple_sum warned on the overflowing phase and the
+    # carrier rotation then died with "math domain error"
+    src, d = gaussian_source(), DelayTriple(1e300, 0, 0)
+    calls = []
+    core = oracle._triple_sum
+    monkeypatch.setattr(oracle, "_triple_sum", lambda *a: calls.append(a) or core(*a))
+    with pytest.raises(CarrierPhaseOverflowError) as direct:
+        interference_term_3d(src, d, 0.0, OracleConfig())
+    assert calls == []
+    with pytest.raises(CarrierPhaseOverflowError) as engine:
+        factorized_interference_term(src, d, 0.0)
+    assert str(direct.value) == str(engine.value) == (
+        "the carrier phase overflows at delta_tau = 1e+300, delta_tau_prime = 0.0, "
+        "delta_tau_dprime = 0.0 s, delta_phi = 0.0 rad")
+
+
 class TestSweepErrorOrder:
     """A failing sweep raises what the per-row evaluation raises first: ratio
     by ratio, delay by delay, g before g' (messages as the row-by-row sweep
