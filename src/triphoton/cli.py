@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -324,15 +325,41 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
 
 
 def _row_format(precision: int, n_fields: int, prefix: str = ""):
-    """Formatter of a CSV line: ``prefix``, then ``n_fields`` numbers, each
-    to ``precision`` significant digits."""
-    return (prefix + ",".join([f"{{:.{precision}g}}"] * n_fields)).format
+    """Formatter of a CSV line from a tuple of ``n_fields`` numbers, or one
+    number: ``prefix``, then each to ``precision`` significant digits."""
+    return (prefix + ",".join([f"%.{precision}g"] * n_fields)).__mod__
 
 
-def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
-    """Write the header and one already joined line per row."""
-    lines = [",".join(header), *rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+_BLOCK = 1024  # CSV lines formatted and written at a time
+
+
+class _Lines:
+    """CSV lines of rows of numpy columns, formatted ``_BLOCK`` rows at a time;
+    a sequence, not a generator, so callers can size it and slice it."""
+
+    def __init__(self, line, columns):
+        self._line, self._columns = line, columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, rows: slice) -> _Lines:
+        return _Lines(self._line, [c[rows] for c in self._columns])
+
+    def __iter__(self):
+        for start in range(0, len(self), _BLOCK):
+            block = (c[start:start + _BLOCK].tolist() for c in self._columns)
+            yield from map(self._line, zip(*block))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and one already joined line per row, ``_BLOCK`` lines
+    at a time, so the whole text is never held at once."""
+    lines = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        while block := list(itertools.islice(lines, _BLOCK)):
+            f.write("\n".join(block) + "\n")
 
 
 def _sweep_metrics_rows(table: SweepTable, precision: int) -> list[str]:
@@ -363,10 +390,10 @@ def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     line = _row_format(prec, 5, table.variable.value + ",")
     columns = (table.values, table.rates, table.gamma_mag, table.gamma_prime_mag,
                table.cosine_argument)
-    rows = [line(*row) for row in zip(*(c.tolist() for c in columns))]
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, ["parameter_name", "parameter_value", "rate",
-                            "gamma_mag", "gamma_prime_mag", "cosine_argument"], rows)
+                            "gamma_mag", "gamma_prime_mag", "cosine_argument"],
+               _Lines(line, columns))
     metrics_path = out_dir / "metrics.csv"
     _write_csv(metrics_path, ["field", "value"], _sweep_metrics_rows(table, prec))
     return [sweep_path, metrics_path]
@@ -389,8 +416,8 @@ def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     except CarrierPhaseOverflowError as e:  # mapped as parse_config maps a sweep's
         raise ValidationError(str(e)) from e
     line = _row_format(config.csv_precision, 7)
-    out_rows = [line(r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
-                     r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)
+    out_rows = [line((r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
+                      r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error))
                 for r in rows]
     path = out_dir / "validate.csv"
     _write_csv(path, ["ratio", "delta_tau", "delta_tau_prime", "delta_tau_dprime",

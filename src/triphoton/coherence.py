@@ -217,11 +217,13 @@ def _each(evaluate, *columns: np.ndarray) -> np.ndarray:
 
 
 def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.ndarray:
-    """Complex Fourier transforms of a density at each of the 1D ``delays`` (s).
+    """Complex Fourier transforms of a density at each of the ``delays`` (s),
+    in their shape (a 0-d delay gives a numpy complex scalar).
 
     ``method``: "auto" uses the closed form when available, "closed_form"
     demands one, "quadrature" forces the generic numerical path, which
-    raises :class:`IntegrationError` at the first delay it cannot resolve.
+    raises :class:`IntegrationError` at the first delay, in raveled order,
+    that it cannot resolve.
     """
     if not density.is_normalized:
         raise ValueError("density must be normalized (call normalize() first)")
@@ -234,7 +236,7 @@ def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.nda
             return z
         if method == "closed_form":
             raise ValueError(f"{type(density).__name__} has no closed-form transform")
-    return _transform_quadrature(density, delays)
+    return _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
 
 
 def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:

@@ -2,18 +2,23 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import triphoton
-from triphoton.cli import main, parse_config
+from triphoton import cli
+from triphoton.cli import main, parse_config, run_sweep_cmd
 from triphoton.errors import ParseError, ValidationError
-from triphoton.experiments import SweepVariable
+from triphoton.experiments import SweepVariable, run_sweep
 from triphoton.pathgeom import SourceKind
 from triphoton.rates import rate_length
 
@@ -388,6 +393,91 @@ class TestSweepCsvFormatting:
             assert got == want
         if "sweep.stop = -0.0" in text:
             assert lines[-1].startswith("delta_l_prime,-0,")
+
+
+# any double, drawn as its bit pattern: nan, the infinities, the signed
+# zeros, the subnormals and the largest finite values among them
+_DOUBLES = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@given(st.one_of(_DOUBLES, st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.8e308])),
+    st.integers(1, 17))
+def test_percent_field_equals_format_spec(x, precision):
+    # the row template's `%.{p}g` field is the old `{:.{p}g}` field
+    assert f"%.{precision}g" % x == format(x, f".{precision}g")
+
+
+SWEEP_HEADER = ["parameter_name", "parameter_value", "rate", "gamma_mag",
+                "gamma_prime_mag", "cosine_argument"]
+
+
+class TestBlockWriter:
+    """sweep.csv is written a block of lines at a time, and is byte for byte
+    the text that joining every line at once gives."""
+
+    @staticmethod
+    def sweep(tmp_path, monkeypatch, n_points=7):
+        """``sweep`` with blocks of 3 lines: the output directory, the rows
+        of each ``_write_csv`` call and the swept table."""
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        calls, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: (
+            calls.append(rows), write(path, header, rows)))
+        text = CATEGORY_II.replace("sweep.n_points = 301",
+                                   f"sweep.n_points = {n_points}")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        return out, calls, run_sweep(parse_config(text).sweep)
+
+    @staticmethod
+    def joined_whole(table, n_rows):
+        # the writer before streaming: every line formatted, then one join
+        line = (f"{table.variable.value}," + ",".join(["{:.12g}"] * 5)).format
+        columns = (table.values, table.rates, table.gamma_mag,
+                   table.gamma_prime_mag, table.cosine_argument)
+        rows = [line(*row) for row in zip(*(c.tolist()[:n_rows] for c in columns))]
+        return ("\n".join([",".join(SWEEP_HEADER), *rows]) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7])
+    def test_bytes_equal_the_text_joined_whole(self, tmp_path, monkeypatch, n_rows):
+        out, (rows, _), table = self.sweep(tmp_path, monkeypatch, max(n_rows, 3))
+        path = out / "sweep.csv"
+        if n_rows < 3:  # a sweep has 3 rows or more; fewer are a slice of them
+            cli._write_csv(path, SWEEP_HEADER, rows[:n_rows])
+        assert path.read_bytes() == self.joined_whole(table, n_rows)
+
+    def test_dropping_the_last_row_drops_the_last_line(self, tmp_path, monkeypatch):
+        out, (rows, _), _ = self.sweep(tmp_path, monkeypatch)
+        assert len(rows) == 7 and len(rows[:-1]) == 6
+        cli._write_csv(tmp_path / "short.csv", SWEEP_HEADER, rows[:-1])
+        whole = (out / "sweep.csv").read_bytes()
+        last_line = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        assert (tmp_path / "short.csv").read_bytes() == whole[:last_line]
+
+    def test_two_writes_per_sweep(self, tmp_path, monkeypatch):
+        _, calls, _ = self.sweep(tmp_path, monkeypatch)
+        assert len(calls) == 2
+
+
+def test_sweep_csv_adds_under_1_mb_to_the_sweep_peak(tmp_path):
+    # sweep.csv is written a block of rows at a time, so writing it must not
+    # hold the text, or a Python float per field, for all 50,001 rows at once
+    config = parse_config(CATEGORY_II.replace("sweep.n_points = 301",
+                                              "sweep.n_points = 50001"))
+    run_sweep(config.sweep)  # one-time allocations land outside both peaks
+    tracemalloc.start()
+    try:
+        run_sweep(config.sweep)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_sweep_cmd(config, tmp_path)
+        command_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert command_peak - sweep_peak <= 1e6
 
 
 class TestReduceCommand:

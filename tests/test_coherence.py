@@ -39,6 +39,27 @@ class TestZeroDelay:
         assert abs(g.phase) <= 1e-9
 
 
+class TestDelayShapes:
+    """transforms keeps the delays' shape on every path; a 0-d delay gives a
+    numpy complex scalar, as the closed forms do."""
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("density", ANALYTIC + [asym_tabulated()],
+                             ids=["gaussian", "lorentzian", "sinc_squared", "tabulated"])
+    def test_shape_and_type_follow_the_delays(self, density, method, shape):
+        delays = np.linspace(-1.5, 2.5, 6)[:math.prod(shape)].reshape(shape)
+        z = transforms(density, delays, method)
+        flat = transforms(density, delays.ravel(), method)
+        if shape:
+            assert type(z) is np.ndarray and z.shape == shape
+        else:
+            assert type(z) is np.complex128
+        assert z.dtype == complex
+        np.testing.assert_array_equal(np.ravel(z), flat)
+        assert type(transforms(density, 0.5, method)) is np.complex128
+
+
 class TestKnownTransforms:
     @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
     def test_gaussian_point(self, method):
