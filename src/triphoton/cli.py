@@ -459,6 +459,7 @@ def run_reduce_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
 def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
     """Dispatch a subcommand; returns the files written (besides run_meta)."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "run_meta.json").unlink(missing_ok=True)  # no manifest, no result
     started = time.perf_counter()
     if subcommand == "sweep":
         outputs = run_sweep_cmd(config, out_dir)

@@ -202,20 +202,6 @@ def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.nd
     return z
 
 
-def _each(evaluate, *columns: np.ndarray) -> np.ndarray:
-    """``evaluate`` at each row of the columns, in order; the first failing
-    row's :class:`IntegrationError` gets the row's position as ``index``."""
-    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
-    out = np.empty(len(rows), dtype=complex)
-    for k, row in enumerate(rows):
-        try:
-            out[k] = evaluate(*row)
-        except IntegrationError as e:
-            e.index = k
-            raise
-    return out
-
-
 def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.ndarray:
     """Complex Fourier transforms of a density at each of the ``delays`` (s),
     in their shape (a 0-d delay gives a numpy complex scalar).
@@ -225,18 +211,26 @@ def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.nda
     raises :class:`IntegrationError` at the first delay, in raveled order,
     that it cannot resolve.
     """
+    delays = np.asarray(delays, dtype=float)
+    z = _closed_form(density, method, delays)
+    if z is None:
+        z = _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
+    return z
+
+
+def _closed_form(density, method: str, delays=None):
+    """The closed-form transforms at ``delays``, or None where the numerical
+    engine runs ("quadrature", or "auto" on a 1D or 2D table): the one check
+    of ``method`` and of normalization, made before any sum runs."""
     if not density.is_normalized:
         raise ValueError("density must be normalized (call normalize() first)")
     if method not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    delays = np.asarray(delays, dtype=float)
-    if method != "quadrature":
-        z = density.analytic_transform(delays)
-        if z is not None:
-            return z
-        if method == "closed_form":
-            raise ValueError(f"{type(density).__name__} has no closed-form transform")
-    return _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
+    z = (density.analytic_transform(delays)
+         if method != "quadrature" and isinstance(density, SpectralDensity) else None)
+    if z is None and method == "closed_form":
+        raise ValueError(f"{type(density).__name__} has no closed-form transform")
+    return z
 
 
 def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:
@@ -261,8 +255,6 @@ def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarr
     arbitrary grids it stays a serviceable consistency check). The first
     failing cell in row-major order is reported.
     """
-    if not pm.is_normalized:
-        raise ValueError("density must be normalized (call normalize() first)")
     g1, g2, v = pm.grid1, pm.grid2, pm.values
     e1 = np.exp(-1j * np.outer(taus_prime, g1))
     e2 = np.exp(-1j * np.outer(taus_dprime, g2))
@@ -315,7 +307,7 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
     :class:`IntegrationError` with its position as ``index``.
 
     Separable densities factor exactly into two 1D transforms; a
-    ``Tabulated2D`` table takes one tensor sum per pair.
+    ``Tabulated2D`` takes one tensor sum per pair, under "auto" or "quadrature".
     """
     if isinstance(pm, Separable):
         try:
@@ -325,10 +317,18 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
             raise
         return z1 * transforms(pm.d2, taus_dprime, method)
     if isinstance(pm, Tabulated2D):
+        _closed_form(pm, method)  # a check: a table has none
         # one sum per pair, not a grid product: BLAS may round row k of a
         # product differently from the same row computed alone
-        return _each(lambda u, v: _tabulated2d_transform(pm, [u], [v])[0, 0],
-                     taus_prime, taus_dprime)
+        out = []
+        for k, (u, v) in enumerate(zip(np.asarray(taus_prime, dtype=float).tolist(),
+                                       np.asarray(taus_dprime, dtype=float).tolist())):
+            try:
+                out.append(_tabulated2d_transform(pm, [u], [v])[0, 0])
+            except IntegrationError as e:
+                e.index = k
+                raise
+        return np.array(out, dtype=complex)
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")
 
 
@@ -354,6 +354,7 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
         z = np.outer(_surface_axis(pm.d1, gp, method, "row"),
                      _surface_axis(pm.d2, gd, method, "column"))
     elif isinstance(pm, Tabulated2D):
+        _closed_form(pm, method)  # a check: a table has none
         z = _tabulated2d_transform(pm, gp, gd)
     else:
         raise TypeError(f"unsupported joint density type {type(pm).__name__}")

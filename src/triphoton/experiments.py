@@ -130,7 +130,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     *lengths, dphi = _parameter_columns(spec, values)
     try:
         columns = _rate_columns(spec.source, [x / SPEED_OF_LIGHT for x in lengths],
-                                dphi, spec.amps, spec.fixed.topdc_choice, "auto")
+                                dphi, spec.amps, spec.fixed.topdc_choice)
     except IntegrationError as e:
         i = e.index
         raise IntegrationError(

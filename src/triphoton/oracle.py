@@ -33,8 +33,9 @@ row, what the per-delay entry points return.
 The grid spans a fixed number of widths of an infinite-support shape, so
 the sum misses that shape's mass beyond the window. That mass is known
 exactly and is reported per term as ``tail_mass``; at zero delay the
-term falls short of 2 by about ``2 * tail_mass``. It is flagged, not
-divided out, since that correction holds only at zero delay.
+term falls short of 2 by about ``2 * tail_mass`` without coupling, and by
+less with it (the widened prime axis catches part of the mass). It is
+flagged, not divided out, since that correction holds only at zero delay.
 
 Trapezoid tensor quadrature is used deliberately: it shares no method
 with the adaptive engine in :mod:`triphoton.coherence` (only the
@@ -110,7 +111,8 @@ class OracleTerm:
     """3D interference term with its self-consistency diagnostics.
 
     ``tail_mass`` is the joint mass outside the integration window,
-    ``1 - prod(1 - m)`` over the axes' masses ``m`` beyond their spans.
+    ``1 - prod(1 - m)`` over the axes' masses ``m`` beyond their spans;
+    with coupling it bounds the grid's loss from above (see the module notes).
     """
 
     value: float
@@ -275,10 +277,9 @@ def interference_term_3d(source: SourceModel, delays: DelayTriple,
 
 
 def factorized_interference_term(source: SourceModel, delays: DelayTriple,
-                                 delta_phi: float, method: str = "auto") -> float:
+                                 delta_phi: float) -> float:
     """2 g g' cos(...) from the factorized engine, for oracle comparison."""
-    r: RateResult = rate_time(source, delays, delta_phi,
-                              AlternativeAmplitudes.balanced(), method=method)
+    r: RateResult = rate_time(source, delays, delta_phi, AlternativeAmplitudes.balanced())
     return 2.0 * r.gamma_mag * r.gamma_prime_mag * math.cos(r.cosine_argument)
 
 

@@ -122,20 +122,17 @@ def _native_pm_delays(kind: SourceKind, choice: int, dt_prime, dt_dprime):
     The three third-order labelings are linear reshuffles of the same
     detuning plane; expressing the transform of the one stored density in
     each labeling is equivalent to evaluating the choice-1 transform at
-    these remapped delays.
+    these remapped delays (``carrier_omegas`` has rejected any other choice).
     """
     if kind is SourceKind.CPDC or choice == 1:
         return dt_prime, dt_dprime
     if choice == 2:
         return -dt_prime, dt_dprime - dt_prime
-    if choice == 3:
-        return dt_prime - dt_dprime, -dt_dprime
-    raise ValueError("choice must be 1, 2 or 3")
+    return dt_prime - dt_dprime, -dt_dprime
 
 
 def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
-              amps: AlternativeAmplitudes, *, choice: int = 1,
-              method: str = "auto") -> RateResult:
+              amps: AlternativeAmplitudes, *, choice: int = 1) -> RateResult:
     """Rate as a function of the three delays (s) and the phase difference.
 
     With equal amplitudes this is the C [1 + g g' cos(...)] form; unequal
@@ -144,11 +141,11 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
     any coherence factor is computed.
     """
     columns = _rate_columns(source, [np.array([d]) for d in astuple(delays)],
-                            delta_phi, amps, choice, method)
+                            delta_phi, amps, choice)
     return RateResult(*(float(c[0]) for c in columns), float(amps.baseline))
 
 
-def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int, method: str):
+def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int):
     """The :class:`RateResult` columns but the baseline at the delay columns
     ``(dt, dt', dt'')`` (s) and ``delta_phi``; a transform failure re-raises the
     first failing row's error (g before g') with that row as ``index``."""
@@ -156,18 +153,17 @@ def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int, met
     phase = _carrier_phase(carriers, delays, delta_phi)
     u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
     try:
-        g = _per_key(transforms, source.pump, method, delays[0])
+        g = _per_key(transforms, source.pump, delays[0])
     except IntegrationError as e:  # unless g' fails in an earlier row
-        _per_key(joint_transforms, source.phase_matching, method, u[:e.index],
-                 v[:e.index])
+        _per_key(joint_transforms, source.phase_matching, u[:e.index], v[:e.index])
         raise
-    gp = _per_key(joint_transforms, source.phase_matching, method, u, v)
+    gp = _per_key(joint_transforms, source.phase_matching, u, v)
     rate, arg, vis = _assemble_rate(phase, *g, *gp, amps.amplitude_visibility,
                                     amps.baseline)
     return rate, g[0], gp[0], arg, vis
 
 
-def _per_key(core, density, method: str, *columns: np.ndarray):
+def _per_key(core, density, *columns: np.ndarray):
     """``core`` in polar form once per distinct row of the one or two columns
     (+0.0 and -0.0 alike; a zero delay has the same sign in every row or is
     in one row), gathered back to rows; a failure gets its key's first row as
@@ -176,7 +172,7 @@ def _per_key(core, density, method: str, *columns: np.ndarray):
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rows = np.sort(first)
     try:
-        z = core(density, *(c[rows] for c in columns), method)
+        z = core(density, *(c[rows] for c in columns))
     except IntegrationError as e:
         e.index = int(rows[e.index])
         raise
@@ -209,7 +205,7 @@ def _assemble_rate(phase, g_mag, g_phase, gp_mag, gp_phase,
 
 
 def rate_length(source: SourceModel, lengths: ReducedParameters,
-                amps: AlternativeAmplitudes, *, method: str = "auto") -> RateResult:
+                amps: AlternativeAmplitudes) -> RateResult:
     """Rate as a function of reduced lengths (m); phase comes from ``lengths``.
 
     Delegates to :func:`rate_time` after dividing the lengths by c, so the
@@ -218,5 +214,4 @@ def rate_length(source: SourceModel, lengths: ReducedParameters,
     """
     delays = DelayTriple.from_lengths(lengths.delta_l, lengths.delta_l_prime,
                                       lengths.delta_l_dprime)
-    return rate_time(source, delays, lengths.delta_phi, amps,
-                     choice=lengths.topdc_choice, method=method)
+    return rate_time(source, delays, lengths.delta_phi, amps, choice=lengths.topdc_choice)

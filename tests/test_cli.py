@@ -261,6 +261,24 @@ class TestSweepCommand:
         assert meta["subcommand"] == "sweep"
         assert meta["tool_version"]
 
+    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # a rerun that dies inside a CSV must not leave the earlier run's
+        # run_meta.json beside its partial outputs: no manifest, no result
+        cfg = write_config(tmp_path, CATEGORY_I)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "run_meta.json").exists()
+
+        def dies_after_header(path, header, rows):
+            path.write_text(",".join(header) + "\n", encoding="utf-8")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_write_csv", dies_after_header)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert (out / "sweep.csv").read_text().count("\n") == 1
+        assert not (out / "run_meta.json").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, CATEGORY_I)
         out1, out2 = tmp_path / "a", tmp_path / "b"

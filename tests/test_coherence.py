@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from triphoton import coherence
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
-                                 gamma_prime, gamma_pump, transform_1d, transforms)
+                                 gamma_prime, gamma_pump, joint_transforms,
+                                 transform_1d, transforms)
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.errors import IntegrationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
@@ -146,6 +147,56 @@ class TestProperties:
     def test_closed_form_unavailable_for_tabulated(self):
         with pytest.raises(ValueError, match="closed-form"):
             transform_1d(asym_tabulated(), 0.5, method="closed_form")
+
+
+def _bad_inputs():
+    """(density, method, message) triples that every transform entry point
+    taking the density must reject."""
+    gauss, table = Gaussian(sigma=1.0), asym_tabulated()
+    raw_table = Tabulated([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
+    g = np.linspace(-1.0, 1.0, 9)
+    raw_table2d = Tabulated2D(g, g, 3.0 * np.outer(1 - np.abs(g), 1 - np.abs(g)))
+    unknown, closed = r"^unknown method 'bogus'$", r"^Tabulated(2D)? has no closed-form transform$"
+    cases = [(d, "bogus", unknown) for d in (gauss, table, Separable(gauss, table),
+                                             raw_table2d.normalize())]
+    cases += [(d, "closed_form", closed) for d in (table, Separable(gauss, table),
+                                                   raw_table2d.normalize())]
+    cases += [(d, "auto", "density must be normalized") for d in (
+        raw_table, Separable(gauss, raw_table), Separable(raw_table, gauss), raw_table2d)]
+    return cases
+
+
+_ENTRY_POINTS_1D = {
+    "transforms": lambda d, m: transforms(d, [0.0, 0.3], m),
+    "transforms_no_delays": lambda d, m: transforms(d, [], m),
+    "gamma_pump": lambda d, m: gamma_pump(d, 0.3, m),
+}
+_ENTRY_POINTS_2D = {
+    "joint_transforms": lambda d, m: joint_transforms(d, [0.0, 0.3], [0.0, 0.2], m),
+    "joint_transforms_no_pairs": lambda d, m: joint_transforms(d, [], [], m),
+    "gamma_prime": lambda d, m: gamma_prime(d, 0.3, 0.2, m),
+    "coherence_surface": lambda d, m: coherence_surface(d, [0.0, 0.3], [0.2], m),
+}
+
+
+@pytest.mark.parametrize("entry, density, method, message", [
+    pytest.param(entry, density, method, message,
+                 id=f"{entry}-{type(density).__name__}-{method}-{k}")
+    for k, (density, method, message) in enumerate(_bad_inputs())
+    for entry in (_ENTRY_POINTS_2D if isinstance(density, (Separable, Tabulated2D))
+                  else _ENTRY_POINTS_1D)])
+def test_entry_points_reject_bad_input_before_any_sum(entry, density, method, message,
+                                                      monkeypatch):
+    # one check of the method and of normalization per density kind: a 2D
+    # table is rejected like a 1D one, before any quadrature or tensor sum
+    def no_sum(*args):
+        raise AssertionError("a sum ran before the input was rejected")
+
+    for name in ("_segmented_fourier", "_tabulated2d_transform"):
+        monkeypatch.setattr(coherence, name, no_sum)
+    entry_points = {**_ENTRY_POINTS_1D, **_ENTRY_POINTS_2D}
+    with pytest.raises(ValueError, match=message):
+        entry_points[entry](density, method)
 
 
 class TestGammaPrime:

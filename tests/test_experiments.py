@@ -94,22 +94,22 @@ class TestRunSweep:
         with pytest.raises(IntegrationError, match=rf"^sweep row {k} \("):
             run_sweep(spec)
 
-    @pytest.mark.parametrize("variable, choice, first_row", [
-        (SweepVariable.DELTA_L, 1, 0), (SweepVariable.DELTA_L_PRIME, 1, 0),
-        (SweepVariable.DELTA_L_PRIME, 2, 5)])
-    def test_first_failing_row_across_factors(self, variable, choice, first_row,
+    @pytest.mark.parametrize("variable, choice, dprime, first_row", [  # dprime in _L
+        (SweepVariable.DELTA_L, 1, 0.6, 0), (SweepVariable.DELTA_L_PRIME, 1, 0.6, 0),
+        (SweepVariable.DELTA_L_PRIME, 2, 0.0, 5), (SweepVariable.DELTA_L, 1, 0.0, 5)])
+    def test_first_failing_row_across_factors(self, variable, choice, dprime, first_row,
                                               monkeypatch):
         # every quadrature at |delay| >= 0.45 / _W fails. With choice 1 the
         # swept factor (g, or pm1 within g') fails from row 5 on and the fixed
-        # double-prime delay fails pm2 in every row, so rate_length meets the
-        # pm2 failure first; with choice 2 the native delays fall as the rows
+        # double-prime delay 0.6 * _L fails pm2 in every row, so rate_length
+        # meets the pm2 failure first; at dprime 0 a delta_l sweep fails in g
+        # alone, from row 5. With choice 2 the native delays fall as the rows
         # rise, so the first failing row holds the largest failing key
         fourier = coherence._segmented_fourier
         monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
             fourier(f, knots, delays)[0], np.where(np.abs(delays) >= 0.45 / _W, 1.0, 0.0)))
-        dprime = 0.6 * _L if choice == 1 else 0.0
         spec = SweepSpec(variable, 0.0, 0.8 * _L, 9,
-                         ReducedParameters(0.0, 0.0, dprime, topdc_choice=choice),
+                         ReducedParameters(0.0, 0.0, dprime * _L, topdc_choice=choice),
                          tabulated_source(SourceKind.TOPDC), AMPS)
         assert len(_rows_by_rate_length(spec)) == first_row
         with pytest.raises(IntegrationError, match=rf"^sweep row {first_row} \("):

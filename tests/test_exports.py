@@ -1,5 +1,7 @@
 """The package's public names: every name in ``__all__`` resolves, once."""
 
+import inspect
+
 import triphoton
 
 
@@ -14,3 +16,17 @@ def test_star_import():
     namespace = {}
     exec("from triphoton import *", namespace)
     assert set(triphoton.__all__) <= namespace.keys()
+
+
+def test_method_is_taken_by_the_transform_entry_points_only():
+    # the coherence module owns the numerical-path choice; the rate and
+    # oracle entry points take none
+    def takes_method(obj):
+        try:
+            return "method" in inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to inspect
+            return False
+
+    public = (getattr(triphoton, n) for n in triphoton.__all__)
+    assert {obj.__name__ for obj in public if callable(obj) and takes_method(obj)} == {
+        "transform_1d", "gamma_pump", "gamma_prime", "coherence_surface"}
