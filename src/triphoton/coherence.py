@@ -14,12 +14,12 @@ Numerical strategy
 ------------------
 Shapes with a known transform get a closed form, one numpy expression
 over the delay array. The generic path uses a composite Gauss-Legendre
-rule whose pieces break at every density knot and never span more than a
-fraction of an oscillation cycle, so each piece is polynomially smooth no
-matter how large the delay gets (silent accuracy loss on oscillatory
-integrands is the classic failure mode this avoids). A lower-order rule
-on the same pieces gives the error estimate. Delays with the same piece
-counts share one layout and one density evaluation per rule.
+rule whose pieces break at every density knot and never span more than
+1.5 rad of oscillation, so each piece is polynomially smooth no matter
+how large the delay gets (silent accuracy loss on oscillatory integrands
+is the classic failure mode this avoids). A lower-order rule on the same
+pieces gives the error estimate. Delays with the same piece counts share
+one layout and one density evaluation per rule.
 
 * finite-support (tabulated) densities are integrated over their exact
   support with pieces breaking at the table knots;
@@ -29,6 +29,14 @@ counts share one layout and one density evaluation per rule.
   offsets never inflate the oscillation count; the remainder beyond the
   window is added back analytically per shape (exact sine-integral
   forms, see ``SpectralDensity.oscillatory_tail``).
+
+Each layout's rules are reduced once to moments about the piece centres,
+so a delay costs one phase per piece rather than one per node: a piece of
+centre c sums as ``exp(-i c delay)`` times a power series in
+``-i delay s``, s the layout's widest half-width. Since ``|delay| s`` is
+at most 0.75, 20 terms leave a remainder below ``0.75**20 / 20!`` (about
+1e-21) of the mass. The phase of the layout's midpoint is applied exactly
+(Dekker's product), so tables far off centre lose no digits to it.
 
 2D separable densities factor into two 1D transforms. 2D tabulated
 densities use a tensor trapezoid sum, Richardson-extrapolated over two
@@ -109,10 +117,86 @@ class DelayTriple:
 _GL_HI = np.polynomial.legendre.leggauss(12)
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _MAX_PHASE_PER_PIECE = 1.5  # radians of oscillation per quadrature piece
-# Most quadrature pieces one transform may lay out: each holds ~0.84 kB while
-# the rules run, so the cap bounds a transform near 220 MB. Resolvable
-# delays stay far below it (the tests reach 8e4 pieces, the benchmark 400).
+# Series terms of a piece's phase about its centre: |delay| * half-width is
+# at most 0.75, so the truncated remainder is below 0.75**20 / 20! ~ 1e-21
+# of the mass.
+_TERMS = np.arange(20)
+# Most quadrature pieces one transform may lay out: each holds ~0.54 kB while
+# the rules run (537 B under tracemalloc at 65,202 pieces), so the cap bounds
+# a transform near 140 MB. Resolvable delays stay far below it (the tests
+# reach 8e4 pieces, the benchmark 400).
 _MAX_PIECES = 2 ** 18
+
+
+def _moments(f, piece_lo: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Rows m of the 12-node rule, then of the 6-node rule, of the piece
+    moments ``(h/s)**m / m! * sum_k h w_k f(x_k) xi_k**m``: nodes
+    ``x_k = lo + h (xi_k + 1)``, half-widths ``h``, widest half-width ``s``.
+    One ``f`` call per rule; its nodes and values are freed before the next."""
+    n = _TERMS.size
+    out = np.empty((2, n, piece_lo.size))
+    for rows, (x_ref, w_ref) in zip(out, (_GL_HI, _GL_LO)):
+        x = piece_lo[:, None] + half[:, None] * (x_ref[None, :] + 1.0)
+        fx = np.asarray(f(x))
+        del x
+        hwf = fx * half[:, None]
+        del fx
+        hwf *= w_ref
+        np.matmul(x_ref[None, :] ** _TERMS[:, None], hwf.T, out=rows)
+        del hwf
+    ratio, scale = half / half.max(), np.ones_like(half)
+    for m in range(1, n):
+        scale *= ratio
+        scale /= m
+        out[:, m] *= scale
+    return out.reshape(2 * n, -1)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """``(p, e)`` with ``p`` the rounded ``a * b`` and ``p + e`` exactly
+    ``a * b`` (Dekker's product; Veltkamp's split into 26-bit halves is
+    taken on the ``frexp`` mantissas, so nothing overflows)."""
+    halves = []
+    for v in (a, b):
+        m, k = math.frexp(v)
+        t = 134217729.0 * m  # 2**27 + 1
+        hi = t - (t - m)
+        halves.append((math.ldexp(hi, k), math.ldexp(m - hi, k)))
+    (a1, a2), (b1, b2) = halves
+    p = a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _phase_factor(x: float, delay: float) -> complex:
+    """``exp(-i x delay)`` with the rounding error of ``x * delay`` kept as a
+    second phase, so a phase of many cycles loses no digits."""
+    p, e = _two_product(x, delay)
+    return complex(math.cos(p), -math.sin(p)) * complex(math.cos(e), -math.sin(e))
+
+
+def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
+                 delays: list[float]) -> list[tuple[complex, complex]]:
+    """The 12-node and 6-node rule sums on one piece layout, per delay.
+
+    A piece of centre ``origin + c`` sums as ``exp(-i (origin + c) delay)``
+    times ``sum_m (-i delay s)**m`` over its :func:`_moments`, so a delay
+    costs one phase per piece, not one per node; the common phase about
+    ``origin`` is exact, so far-off-centre pieces lose no digits to it.
+    """
+    moments = _moments(f, piece_lo, half)
+    centre, s, n = (piece_lo - origin) + half, float(half.max()), _TERMS.size
+    trig, sums = np.empty((2, centre.size)), []
+    # one delay at a time: a product over all the delays could round a
+    # delay's row differently from the same delay alone
+    for delay in delays:
+        phase = centre * delay
+        np.cos(phase, out=trig[0])
+        np.sin(phase, out=trig[1])
+        # per moment, (cos sum) + i (sin sum); vdot conjugates it
+        b = (moments @ trig.T).view(complex)[:, 0]
+        p = (-1j * (delay * s)) ** _TERMS * _phase_factor(origin, delay)
+        sums.append((complex(np.vdot(b[:n], p)), complex(np.vdot(b[n:], p))))
+    return sums
 
 
 def _segmented_fourier(f, knots: np.ndarray,
@@ -123,8 +207,9 @@ def _segmented_fourier(f, knots: np.ndarray,
     tabulated densities kink) and never span more than a fraction of an
     oscillation cycle, so each piece is polynomially smooth. The error
     estimate compares against a lower-order rule on the same pieces.
-    Each delay's sum is taken alone on its layout's nodes; a delay over the
-    piece cap raises, with its position as ``index``, before any ``f`` call.
+    Delays with the same piece counts share a layout and its moments
+    (:func:`_layout_sums`); a delay over the piece cap raises, with its
+    position as ``index``, before any ``f`` call.
     """
     widths = np.diff(knots)
     layouts = {}  # piece counts -> (counts, [(position, delay), ...])
@@ -138,6 +223,7 @@ def _segmented_fourier(f, knots: np.ndarray,
                 e.index = k
                 raise e
         layouts.setdefault(n_sub.tobytes(), (n_sub, []))[1].append((k, delay))
+    origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])  # 0 for a symmetric window
     z, err = np.empty(len(delays), dtype=complex), np.empty(len(delays))
     for n_sub, rows in layouts.values():
         n_sub = n_sub.astype(int)
@@ -146,14 +232,9 @@ def _segmented_fourier(f, knots: np.ndarray,
         j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)
         piece_lo = np.repeat(knots[:-1], n_sub) + (
             np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub))
-        piece_w = np.repeat(widths / n_sub, n_sub)
-        rules = []
-        for x_ref, w_ref in (_GL_HI, _GL_LO):
-            x = piece_lo[:, None] + (0.5 * piece_w)[:, None] * (x_ref[None, :] + 1.0)
-            rules.append((x, (0.5 * piece_w)[:, None] * w_ref[None, :], np.asarray(f(x))))
-        for k, delay in rows:
-            z_hi, z_lo = (complex(np.sum(w * (fx * np.exp(-1j * x * delay))))
-                          for x, w, fx in rules)
+        half = 0.5 * np.repeat(widths / n_sub, n_sub)
+        sums = _layout_sums(f, piece_lo, half, origin, [delay for _, delay in rows])
+        for (k, _), (z_hi, z_lo) in zip(rows, sums):
             z[k], err[k] = z_hi, abs(z_hi - z_lo)
     return z, err
 
@@ -233,6 +314,12 @@ def _closed_form(density, method: str, delays=None):
     return z
 
 
+def _check_factors(pm: Separable, method: str) -> None:
+    """Both factors' checks, made before either factor's transform runs."""
+    for density in (pm.d1, pm.d2):
+        _closed_form(density, method, np.empty(0))
+
+
 def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:
     """Complex Fourier transform of a density at one ``delay`` (s): the
     one-row view of :func:`transforms`."""
@@ -310,6 +397,7 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
     ``Tabulated2D`` takes one tensor sum per pair, under "auto" or "quadrature".
     """
     if isinstance(pm, Separable):
+        _check_factors(pm, method)
         try:
             z1 = transforms(pm.d1, taus_prime, method)
         except IntegrationError as e:  # unless an earlier pair fails in d2
@@ -351,6 +439,7 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
     gp = np.asarray(grid_prime, dtype=float).ravel()
     gd = np.asarray(grid_dprime, dtype=float).ravel()
     if isinstance(pm, Separable):
+        _check_factors(pm, method)
         z = np.outer(_surface_axis(pm.d1, gp, method, "row"),
                      _surface_axis(pm.d2, gd, method, "column"))
     elif isinstance(pm, Tabulated2D):

@@ -2,6 +2,8 @@ import cmath
 import math
 import random
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,22 @@ def test_entry_points_reject_bad_input_before_any_sum(entry, density, method, me
         entry_points[entry](density, method)
 
 
+@pytest.mark.parametrize("entry", ["joint_transforms", "coherence_surface"])
+def test_separable_factors_checked_before_either_quadrature(entry, monkeypatch):
+    # the second factor is not normalized; the first factor's quadrature
+    # over all the delays must not run before that is found
+    calls = []
+    fourier = coherence._segmented_fourier
+    monkeypatch.setattr(coherence, "_segmented_fourier",
+                        lambda *args: calls.append(args) or fourier(*args))
+    pm = Separable(asym_tabulated(), Tabulated([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0]))
+    taus = np.linspace(0.0, 2.0, 200)
+    run = {"joint_transforms": joint_transforms, "coherence_surface": coherence_surface}
+    with pytest.raises(ValueError, match="^density must be normalized"):
+        run[entry](pm, taus, taus)
+    assert calls == []
+
+
 class TestGammaPrime:
     def test_zero_delays(self):
         pm = Separable(Gaussian(sigma=1.0), Gaussian(sigma=2.0))
@@ -315,20 +333,33 @@ class TestOscillatorySafeguard:
             transform_1d(density, delay)
 
 
-def _segmented_fourier_listcomp(f, knots, delay):
-    # the piece layout built by a Python loop over the knots; the array
-    # layout must reproduce its nodes, and so its sums, bit for bit
+def _per_knot_pieces(knots, delay):
+    # the piece layout built by a Python loop over the knots: starts and half-widths
     widths = np.diff(knots)
     n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths
                                   / coherence._MAX_PHASE_PER_PIECE).astype(int))
     piece_lo = np.repeat(knots[:-1], n_sub) + np.concatenate(
         [w * np.arange(k) / k for w, k in zip(widths, n_sub)])
-    piece_w = np.repeat(widths / n_sub, n_sub)
+    return piece_lo, 0.5 * np.repeat(widths / n_sub, n_sub)
+
+
+def _segmented_fourier_listcomp(f, knots, delay):
+    # the per-knot layout under the moment sums; the array layout must
+    # reproduce its nodes, and so its sums, bit for bit
+    piece_lo, half = _per_knot_pieces(knots, delay)
+    origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])
+    [(z_hi, z_lo)] = coherence._layout_sums(f, piece_lo, half, origin, [delay])
+    return z_hi, abs(z_hi - z_lo)
+
+
+def _direct_gauss_legendre(f, knots, delay):
+    # the same two rules on the same layout, one complex exp per node
+    piece_lo, half = _per_knot_pieces(knots, delay)
 
     def rule(nodes_weights):
         x_ref, w_ref = nodes_weights
-        x = piece_lo[:, None] + (0.5 * piece_w)[:, None] * (x_ref[None, :] + 1.0)
-        w = (0.5 * piece_w)[:, None] * w_ref[None, :]
+        x = piece_lo[:, None] + half[:, None] * (x_ref[None, :] + 1.0)
+        w = half[:, None] * w_ref[None, :]
         vals = np.asarray(f(x)) * np.exp(-1j * x * delay)
         return complex(np.sum(w * vals))
 
@@ -354,6 +385,113 @@ class TestSegmentedFourierLayout:
             assert ((z[0], err[0])
                     == _segmented_fourier_listcomp(density.evaluate, density.grid,
                                                    delay))
+
+
+@st.composite
+def _accuracy_cases(draw):
+    # unit-mass densities at three scales: jittered tables of spacing ~0.1,
+    # some off centre by 3 or 10, so |x * delay| reaches ~2e3 rad (the
+    # direct sum rounds each node's phase, up to ~3e-17 |x * delay|, which
+    # sets that reach); tables whose spacings run over three decades, so
+    # pieces of h << s sit beside the widest; the analytic shapes on their
+    # graded window
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e12]))
+    kind = draw(st.sampled_from(["table", "mixed", "gaussian", "lorentzian",
+                                 "sinc_squared"]))
+    if kind in ("table", "mixed"):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        n = draw(st.integers(2, 40))
+        steps = (10.0 ** rng.uniform(-3.0, 0.0, n - 1) if kind == "mixed"
+                 else rng.uniform(0.05, 0.15, n - 1))
+        grid = np.concatenate([[0.0], np.cumsum(steps)])
+        if kind == "table":
+            grid += draw(st.sampled_from([0.0, 3.0, -10.0]))
+        density = Tabulated(grid * scale, rng.uniform(0.1, 1.0, n)).normalize()
+        f, knots = density.evaluate, density.grid
+    else:
+        shape = {"gaussian": Gaussian, "lorentzian": Lorentzian,
+                 "sinc_squared": SincSquared}[kind]
+        density = shape(draw(st.floats(0.5, 2.0)) * scale)
+        knots = coherence._window_knots(density.characteristic_width)
+        f = density.evaluate  # centred on 0
+    widths = np.diff(knots)
+    # +-0.0; the widest interval split k ways at the 1.5-rad piece bound,
+    # where the series argument delay * s peaks at 0.75; multiples of the
+    # inverse median spacing
+    boundary = 1.5 * draw(st.integers(1, 8)) / float(widths.max())
+    fractions = draw(st.lists(st.floats(-9.0, 9.0), max_size=4))
+    delays = [0.0, -0.0, boundary, -boundary] + [
+        t / float(np.median(widths)) for t in fractions]
+    return f, knots, np.array(delays)
+
+
+class TestMomentSumAccuracy:
+    @settings(max_examples=80, deadline=None)
+    @given(_accuracy_cases())
+    def test_matches_direct_gauss_legendre_sum(self, case):
+        f, knots, delays = case
+        z, err = coherence._segmented_fourier(f, knots, delays)
+        for k, delay in enumerate(delays.tolist()):
+            z_direct, err_direct = _direct_gauss_legendre(f, knots, delay)
+            assert z[k] == pytest.approx(z_direct, rel=0, abs=1e-13)
+            assert err[k] == pytest.approx(err_direct, rel=0, abs=1e-13)
+
+
+_moderate = st.floats(1e-100, 1e100).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moderate | st.sampled_from([0.0, -0.0]), _moderate)
+def test_two_product_is_exact(a, b):
+    # the common phase of a layout carries the product's rounding error
+    p, e = coherence._two_product(a, b)
+    assert p == a * b
+    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+
+class _CountingNumpy:
+    # numpy as `coherence` sees it, counting the elements sent to exp, cos and sin
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("exp", "cos", "sin"):
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.elements += np.size(x)
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+class TestQuadratureCost:
+    def test_one_phase_per_piece_and_delay(self, monkeypatch):
+        density = _jittered_table(7, 401)
+        widths = np.diff(density.grid)
+        delays = np.linspace(-8.0, 8.0, 201) / float(np.median(widths))
+        counts = [np.maximum(1, np.ceil(abs(t) * widths / coherence._MAX_PHASE_PER_PIECE))
+                  for t in delays]
+        layouts = {c.tobytes() for c in counts}
+        proxy = _CountingNumpy()
+        monkeypatch.setattr(coherence, "np", proxy)
+        transforms(density, delays)
+        # a cos and a sin per piece and delay, plus at most 64 per layout
+        assert proxy.elements <= 2 * sum(c.sum() for c in counts) + 64 * len(layouts)
+
+    def test_memory_per_piece(self):
+        density = _jittered_table(7, 401)
+        widths = np.diff(density.grid)
+        delay = coherence._MAX_PHASE_PER_PIECE * 65000 / float(widths.sum())
+        pieces = np.maximum(1, np.ceil(delay * widths / coherence._MAX_PHASE_PER_PIECE)).sum()
+        assert 65000 <= pieces <= 66000
+        tracemalloc.start()
+        try:
+            coherence._segmented_fourier(density.evaluate, density.grid, np.array([delay]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pieces <= 840  # bytes, as the comment on _MAX_PIECES states
 
 
 def _quadrature_reference(density, delay):
