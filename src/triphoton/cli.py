@@ -38,10 +38,8 @@ deterministic: identical configs give byte-identical CSVs.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
-import json
 import math
 import sys
 import time
@@ -458,6 +456,8 @@ def run_reduce_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
 
 def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
     """Dispatch a subcommand; returns the files written (besides run_meta)."""
+    import json  # only the manifest needs it, so config parsing skips the import
+
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_meta.json").unlink(missing_ok=True)  # no manifest, no result
     started = time.perf_counter()
@@ -481,7 +481,9 @@ def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
     return outputs
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the command line needs it, so config parsing skips the import
+
     parser = argparse.ArgumentParser(
         prog="triphoton",
         description="Temporal three-photon interference simulator")

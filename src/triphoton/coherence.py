@@ -126,6 +126,9 @@ _TERMS = np.arange(20)
 # a transform near 140 MB. Resolvable delays stay far below it (the tests
 # reach 8e4 pieces, the benchmark 400).
 _MAX_PIECES = 2 ** 18
+# Delay x piece cells in one array pass of the quadrature: a block's phase and
+# trig arrays stay near 0.4 MB however many delays a transform takes.
+_BLOCK_CELLS = 2 ** 14
 
 
 def _moments(f, piece_lo: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -185,17 +188,25 @@ def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
     """
     moments = _moments(f, piece_lo, half)
     centre, s, n = (piece_lo - origin) + half, float(half.max()), _TERMS.size
-    trig, sums = np.empty((2, centre.size)), []
-    # one delay at a time: a product over all the delays could round a
-    # delay's row differently from the same delay alone
-    for delay in delays:
-        phase = centre * delay
-        np.cos(phase, out=trig[0])
-        np.sin(phase, out=trig[1])
-        # per moment, (cos sum) + i (sin sum); vdot conjugates it
-        b = (moments @ trig.T).view(complex)[:, 0]
-        p = (-1j * (delay * s)) ** _TERMS * _phase_factor(origin, delay)
-        sums.append((complex(np.vdot(b[:n], p)), complex(np.vdot(b[n:], p))))
+    step, sums = max(1, _BLOCK_CELLS // centre.size), []
+    # the delays in blocks of about _BLOCK_CELLS delay x piece cells, one
+    # array pass each, so memory stays bounded whatever the delay count;
+    # within a block each delay keeps its own (2n x P) by (P x 2) product and
+    # n-term dots, the shapes it gets alone, because one product over several
+    # delays can round a delay's row differently
+    for i in range(0, len(delays), step):
+        block = np.array(delays[i:i + step])
+        phase = block[:, None] * centre
+        trig = np.empty((block.size, 2, centre.size))
+        np.cos(phase, out=trig[:, 0])
+        np.sin(phase, out=trig[:, 1])
+        # per moment, (cos sum) + i (sin sum), conjugated as np.vdot would
+        b = np.matmul(moments, trig.transpose(0, 2, 1)).view(complex)[..., 0].conj()
+        del phase, trig
+        p = (-1j * (block * s))[:, None] ** _TERMS * np.array(
+            [_phase_factor(origin, delay) for delay in block.tolist()])[:, None]
+        z = np.matmul(b.reshape(-1, 2, 1, n), p[:, None, :, None])
+        sums += map(tuple, z.reshape(-1, 2).tolist())
     return sums
 
 
@@ -212,21 +223,26 @@ def _segmented_fourier(f, knots: np.ndarray,
     position as ``index``, before any ``f`` call.
     """
     widths = np.diff(knots)
-    layouts = {}  # piece counts -> (counts, [(position, delay), ...])
-    for k, delay in enumerate(delays.tolist()):
+    layouts = {}  # piece counts as bytes -> [(position, delay), ...]
+    step = max(1, _BLOCK_CELLS // widths.size)
+    for i in range(0, delays.size, step):
+        block = delays[i:i + step]
         with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
-            n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths / _MAX_PHASE_PER_PIECE))
-            if not n_sub.sum() <= _MAX_PIECES:  # counted as floats, before any cast
+            n_sub = np.maximum(1, np.ceil(np.abs(block)[:, None] * widths
+                                          / _MAX_PHASE_PER_PIECE))
+            totals = n_sub.sum(axis=1).tolist()
+        for k, (counts, total, delay) in enumerate(zip(n_sub, totals, block.tolist()), i):
+            if not total <= _MAX_PIECES:  # counted as floats, before any cast
                 e = IntegrationError(
-                    f"coherence quadrature at delay {delay!r} s needs {n_sub.sum():.3g} "
+                    f"coherence quadrature at delay {delay!r} s needs {total:.3g} "
                     f"pieces, more than the {_MAX_PIECES} allowed")
                 e.index = k
                 raise e
-        layouts.setdefault(n_sub.tobytes(), (n_sub, []))[1].append((k, delay))
+            layouts.setdefault(counts.tobytes(), []).append((k, delay))
     origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])  # 0 for a symmetric window
     z, err = np.empty(len(delays), dtype=complex), np.empty(len(delays))
-    for n_sub, rows in layouts.values():
-        n_sub = n_sub.astype(int)
+    for counts, rows in layouts.items():
+        n_sub = np.frombuffer(counts).astype(int)
         # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
         first = np.cumsum(n_sub) - n_sub
         j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)

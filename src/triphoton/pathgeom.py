@@ -13,6 +13,15 @@ For the third-order source there are three equivalent parameterizations
 (delta_l_prime, delta_l_dprime) pairs but the same total cosine argument
 and, with the matching coordinate mapping in :mod:`triphoton.rates`, the
 same coincidence rate.
+
+A source's ``pm1`` and ``pm2`` densities are functions of the detunings
+of the frequencies conjugate to the asymmetry delays: for the cascaded
+source ``omega'`` and ``omega''`` of :func:`cpdc_freq_transform`; for the
+third-order source ``nu' = (2/3) omega'`` and ``nu'' = (2/3) omega''``
+(``omega'``, ``omega''`` of :func:`topdc_freq_transform`). These are
+conjugate to choice 1's delays and centred on its :func:`carrier_omegas`;
+choices 2 and 3 map their delays onto them, so the widths mean the same
+under every choice.
 """
 
 from __future__ import annotations

@@ -378,9 +378,16 @@ def _interpolation_cell(grid: np.ndarray, x):
 
 
 class Tabulated2D:
-    """Bilinear joint density tabulated on a rectangular grid.
+    """Joint density tabulated on a rectangular grid.
 
-    Zero outside the grid. Normalization uses the 2D trapezoid rule.
+    Zero outside the grid. Normalization uses the 2D trapezoid rule, and
+    :meth:`evaluate` interpolates bilinearly. The coherence transform does
+    not use that interpolant: it is a trapezoid sum Richardson-extrapolated
+    over grid halving, which converges to the transform of the smooth
+    function the table samples. Per axis the two differ by a relative
+    (delay x spacing)**2 / 12 or so, at most about 1e-3 on a 161 x 161
+    Gaussian table over +-8 sigma. A 1D :class:`Tabulated` instead
+    transforms as its piecewise-linear interpolant.
     """
 
     def __init__(self, grid1, grid2, values):

@@ -617,3 +617,15 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_argparse_nor_json():
+    # config parsing, which every set-up runs, needs neither; the command
+    # line and the run manifest import them when they run
+    src = Path(triphoton.__file__).resolve().parents[1]
+    code = ("import sys, triphoton.cli; "
+            "print(sorted(m for m in ('argparse', 'json') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

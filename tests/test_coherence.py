@@ -493,6 +493,24 @@ class TestQuadratureCost:
             tracemalloc.stop()
         assert peak / pieces <= 840  # bytes, as the comment on _MAX_PIECES states
 
+    def test_memory_bounded_by_the_block(self):
+        # the delays share one layout of 400 pieces; their array passes run in
+        # blocks of _BLOCK_CELLS delay x piece cells, so what grows with the
+        # delay count is only each delay's output and bookkeeping
+        density = _jittered_table(7, 401)
+        delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+        peaks = {}
+        for n in (5000, 10000):
+            tracemalloc.start()
+            try:
+                transforms(density, delays[:n], "quadrature")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_delay = (peaks[10000] - peaks[5000]) / 5000
+        assert per_delay <= 400  # bytes: a z, an error, a delay and their tuples
+        assert peaks[5000] - 5000 * per_delay <= 8 * 8 * coherence._BLOCK_CELLS
+
 
 def _quadrature_reference(density, delay):
     # the quadrature at one delay: the per-knot layout, then for infinite
@@ -571,6 +589,58 @@ class TestBatchedQuadrature:
         assert 3 <= len(layouts) < len(delays)
         transforms(density, delays, "quadrature")
         assert len(calls) == 2 * len(layouts)
+
+
+def _bits(sums):
+    return np.array(sums, dtype=complex).view(np.int64).tolist()
+
+
+class TestDelayBlocks:
+    # 40 knot intervals; 100 delay x piece cells make blocks of two delays
+    density = _jittered_table(11, 41)
+
+    @pytest.mark.parametrize("cells", [100, None])
+    def test_blocked_sums_equal_lone_sums_bit_for_bit(self, cells, monkeypatch):
+        if cells:
+            monkeypatch.setattr(coherence, "_BLOCK_CELLS", cells)
+        knots = self.density.grid
+        piece_lo, half = _per_knot_pieces(knots, 0.0)  # one piece per interval
+        origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])
+        step = coherence._BLOCK_CELLS // piece_lo.size
+        assert step >= 2
+        rng = np.random.default_rng(2)
+        reach = coherence._MAX_PHASE_PER_PIECE / float(np.diff(knots).max())
+        delays = [0.0, -0.0] + rng.uniform(-reach, reach, 3 * step).tolist()
+        assert len(delays) > 3 * step  # at least three blocks, the last one short
+        sums = coherence._layout_sums(self.density.evaluate, piece_lo, half, origin,
+                                      delays)
+        lone = [coherence._layout_sums(self.density.evaluate, piece_lo, half, origin,
+                                       [t])[0] for t in delays]
+        assert _bits(sums) == _bits(lone)
+
+    def test_one_evaluation_per_rule_and_layout(self, monkeypatch):
+        knots = self.density.grid
+        unit = 1.0 / float(np.median(np.diff(knots)))
+        delays = np.array([0.0, 0.3, -0.3, 3.7, 0.2, -3.7, 3.7, 0.1, 9.0, -9.0]) * unit
+        z, err = coherence._segmented_fourier(self.density.evaluate, knots, delays)
+        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 100)
+        calls = []
+        f = lambda x: calls.append(x.shape) or self.density.evaluate(x)  # noqa: E731
+        z_blocked, err_blocked = coherence._segmented_fourier(f, knots, delays)
+        layouts = {np.maximum(1, np.ceil(abs(t) * np.diff(knots)
+                                         / coherence._MAX_PHASE_PER_PIECE)).tobytes()
+                   for t in delays}
+        assert len(layouts) == 3 and len(calls) == 2 * len(layouts)
+        assert _bits(z_blocked) == _bits(z) and err_blocked.tolist() == err.tolist()
+
+    def test_capped_delay_in_a_later_block_evaluates_nothing(self, monkeypatch):
+        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 100)
+        calls = []
+        delays = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 1e300, 0.6, 1e300])
+        with pytest.raises(IntegrationError,
+                           match=re.escape("at delay 1e+300 s needs ")) as info:
+            coherence._segmented_fourier(calls.append, self.density.grid, delays)
+        assert info.value.index == 5 and calls == []
 
 
 class _Stepped(Tabulated):
