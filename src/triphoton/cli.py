@@ -38,6 +38,7 @@ deterministic: identical configs give byte-identical CSVs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -403,7 +404,8 @@ def _validate_delays(config: RunConfig) -> list[DelayTriple]:
     tau_p, tau_1, tau_2 = 1.0 / src.pump.characteristic_width, 1.0 / w1, 1.0 / w2
     spec = config.validate
     fractions = np.linspace(0.0, spec.delay_span_widths, spec.n_delays)
-    return [DelayTriple(f * tau_p, f * tau_1, f * tau_2) for f in fractions]
+    # on floats, so an overflowing delay reaches DelayTriple's check without a numpy warning
+    return [DelayTriple(f * tau_p, f * tau_1, f * tau_2) for f in fractions.tolist()]
 
 
 def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
@@ -411,7 +413,7 @@ def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     try:
         rows = factorization_error_sweep(config.source, _validate_delays(config),
                                          list(spec.ratios), spec.oracle)
-    except CarrierPhaseOverflowError as e:  # mapped as parse_config maps a sweep's
+    except ValueError as e:  # from the delays or the sweep, CarrierPhaseOverflowError too
         raise ValidationError(str(e)) from e
     line = _row_format(config.csv_precision, 7)
     out_rows = [line((r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
@@ -481,6 +483,7 @@ def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
     return outputs
 
 
+@functools.cache  # one parser per process, however many times main runs
 def _build_parser():
     import argparse  # only the command line needs it, so config parsing skips the import
 

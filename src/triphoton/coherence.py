@@ -178,8 +178,9 @@ def _phase_factor(x: float, delay: float) -> complex:
 
 
 def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
-                 delays: list[float]) -> list[tuple[complex, complex]]:
-    """The 12-node and 6-node rule sums on one piece layout, per delay.
+                 delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays ``(z, err)``: 12-node rule sums on one piece layout, per delay, and
+    their distances to the 6-node sums.
 
     A piece of centre ``origin + c`` sums as ``exp(-i (origin + c) delay)``
     times ``sum_m (-i delay s)**m`` over its :func:`_moments`, so a delay
@@ -188,14 +189,13 @@ def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
     """
     moments = _moments(f, piece_lo, half)
     centre, s, n = (piece_lo - origin) + half, float(half.max()), _TERMS.size
-    step, sums = max(1, _BLOCK_CELLS // centre.size), []
-    # the delays in blocks of about _BLOCK_CELLS delay x piece cells, one
-    # array pass each, so memory stays bounded whatever the delay count;
-    # within a block each delay keeps its own (2n x P) by (P x 2) product and
-    # n-term dots, the shapes it gets alone, because one product over several
-    # delays can round a delay's row differently
-    for i in range(0, len(delays), step):
-        block = np.array(delays[i:i + step])
+    step = max(1, _BLOCK_CELLS // centre.size)
+    z, err = np.empty(delays.size, dtype=complex), np.empty(delays.size)
+    # one array pass per block of about _BLOCK_CELLS delay x piece cells bounds
+    # the memory; in a block each delay keeps the (2n x P) by (P x 2) product and
+    # n-term dots it gets alone, as one product over several can round a row apart
+    for i in range(0, delays.size, step):
+        block = delays[i:i + step]
         phase = block[:, None] * centre
         trig = np.empty((block.size, 2, centre.size))
         np.cos(phase, out=trig[:, 0])
@@ -205,9 +205,10 @@ def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
         del phase, trig
         p = (-1j * (block * s))[:, None] ** _TERMS * np.array(
             [_phase_factor(origin, delay) for delay in block.tolist()])[:, None]
-        z = np.matmul(b.reshape(-1, 2, 1, n), p[:, None, :, None])
-        sums += map(tuple, z.reshape(-1, 2).tolist())
-    return sums
+        z_hi, z_lo = np.matmul(b.reshape(-1, 2, 1, n), p[:, None, :, None]).reshape(-1, 2).T
+        d = z_hi - z_lo  # hypot rounds as abs(complex) does; np.abs may not
+        z[i:i + step], err[i:i + step] = z_hi, np.hypot(d.real, d.imag)
+    return z, err
 
 
 def _segmented_fourier(f, knots: np.ndarray,
@@ -217,30 +218,29 @@ def _segmented_fourier(f, knots: np.ndarray,
     Composite Gauss-Legendre with pieces that break at every knot (where
     tabulated densities kink) and never span more than a fraction of an
     oscillation cycle, so each piece is polynomially smooth. The error
-    estimate compares against a lower-order rule on the same pieces.
-    Delays with the same piece counts share a layout and its moments
-    (:func:`_layout_sums`); a delay over the piece cap raises, with its
+    estimate ``err`` compares against a lower-order rule on the same pieces.
+    Delays with the same piece counts share a layout, its moments and one
+    :func:`_layout_sums` pass; a delay over the piece cap raises, with its
     position as ``index``, before any ``f`` call.
     """
     widths = np.diff(knots)
-    layouts = {}  # piece counts as bytes -> [(position, delay), ...]
+    layouts = {}  # piece counts as bytes -> positions of the delays
     step = max(1, _BLOCK_CELLS // widths.size)
     for i in range(0, delays.size, step):
-        block = delays[i:i + step]
         with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
-            n_sub = np.maximum(1, np.ceil(np.abs(block)[:, None] * widths
+            n_sub = np.maximum(1, np.ceil(np.abs(delays[i:i + step])[:, None] * widths
                                           / _MAX_PHASE_PER_PIECE))
             totals = n_sub.sum(axis=1).tolist()
-        for k, (counts, total, delay) in enumerate(zip(n_sub, totals, block.tolist()), i):
+        for k, (counts, total) in enumerate(zip(n_sub, totals), i):
             if not total <= _MAX_PIECES:  # counted as floats, before any cast
                 e = IntegrationError(
-                    f"coherence quadrature at delay {delay!r} s needs {total:.3g} "
-                    f"pieces, more than the {_MAX_PIECES} allowed")
+                    f"coherence quadrature at delay {float(delays[k])!r} s needs "
+                    f"{total:.3g} pieces, more than the {_MAX_PIECES} allowed")
                 e.index = k
                 raise e
-            layouts.setdefault(counts.tobytes(), []).append((k, delay))
+            layouts.setdefault(counts.tobytes(), []).append(k)
     origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])  # 0 for a symmetric window
-    z, err = np.empty(len(delays), dtype=complex), np.empty(len(delays))
+    z, err = np.empty(delays.size, dtype=complex), np.empty(delays.size)
     for counts, rows in layouts.items():
         n_sub = np.frombuffer(counts).astype(int)
         # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
@@ -249,9 +249,7 @@ def _segmented_fourier(f, knots: np.ndarray,
         piece_lo = np.repeat(knots[:-1], n_sub) + (
             np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub))
         half = 0.5 * np.repeat(widths / n_sub, n_sub)
-        sums = _layout_sums(f, piece_lo, half, origin, [delay for _, delay in rows])
-        for (k, _), (z_hi, z_lo) in zip(rows, sums):
-            z[k], err[k] = z_hi, abs(z_hi - z_lo)
+        z[rows], err[rows] = _layout_sums(f, piece_lo, half, origin, delays[rows])
     return z, err
 
 
@@ -283,19 +281,21 @@ def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.nd
     except IntegrationError as e:  # unless an earlier delay fails to converge
         _transform_quadrature(density, delays[:e.index])
         raise
-    rows = zip(z.tolist(), np.broadcast_to(err, z.shape).tolist(), delays.tolist())
-    for k, (zk, ek, delay) in enumerate(rows):
-        if infinite:
-            zk += density.oscillatory_tail(float(knots[-1]), delay)
+    if infinite:  # the remainder beyond the window, then the centre phase
+        for k, delay in enumerate(delays.tolist()):
+            zk = complex(z[k]) + density.oscillatory_tail(float(knots[-1]), delay)
             if center != 0.0:
                 zk *= complex(math.cos(center * delay), -math.sin(center * delay))
-        if ek > _QUAD_ACCEPT * max(1.0, abs(zk)):
-            e = IntegrationError(
-                f"coherence quadrature did not converge (estimated error {ek:.3e})",
-                value=zk, error_estimate=ek)
-            e.index = k
-            raise e
-        z[k] = zk
+            z[k] = zk
+    err = np.broadcast_to(err, z.shape)  # fmax and hypot as Python's max and abs
+    bad = np.flatnonzero(err > _QUAD_ACCEPT * np.fmax(1.0, np.hypot(z.real, z.imag)))
+    if bad.size:
+        k = int(bad[0])
+        e = IntegrationError(
+            f"coherence quadrature did not converge (estimated error {err[k]:.3e})",
+            value=complex(z[k]), error_estimate=float(err[k]))
+        e.index = k
+        raise e
     return z
 
 

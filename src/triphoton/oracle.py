@@ -23,11 +23,12 @@ no loop over the pump axis. Memory stays O(n_pump * n_prime).
 Everything but the three delay phase columns is delay-independent, so
 the core :func:`_triple_sum` builds the axes, the trapezoid weights, the
 weighted pump column and the density columns (or the table's knot-row
-matrix) once per grid and then sums delay by delay, and
-:func:`interference_term_3d` is the one-row view of the terms built
-from those sums (:func:`_interference_terms`). The factorization
-sweep therefore builds each bandwidth ratio's grids once, computes the
-phase-matching factor once per delay for all ratios, and returns, row for
+matrix) once per grid and then sums delay by delay. The terms rotate those
+sums by the rate core's carrier-phase column (``rates._carrier_phase``,
+which rejects an overflowing phase before any sum), and
+:func:`interference_term_3d` is their one-row view. The factorization sweep
+builds each bandwidth ratio's grids once, computes the phase-matching factor
+and the carrier phase once per delay for all ratios, and returns, row for
 row, what the per-delay entry points return.
 
 The grid spans a fixed number of widths of an infinite-support shape, so
@@ -40,8 +41,8 @@ flagged, not divided out, since that correction holds only at zero delay.
 Trapezoid tensor quadrature is used deliberately: it shares no method
 with the adaptive engine in :mod:`triphoton.coherence` (only the
 trapezoid-weight helper), so a disagreement localizes a bug instead of
-hiding it. Sums are plain numpy
-reductions (pairwise, deterministic at a fixed grid and single thread).
+hiding it. Sums are plain numpy reductions (pairwise, deterministic at a
+fixed grid and single thread).
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .coherence import (DelayTriple, _polar, _trapezoid_weights, joint_transforms,
                         transforms)
-from .errors import CarrierPhaseOverflowError, IntegrationError
+from .errors import IntegrationError
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
                     _carrier_phase, rate_time)
@@ -155,7 +156,14 @@ def _span(density, mult: float) -> tuple[float, float]:
     if math.isfinite(lo) and math.isfinite(hi):
         return lo, hi
     half = mult * density.characteristic_width
-    return density.center - half, density.center + half
+    return _finite_span("support_multiplier", mult, density.center - half, density.center + half)
+
+
+def _finite_span(name: str, value: float, lo: float, hi: float) -> tuple[float, float]:
+    # on floats, so an overflow raises here, naming its cause, with no numpy warning
+    if not math.isfinite(hi - lo):  # also when an end is not finite
+        raise ValueError(f"{name} = {value!r} overflows an oracle axis: [{lo!r}, {hi!r}]")
+    return lo, hi
 
 
 def _tail_mass(source: SourceModel, mult: float) -> float:
@@ -172,8 +180,8 @@ def _tail_mass(source: SourceModel, mult: float) -> float:
 def _axes(source: SourceModel, cfg: OracleConfig):
     """Integration axes for (pump, prime, dprime) detunings.
 
-    The prime axis is widened by the maximum coupling shift so the
-    shifted density never leaks off the grid.
+    The prime axis is widened by the maximum coupling shift so the shifted
+    density never leaks off the grid; a ValueError names what overflows.
     """
     lo, hi = _span(source.pump, cfg.support_multiplier)
     pump_axis = np.linspace(lo, hi, cfg.n_pump)
@@ -184,11 +192,12 @@ def _axes(source: SourceModel, cfg: OracleConfig):
         (lo1, hi1), (lo2, hi2) = (_span(d, cfg.support_multiplier)
                                   for d in (pm.d1, pm.d2))
     elif isinstance(pm, Tabulated2D):
-        lo1, hi1 = pm.grid1[0], pm.grid1[-1]
+        lo1, hi1 = float(pm.grid1[0]), float(pm.grid1[-1])
         lo2, hi2 = pm.grid2[0], pm.grid2[-1]
     else:
         raise TypeError(f"unsupported joint density type {type(pm).__name__}")
-    prime_axis = np.linspace(lo1 - shift, hi1 + shift, cfg.n_prime)
+    prime_axis = np.linspace(*_finite_span("coupling slope", cfg.slope, lo1 - shift,
+                                           hi1 + shift), cfg.n_prime)
     dprime_axis = np.linspace(lo2, hi2, cfg.n_dprime)
     return pump_axis, prime_axis, dprime_axis
 
@@ -233,31 +242,19 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
 
 
 def _interference_terms(source: SourceModel, delays: Sequence[DelayTriple],
-                        delta_phi: float, cfg: OracleConfig) -> list[OracleTerm]:
-    """:func:`interference_term_3d` at each delay triple, with each grid
-    level's tensor sums taken in one :func:`_triple_sum` call."""
-    w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind, 1)
-    args0 = [delta_phi + w_p0 * d.delta_tau + w0_prime * d.delta_tau_prime
-             + w0_dprime * d.delta_tau_dprime for d in delays]
-    for d, arg0 in zip(delays, args0):
-        if not math.isfinite(arg0):
-            raise CarrierPhaseOverflowError(
-                "the carrier phase overflows at delta_tau = {!r}, delta_tau_prime = {!r}, "
-                "delta_tau_dprime = {!r} s, delta_phi = {!r} rad".format(*map(float, (
-                    d.delta_tau, d.delta_tau_prime, d.delta_tau_dprime, delta_phi))))
+                        phase: np.ndarray, cfg: OracleConfig) -> list[OracleTerm]:
+    """:func:`interference_term_3d` at each delay triple and carrier ``phase``,
+    with each grid level's tensor sums taken in one :func:`_triple_sum` call."""
     raw = _triple_sum(source, delays, cfg)
-    coarse_cfg = replace(cfg,
-                         n_pump=max(32, cfg.n_pump // 2 + 1),
-                         n_prime=max(32, cfg.n_prime // 2 + 1),
-                         n_dprime=max(32, cfg.n_dprime // 2 + 1))
+    coarse_cfg = replace(cfg, **{n: max(32, getattr(cfg, n) // 2 + 1)
+                                 for n in ("n_pump", "n_prime", "n_dprime")})
     raw_coarse = _triple_sum(source, delays, coarse_cfg)
     tail = _tail_mass(source, cfg.support_multiplier)
     terms = []
-    for arg0, fine, coarse in zip(args0, raw.tolist(), raw_coarse.tolist()):
+    for arg0, fine, coarse in zip(phase.tolist(), raw.tolist(), raw_coarse.tolist()):
         phase0 = complex(math.cos(arg0), -math.sin(arg0))
-        # the raw sum is real for even centered densities; its imaginary
-        # part is the numerical residue worth reporting (the carrier
-        # rotation would mix real and imaginary parts trivially)
+        # the raw sum is real for even centered densities; its imaginary part is
+        # the numerical residue worth reporting (the carrier rotation mixes the two)
         terms.append(OracleTerm(value=2.0 * (phase0 * fine).real,
                                 imag_residual=abs(fine.imag),
                                 coarse_value=2.0 * (phase0 * coarse).real,
@@ -271,9 +268,11 @@ def interference_term_3d(source: SourceModel, delays: DelayTriple,
 
     The same sum at roughly half resolution per axis is reported alongside;
     a large relative change flags the grid as too coarse to trust. The
-    one-row view of :func:`_interference_terms`.
+    one-row view of :func:`_interference_terms`, at the rate core's carrier phase.
     """
-    return _interference_terms(source, [delays], delta_phi, cfg)[0]
+    phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1),
+                           [np.array([d]) for d in astuple(delays)], delta_phi)
+    return _interference_terms(source, [delays], phase, cfg)[0]
 
 
 def factorized_interference_term(source: SourceModel, delays: DelayTriple,
@@ -318,7 +317,7 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
                 raise
         g = _polar(transforms(src.pump, columns[0]))
         _, arg, _ = _assemble_rate(phase, *g, *gp, 1.0, 1.0)  # the argument only
-        terms = _interference_terms(src, delays, 0.0, cfg)
+        terms = _interference_terms(src, delays, phase, cfg)
         for d, g_mag, gp_mag, a, term in zip(delays, g[0].tolist(), gp[0].tolist(),
                                              arg.tolist(), terms):
             fac = 2.0 * g_mag * gp_mag * math.cos(a)

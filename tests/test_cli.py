@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -575,6 +576,33 @@ class TestValidateCommand:
             "delta_phi = 0.0 rad\n")
         assert not (out / "validate.csv").exists()
 
+    @pytest.mark.parametrize("pump_sigma, line, message", [
+        ("5e11", "validate.coupling_slope = 1e300",
+         "coupling slope = 1e+300 overflows an oracle axis: [-inf, inf]"),
+        ("5e11", "validate.support_multiplier = 1e300",
+         "support_multiplier = 1e+300 overflows an oracle axis: [-inf, inf]"),
+        ("1e-300", "validate.delay_span_widths = 1e10", "delays must be finite"),
+        ("1e-300", "validate.delay_span_widths = 1e-290",
+         "factor must be finite and positive, got inf"),
+    ])
+    def test_accepted_config_that_cannot_run_fails_by_name(self, tmp_path, capsys,
+                                                           pump_sigma, line, message):
+        # each config parses; before, the first two wrote nan oracle columns
+        # with RuntimeWarnings and the last two died with a ValueError traceback
+        text = MINIMAL_SOURCE.replace("pump.sigma_rad_s = 1e12",
+                                      f"pump.sigma_rad_s = {pump_sigma}") + (
+            "geometry.delta_l_m = 0\n"
+            "validate.ratios = 1\n"
+            "validate.n_pump = 32\nvalidate.n_prime = 32\nvalidate.n_dprime = 32\n"
+            f"{line}\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert list(out.iterdir()) == []  # no validate.csv, no run_meta.json
+
     def test_narrowband_errors_small(self, tmp_path):
         text = MINIMAL_SOURCE + (
             "geometry.delta_l_m = 0\n"
@@ -606,6 +634,22 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError:")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
+    import argparse
+
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: (
+        built.append(k.get("prog")), init(self, *a, **k))[1])
+    cfg = write_config(tmp_path, CATEGORY_I)
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    finally:
+        cli._build_parser.cache_clear()  # later tests build an uncounted one
+    assert built.count("triphoton") == 1
 
 
 def test_cli_import_loads_no_scipy():

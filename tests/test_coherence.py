@@ -256,6 +256,24 @@ class TestGammaPrime:
             expected = math.exp(-tau1 ** 2 / 2) * math.exp(-(1.5 * tau2) ** 2 / 2)
             assert z == pytest.approx(expected, abs=2e-7)
 
+    def test_table_containers_differ_by_the_interpolation_term(self):
+        # the same table in two containers: 1D tables transform as their
+        # piecewise-linear interpolant, the 2D sum converges to the continuum,
+        # so the gap is the interpolant's leading term -(t1^2 h1^2 + t2^2 h2^2)/12 g'
+        g1 = np.linspace(-8, 8, 321)
+        g2 = np.linspace(-12, 12, 481)
+        v1 = np.exp(-g1 ** 2 / 2)
+        v2 = np.exp(-g2 ** 2 / (2 * 1.5 ** 2))
+        table = Tabulated2D(g1, g2, np.outer(v1, v2)).normalize()
+        tables = Separable(Tabulated(g1, v1).normalize(), Tabulated(g2, v2).normalize())
+        h = 0.05  # both grids
+        taus_prime = np.array([0.2, 0.6, 1.5, -2.0])
+        taus_dprime = np.array([0.1, -0.4, 0.9, 2.0])
+        z = joint_transforms(table, taus_prime, taus_dprime)
+        gap = joint_transforms(tables, taus_prime, taus_dprime) - z
+        leading = -(taus_prime ** 2 + taus_dprime ** 2) * h ** 2 / 12 * z
+        assert np.all(np.abs(gap - leading) <= 2e-3 * np.abs(leading))
+
     def test_tabulated2d_coarse_grid_raises(self):
         g = np.linspace(-1, 1, 9)
         pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
@@ -348,8 +366,8 @@ def _segmented_fourier_listcomp(f, knots, delay):
     # reproduce its nodes, and so its sums, bit for bit
     piece_lo, half = _per_knot_pieces(knots, delay)
     origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])
-    [(z_hi, z_lo)] = coherence._layout_sums(f, piece_lo, half, origin, [delay])
-    return z_hi, abs(z_hi - z_lo)
+    [z], [err] = coherence._layout_sums(f, piece_lo, half, origin, np.array([delay]))
+    return complex(z), float(err)
 
 
 def _direct_gauss_legendre(f, knots, delay):
@@ -511,6 +529,22 @@ class TestQuadratureCost:
         assert per_delay <= 400  # bytes: a z, an error, a delay and their tuples
         assert peaks[5000] - 5000 * per_delay <= 8 * 8 * coherence._BLOCK_CELLS
 
+    def test_memory_per_delay(self):
+        # the delays share one layout of 400 pieces; each keeps its position,
+        # z, error and gathered delay in arrays, not in Python tuples (those
+        # took about 260 bytes a delay)
+        density = _jittered_table(7, 401)
+        delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+        peaks = {}
+        for n in (5000, 10000):
+            tracemalloc.start()
+            try:
+                transforms(density, delays[:n], "quadrature")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[10000] - peaks[5000]) / 5000 <= 128  # bytes
+
 
 def _quadrature_reference(density, delay):
     # the quadrature at one delay: the per-knot layout, then for infinite
@@ -612,10 +646,11 @@ class TestDelayBlocks:
         reach = coherence._MAX_PHASE_PER_PIECE / float(np.diff(knots).max())
         delays = [0.0, -0.0] + rng.uniform(-reach, reach, 3 * step).tolist()
         assert len(delays) > 3 * step  # at least three blocks, the last one short
-        sums = coherence._layout_sums(self.density.evaluate, piece_lo, half, origin,
-                                      delays)
-        lone = [coherence._layout_sums(self.density.evaluate, piece_lo, half, origin,
-                                       [t])[0] for t in delays]
+        sums = np.column_stack(coherence._layout_sums(self.density.evaluate, piece_lo,
+                                                      half, origin, np.array(delays)))
+        lone = [np.column_stack(coherence._layout_sums(self.density.evaluate, piece_lo, half,
+                                                       origin, np.array([t])))[0]
+                for t in delays]
         assert _bits(sums) == _bits(lone)
 
     def test_one_evaluation_per_rule_and_layout(self, monkeypatch):
@@ -748,3 +783,6 @@ class TestValueTypes:
     def test_delay_triple_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             DelayTriple(math.nan, 0.0, 0.0)
+        # 1e10 inverse widths of a 1e-300 rad/s pump: the product overflows
+        with pytest.raises(ValueError, match="^delays must be finite$"):
+            DelayTriple(1e10 * (1.0 / 1e-300), 0.0, 0.0)

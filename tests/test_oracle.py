@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -415,6 +417,18 @@ class TestBatchedSweep:
         with pytest.raises(RuntimeError, match="^patched tensor sum$"):
             factorization_error_sweep(gaussian_source(), [d], [1.0], OracleConfig())
 
+    def test_carrier_phase_patch_reaches_both_entry_points(self, monkeypatch):
+        # the oracle's carrier phase is the rate core's, not a rule of its own
+        calls = []
+        phase = oracle._carrier_phase
+        monkeypatch.setattr(oracle, "_carrier_phase",
+                            lambda *a: calls.append(a[2]) or phase(*a))
+        d = DelayTriple(1e-13, 0.0, 0.0)
+        interference_term_3d(gaussian_source(), d, 0.5, OracleConfig())
+        assert calls == [0.5]
+        factorization_error_sweep(gaussian_source(), [d], [1.0, 0.5], OracleConfig())
+        assert calls == [0.5, 0.0]  # once for all ratios
+
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_grids_built_once_per_ratio_and_g_prime_once_per_delay(self, monkeypatch,
                                                                    tabulated):
@@ -470,6 +484,31 @@ def test_interference_term_3d_rejects_overflowing_carrier_phase(monkeypatch):
     assert str(direct.value) == str(engine.value) == (
         "the carrier phase overflows at delta_tau = 1e+300, delta_tau_prime = 0.0, "
         "delta_tau_dprime = 0.0 s, delta_phi = 0.0 rad")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (OracleConfig(n_pump=32, n_prime=32, n_dprime=32, pump_coupling=LinearShift(1e300)),
+     "coupling slope = 1e+300 overflows an oracle axis: [-inf, inf]"),
+    (OracleConfig(n_pump=32, n_prime=32, n_dprime=32, support_multiplier=1e300),
+     "support_multiplier = 1e+300 overflows an oracle axis: [-inf, inf]"),
+])
+def test_overflowing_axis_named_without_a_warning(cfg, message):
+    # before the check np.linspace ran over an infinite end, warned, and the
+    # oracle column read nan
+    source, d = gaussian_source(5e11), DelayTriple(0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interference_term_3d(source, d, 0.0, cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            factorization_error_sweep(source, [d], [1.0], cfg)
+
+
+def test_overflowing_pump_rescale_named():
+    # a ratio's pump width factor overflows on a 1e-300 rad/s pump
+    with pytest.raises(ValueError, match="^factor must be finite and positive, got inf$"):
+        factorization_error_sweep(gaussian_source(1e-300), [DelayTriple(0.0, 0.0, 0.0)],
+                                  [1.0], OracleConfig())
 
 
 class TestSweepErrorOrder:
