@@ -332,20 +332,41 @@ def _row_format(precision: int, n_fields: int, prefix: str = ""):
 _BLOCK = 1024  # CSV lines formatted and written at a time
 
 
-class _Lines:
-    """CSV lines of rows of numpy columns, formatted ``_BLOCK`` rows at a time;
-    a sequence, not a generator, so callers can size it and slice it."""
+def _folded_lines(precision: int, prefix: str, columns) -> _Lines:
+    """The lines ``_row_format(precision, len(columns), prefix)`` gives the rows
+    of equal-length float columns, but a column whose 64 bits are the same on
+    every row is formatted once, into the line template, so each line formats
+    only the columns that vary (bits, not ``==``: -0.0 prints apart from 0.0,
+    and a NaN is never ``==`` itself)."""
+    field, fields, varying = f"%.{precision}g", [], []
+    for c in columns:
+        bits = c.view(np.int64)
+        if bits.size and (bits == bits[0]).all():
+            fields.append(field % float(c[0]))  # %g text holds no '%' to escape
+        else:
+            fields.append(field)
+            varying.append(c)
+    return _Lines((prefix + ",".join(fields)).__mod__, varying, len(columns[0]))
 
-    def __init__(self, line, columns):
-        self._line, self._columns = line, columns
+
+class _Lines:
+    """CSV lines of ``n_rows`` rows of numpy columns, formatted ``_BLOCK`` rows
+    at a time; a sequence, not a generator, so callers can size it and slice it."""
+
+    def __init__(self, line, columns, n_rows: int):
+        self._line, self._columns, self._n_rows = line, columns, n_rows
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return self._n_rows
 
     def __getitem__(self, rows: slice) -> _Lines:
-        return _Lines(self._line, [c[rows] for c in self._columns])
+        return _Lines(self._line, [c[rows] for c in self._columns],
+                      len(range(self._n_rows)[rows]))
 
     def __iter__(self):
+        if not self._columns:  # every field is in the template
+            yield from itertools.repeat(self._line(()), len(self))
+            return
         for start in range(0, len(self), _BLOCK):
             block = (c[start:start + _BLOCK].tolist() for c in self._columns)
             yield from map(self._line, zip(*block))
@@ -386,34 +407,50 @@ def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
         raise ValidationError("sweep subcommand requires a sweep section")
     table = run_sweep(config.sweep)
     prec = config.csv_precision
-    line = _row_format(prec, 5, table.variable.value + ",")
     columns = (table.values, table.rates, table.gamma_mag, table.gamma_prime_mag,
                table.cosine_argument)
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, ["parameter_name", "parameter_value", "rate",
                             "gamma_mag", "gamma_prime_mag", "cosine_argument"],
-               _Lines(line, columns))
+               _folded_lines(prec, table.variable.value + ",", columns))
     metrics_path = out_dir / "metrics.csv"
     _write_csv(metrics_path, ["field", "value"], _sweep_metrics_rows(table, prec))
     return [sweep_path, metrics_path]
 
 
-def _validate_delays(config: RunConfig) -> list[DelayTriple]:
-    src = config.source
-    w1, w2 = joint_widths(src.phase_matching)
-    tau_p, tau_1, tau_2 = 1.0 / src.pump.characteristic_width, 1.0 / w1, 1.0 / w2
-    spec = config.validate
-    fractions = np.linspace(0.0, spec.delay_span_widths, spec.n_delays)
-    # on floats, so an overflowing delay reaches DelayTriple's check without a numpy warning
-    return [DelayTriple(f * tau_p, f * tau_1, f * tau_2) for f in fractions.tolist()]
+def _validate_inputs(config: RunConfig) -> list[DelayTriple]:
+    """The delay triples of ``validate``; a delay or a pump rescale factor that
+    overflows raises a ValidationError naming the keys it comes from."""
+    src, spec = config.source, config.validate
+    w_pump, (w1, w2) = src.pump.characteristic_width, joint_widths(src.phase_matching)
+    fractions = np.linspace(0.0, spec.delay_span_widths, spec.n_delays).tolist()
+    columns = []
+    for name, section, width in (("delta_tau", "source.pump", w_pump),
+                                 ("delta_tau_prime", "source.pm1", w1),
+                                 ("delta_tau_dprime", "source.pm2", w2)):
+        tau = 1.0 / width
+        columns.append([f * tau for f in fractions])  # on floats: no numpy warning
+        if not all(map(math.isfinite, columns[-1])):
+            raise ValidationError(
+                f"validate.delay_span_widths = {spec.delay_span_widths!r} inverse widths "
+                f"of the {section} width {width!r} rad/s overflow {name}")
+    for ratio in spec.ratios:  # as factorization_error_sweep rescales the pump
+        factor = ratio * w1 / w_pump
+        if not 0.0 < factor < math.inf:
+            raise ValidationError(
+                f"validate.ratios: {ratio!r} x the source.pm1 width {w1!r} rad/s / the "
+                f"source.pump width {w_pump!r} rad/s gives a pump rescale factor of "
+                f"{factor!r}")
+    return [DelayTriple(*row) for row in zip(*columns)]
 
 
 def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     spec = config.validate
+    delays = _validate_inputs(config)
     try:
-        rows = factorization_error_sweep(config.source, _validate_delays(config),
-                                         list(spec.ratios), spec.oracle)
-    except ValueError as e:  # from the delays or the sweep, CarrierPhaseOverflowError too
+        rows = factorization_error_sweep(config.source, delays, list(spec.ratios),
+                                         spec.oracle)
+    except ValueError as e:  # from the sweep, CarrierPhaseOverflowError too
         raise ValidationError(str(e)) from e
     line = _row_format(config.csv_precision, 7)
     out_rows = [line((r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,

@@ -19,7 +19,9 @@ rule whose pieces break at every density knot and never span more than
 how large the delay gets (silent accuracy loss on oscillatory integrands
 is the classic failure mode this avoids). A lower-order rule on the same
 pieces gives the error estimate. Delays with the same piece counts share
-one layout and one density evaluation per rule.
+one layout and one density evaluation per rule; since no count falls as
+``|delay|`` grows, equal total counts mean equal layouts, so sorting the
+totals groups the delays.
 
 * finite-support (tabulated) densities are integrated over their exact
   support with pieces breaking at the table knots;
@@ -211,6 +213,12 @@ def _layout_sums(f, piece_lo: np.ndarray, half: np.ndarray, origin: float,
     return z, err
 
 
+def _piece_counts(delays: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Pieces per knot interval, as floats: enough that none spans more than
+    ``_MAX_PHASE_PER_PIECE`` at the delay; they never fall as ``|delay|`` grows."""
+    return np.maximum(1, np.ceil(np.abs(delays) * widths / _MAX_PHASE_PER_PIECE))
+
+
 def _segmented_fourier(f, knots: np.ndarray,
                        delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``integral of f(x) exp(-i x delay) dx`` over [knots[0], knots[-1]] per delay.
@@ -224,25 +232,31 @@ def _segmented_fourier(f, knots: np.ndarray,
     position as ``index``, before any ``f`` call.
     """
     widths = np.diff(knots)
-    layouts = {}  # piece counts as bytes -> positions of the delays
+    totals = np.empty(delays.size)  # pieces per delay
     step = max(1, _BLOCK_CELLS // widths.size)
-    for i in range(0, delays.size, step):
-        with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
-            n_sub = np.maximum(1, np.ceil(np.abs(delays[i:i + step])[:, None] * widths
-                                          / _MAX_PHASE_PER_PIECE))
-            totals = n_sub.sum(axis=1).tolist()
-        for k, (counts, total) in enumerate(zip(n_sub, totals), i):
-            if not total <= _MAX_PIECES:  # counted as floats, before any cast
-                e = IntegrationError(
-                    f"coherence quadrature at delay {float(delays[k])!r} s needs "
-                    f"{total:.3g} pieces, more than the {_MAX_PIECES} allowed")
-                e.index = k
-                raise e
-            layouts.setdefault(counts.tobytes(), []).append(k)
+    with np.errstate(over="ignore"):  # an overflowing count is inf, over the cap
+        for i in range(0, delays.size, step):
+            totals[i:i + step] = _piece_counts(delays[i:i + step, None], widths).sum(axis=1)
+    over = np.flatnonzero(~(totals <= _MAX_PIECES))  # counted as floats, before any cast
+    if over.size:
+        k = int(over[0])
+        e = IntegrationError(
+            f"coherence quadrature at delay {float(delays[k])!r} s needs "
+            f"{float(totals[k]):.3g} pieces, more than the {_MAX_PIECES} allowed")
+        e.index = k
+        raise e
+    # of two delays, the one of larger |delay| has every count at least as
+    # large, so equal (exact) totals mean equal counts: a run of equal totals
+    # in sorted order is one layout, and it holds its delays in input order
+    order = np.argsort(totals, kind="stable")
+    # where the sorted totals change; totals are at least 1, so the padding
+    # zeros mark the first run's start and the last run's end
+    runs = np.flatnonzero(np.diff(totals[order], prepend=0.0, append=0.0)).tolist()
     origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])  # 0 for a symmetric window
     z, err = np.empty(delays.size, dtype=complex), np.empty(delays.size)
-    for counts, rows in layouts.items():
-        n_sub = np.frombuffer(counts).astype(int)
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        rows = order[lo:hi]
+        n_sub = _piece_counts(delays[rows[0]], widths).astype(int)
         # piece j of knot interval [a, a + w) split n ways starts at a + (w*j)/n
         first = np.cumsum(n_sub) - n_sub
         j = np.arange(first[-1] + n_sub[-1]) - np.repeat(first, n_sub)

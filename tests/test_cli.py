@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import triphoton
@@ -481,6 +481,72 @@ class TestBlockWriter:
         assert len(calls) == 2
 
 
+def _old_sweep_csv(precision, prefix, columns):
+    # the writer before folding: one `%` template of all five fields per row
+    line = prefix + ",".join([f"%.{precision}g"] * 5)
+    rows = [line % row for row in zip(*(c.tolist() for c in columns))]
+    return "".join(f"{text}\n" for text in [",".join(SWEEP_HEADER), *rows]).encode()
+
+
+_FIELDS = st.one_of(_DOUBLES, st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 5e-324, 1.8e308]))
+
+
+@st.composite
+def _sweep_columns(draw):
+    """Five equal-length columns, each constant, constant but for its first or
+    last row, of mixed signed zeros, or random bit patterns and specials."""
+    n = draw(st.sampled_from([1, 2, 3, 1023, 1024, 1025, 2048, 2049]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(5):
+        kind = draw(st.sampled_from(["constant", "but_first", "but_last", "zeros", "any"]))
+        column = np.full(n, draw(_FIELDS))
+        if kind == "but_first":
+            column[0] = draw(_FIELDS)
+        elif kind == "but_last":
+            column[-1] = draw(_FIELDS)
+        elif kind == "zeros":
+            column = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        elif kind == "any":
+            column = np.where(rng.random(n) < 0.3,
+                              rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], n),
+                              rng.integers(0, 2**64, n, dtype=np.uint64).view(float))
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_columns(), st.sampled_from([1, 12, 17]),
+       st.sampled_from([v.value + "," for v in SweepVariable]))
+@example([np.full(1025, -0.0)] * 5, 12, "delta_l,")  # no column varies
+def test_folded_writer_bytes_equal_the_old_writer(tmp_path_factory, columns, precision,
+                                                  prefix):
+    path = tmp_path_factory.mktemp("folded") / "sweep.csv"
+    cli._write_csv(path, SWEEP_HEADER, cli._folded_lines(precision, prefix, columns))
+    assert path.read_bytes() == _old_sweep_csv(precision, prefix, columns)
+
+
+def test_delta_l_sweep_formats_four_fields_per_row(tmp_path, monkeypatch):
+    # a delta_l scan holds g' fixed, so its column is formatted once, into the
+    # line template, and each row formats the other four
+    fields, write = [], cli._write_csv
+
+    def counting(path, header, rows):
+        if path.name == "sweep.csv":
+            line = rows._line
+            rows._line = lambda row: fields.append(len(row)) or line(row)
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", counting)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, CATEGORY_II)),
+                 "--out", str(out)]) == 0
+    assert fields == [4] * 301
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[4] for line in lines} == {"1"}  # gamma_prime_mag
+
+
 def test_sweep_csv_adds_under_1_mb_to_the_sweep_peak(tmp_path):
     # sweep.csv is written a block of rows at a time, so writing it must not
     # hold the text, or a Python float per field, for all 50,001 rows at once
@@ -581,9 +647,12 @@ class TestValidateCommand:
          "coupling slope = 1e+300 overflows an oracle axis: [-inf, inf]"),
         ("5e11", "validate.support_multiplier = 1e300",
          "support_multiplier = 1e+300 overflows an oracle axis: [-inf, inf]"),
-        ("1e-300", "validate.delay_span_widths = 1e10", "delays must be finite"),
+        ("1e-300", "validate.delay_span_widths = 1e10",
+         "validate.delay_span_widths = 10000000000.0 inverse widths of the source.pump "
+         "width 1e-300 rad/s overflow delta_tau"),
         ("1e-300", "validate.delay_span_widths = 1e-290",
-         "factor must be finite and positive, got inf"),
+         "validate.ratios: 1.0 x the source.pm1 width 2000000000000.0 rad/s / the "
+         "source.pump width 1e-300 rad/s gives a pump rescale factor of inf"),
     ])
     def test_accepted_config_that_cannot_run_fails_by_name(self, tmp_path, capsys,
                                                            pump_sigma, line, message):

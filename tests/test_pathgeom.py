@@ -3,14 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triphoton.coherence import DelayTriple
 from triphoton.constants import SPEED_OF_LIGHT
+from triphoton.oracle import OracleConfig, _axes, interference_term_3d
 from triphoton.pathgeom import (CentralFrequencies, PathConfiguration,
                                 ReducedParameters, SourceKind, carrier_omegas,
                                 carrier_wavenumbers,
                                 cpdc_freq_inverse, cpdc_freq_transform,
                                 reduce_cpdc, reduce_topdc, topdc_freq_inverse,
                                 topdc_freq_transform)
+from triphoton.rates import AlternativeAmplitudes, SourceModel, rate_length
+from triphoton.spectra import Gaussian, Separable
 
 _LENGTHS = ("l_a1", "l_b1", "l_c1", "l_p1", "l_a2", "l_b2", "l_c2", "l_p2")
 _PHASES = ("phi_a1", "phi_b1", "phi_c1", "phi_p1",
@@ -221,3 +227,99 @@ def test_reduced_parameters_reject_non_finite(field):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             ReducedParameters(**{**finite, field: bad})
+
+
+# The rate from the eight lengths, end to end: the reference is a direct 3D
+# trapezoid sum over the oracle's axes of pump x pm1 x pm2 x cos(Phi), Phi the
+# phase difference of the two alternatives at the photon frequencies that the
+# *_freq_transform functions give each grid detuning. It calls no reducer, no
+# carrier_omegas and no _native_pm_delays, so a weight or sign slip shared by
+# a reducer and the carriers shows here.
+
+_NON_DEGENERATE = CentralFrequencies(1.25e15, 0.65e15, 0.5e15)
+
+
+def _trapezoid(axis):
+    w = np.zeros(axis.size)
+    w[:-1] += np.diff(axis) / 2
+    w[1:] += np.diff(axis) / 2
+    return w
+
+
+def _eight_length_term(source, p: PathConfiguration) -> float:
+    """2 Re of the sum of pump x pm1 x pm2 x exp(-i Phi) on the 65^3 oracle grid."""
+    axes = _axes(source, OracleConfig(n_pump=65, n_prime=65, n_dprime=65))
+    d_p, nu1, nu2 = (a.reshape([-1 if i == k else 1 for i in range(3)])
+                     for k, a in enumerate(axes))
+    if source.kind is SourceKind.CPDC:
+        d_a, d_b, d_c = cpdc_freq_transform(d_p, nu1, nu2)
+    else:  # the pm densities' variables are nu = (2/3) omega
+        d_a, d_b, d_c = topdc_freq_transform(d_p, 1.5 * nu1, 1.5 * nu2)
+    f, c = source.centrals, SPEED_OF_LIGHT
+    phi = ((f.omega_a0 + d_a) * (p.l_a1 - p.l_a2) + (f.omega_b0 + d_b) * (p.l_b1 - p.l_b2)
+           + (f.omega_c0 + d_c) * (p.l_c1 - p.l_c2)
+           + (f.omega_p0 + d_p) * (p.l_p1 - p.l_p2)) / c + p.delta_phi
+    pm = source.phase_matching
+    weights = [_trapezoid(a) for a in axes]
+    density = (source.pump.evaluate(axes[0]) * weights[0])[:, None, None] \
+        * (pm.d1.evaluate(axes[1]) * weights[1])[None, :, None] \
+        * (pm.d2.evaluate(axes[2]) * weights[2])[None, None, :]
+    return 2.0 * float(np.sum(density * np.cos(phi)))
+
+
+def _factorized_term(source, p: PathConfiguration, choice: int) -> float:
+    reduced = reduce_cpdc(p) if source.kind is SourceKind.CPDC else reduce_topdc(p, choice)
+    r = rate_length(source, reduced, AlternativeAmplitudes.balanced())
+    return 2.0 * r.gamma_mag * r.gamma_prime_mag * math.cos(r.cosine_argument)
+
+
+@st.composite
+def _eight_length_cases(draw, offsets=False):
+    """A source kind and labeling, separable Gaussians (pump about 5e12 rad/s,
+    pm about 2e13 and 3e13 rad/s) and eight lengths up to 30 um with phases."""
+    kind, choice = draw(st.sampled_from([(SourceKind.CPDC, 1), (SourceKind.TOPDC, 1),
+                                         (SourceKind.TOPDC, 2), (SourceKind.TOPDC, 3)]))
+
+    def gaussian(width):
+        sigma = width * draw(st.floats(0.5, 2.0))
+        shift = draw(st.floats(-0.3, 0.3)) * sigma if offsets else 0.0
+        return Gaussian(sigma=sigma, center_offset=shift)
+
+    source = SourceModel(kind, gaussian(5e12),
+                         Separable(gaussian(2e13), gaussian(3e13)), _NON_DEGENERATE)
+    lengths = st.floats(0.0, 30e-6)
+    p = PathConfiguration(**{k: draw(lengths) for k in _LENGTHS},
+                          **{k: draw(st.floats(-math.pi, math.pi)) for k in _PHASES})
+    return source, p, choice
+
+
+class TestRateFromEightLengths:
+    @settings(max_examples=40, deadline=None)
+    @given(_eight_length_cases())
+    def test_sum_equals_factorized_term(self, case):
+        source, p, choice = case
+        gap = _eight_length_term(source, p) - _factorized_term(source, p, choice)
+        assert abs(gap) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(_eight_length_cases(offsets=True))
+    def test_sum_equals_oracle_with_centre_offsets(self, case):
+        # the oracle takes choice 1's delays; the reference takes none
+        source, p, _ = case
+        reduced = reduce_cpdc(p) if source.kind is SourceKind.CPDC else reduce_topdc(p, 1)
+        delays = DelayTriple.from_lengths(reduced.delta_l, reduced.delta_l_prime,
+                                          reduced.delta_l_dprime)
+        term = interference_term_3d(source, delays, reduced.delta_phi,
+                                    OracleConfig(n_pump=65, n_prime=65, n_dprime=65))
+        assert abs(_eight_length_term(source, p) - term.value) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the factorized rate adds the coherence factors' phases to the carrier "
+        "phase, so it equals this sum with every centre offset mirrored"))
+    def test_sum_equals_factorized_term_with_centre_offsets(self):
+        source = SourceModel(SourceKind.CPDC, Gaussian(5e12, center_offset=1.5e12),
+                             Separable(Gaussian(2e13, center_offset=4e12),
+                                       Gaussian(3e13, center_offset=-6e12)),
+                             _NON_DEGENERATE)
+        p = random_config(random.Random(3), length_scale=30e-6)
+        assert abs(_eight_length_term(source, p) - _factorized_term(source, p, 1)) <= 1e-12
