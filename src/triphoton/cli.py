@@ -323,21 +323,21 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     )
 
 
-def _row_format(precision: int, n_fields: int, prefix: str = ""):
+def _row_format(precision: int, n_fields: int):
     """Formatter of a CSV line from a tuple of ``n_fields`` numbers, or one
-    number: ``prefix``, then each to ``precision`` significant digits."""
-    return (prefix + ",".join([f"%.{precision}g"] * n_fields)).__mod__
+    number: each to ``precision`` significant digits."""
+    return ",".join([f"%.{precision}g"] * n_fields).__mod__
 
 
 _BLOCK = 1024  # CSV lines formatted and written at a time
 
 
 def _folded_lines(precision: int, prefix: str, columns) -> _Lines:
-    """The lines ``_row_format(precision, len(columns), prefix)`` gives the rows
-    of equal-length float columns, but a column whose 64 bits are the same on
-    every row is formatted once, into the line template, so each line formats
-    only the columns that vary (bits, not ``==``: -0.0 prints apart from 0.0,
-    and a NaN is never ``==`` itself)."""
+    """Per row of equal-length float columns, ``prefix`` and then the line that
+    ``_row_format(precision, len(columns))`` gives, but a column whose 64 bits
+    are the same on every row is formatted once, into the line template, so
+    each line formats only the columns that vary (bits, not ``==``: -0.0
+    prints apart from 0.0, and a NaN is never ``==`` itself)."""
     field, fields, varying = f"%.{precision}g", [], []
     for c in columns:
         bits = c.view(np.int64)

@@ -58,8 +58,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import IntegrationError
-from .spectra import (SpectralDensity, Separable, Tabulated, Tabulated2D,
-                      JointSpectralDensity)
+from .spectra import SpectralDensity, Separable, Tabulated2D, JointSpectralDensity
 
 # Half-width of the quadrature window in characteristic widths. Wide
 # enough that the Gaussian remainder is below double precision and the
@@ -240,11 +239,9 @@ def _segmented_fourier(f, knots: np.ndarray,
     over = np.flatnonzero(~(totals <= _MAX_PIECES))  # counted as floats, before any cast
     if over.size:
         k = int(over[0])
-        e = IntegrationError(
+        raise IntegrationError(
             f"coherence quadrature at delay {float(delays[k])!r} s needs "
-            f"{float(totals[k]):.3g} pieces, more than the {_MAX_PIECES} allowed")
-        e.index = k
-        raise e
+            f"{float(totals[k]):.3g} pieces, more than the {_MAX_PIECES} allowed", index=k)
     # of two delays, the one of larger |delay| has every count at least as
     # large, so equal (exact) totals mean equal counts: a run of equal totals
     # in sorted order is one layout, and it holds its delays in input order
@@ -287,8 +284,7 @@ def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.nd
         knots = _window_knots(density.characteristic_width)
         f = lambda u: density.evaluate(center + u)  # noqa: E731
     else:
-        knots = density.grid if isinstance(density, Tabulated) \
-            else np.linspace(lo, hi, 129)
+        knots = density.grid  # a table, the one density of finite support
         f = density.evaluate
     try:
         z, err = _segmented_fourier(f, knots, delays)
@@ -305,11 +301,9 @@ def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.nd
     bad = np.flatnonzero(err > _QUAD_ACCEPT * np.fmax(1.0, np.hypot(z.real, z.imag)))
     if bad.size:
         k = int(bad[0])
-        e = IntegrationError(
+        raise IntegrationError(
             f"coherence quadrature did not converge (estimated error {err[k]:.3e})",
-            value=complex(z[k]), error_estimate=float(err[k]))
-        e.index = k
-        raise e
+            value=complex(z[k]), error_estimate=float(err[k]), index=k)
     return z
 
 

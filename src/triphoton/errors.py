@@ -15,11 +15,12 @@ class IntegrationError(RuntimeError):
     evaluated, the position ``index`` of the first one that failed.
     """
 
-    def __init__(self, message: str, value=None, error_estimate: float | None = None):
+    def __init__(self, message: str, value=None, error_estimate: float | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-        self.index = None
+        self.index = index
 
 
 class CarrierPhaseOverflowError(ValueError):

@@ -361,13 +361,12 @@ def degenerate_central_frequencies(kind: SourceKind,
     return CentralFrequencies(omega, omega, omega)
 
 
-def category_i_spec(source: SourceModel, amps: AlternativeAmplitudes,
-                    periods: int = 3, points_per_period: int = 32) -> SweepSpec:
-    """Phase sweep with all lengths zero; the fringes are pure cosine."""
-    n = periods * points_per_period + 1
+def category_i_spec(source: SourceModel, amps: AlternativeAmplitudes) -> SweepSpec:
+    """Phase sweep over three periods at 32 points per period, with all
+    lengths zero; the fringes are pure cosine."""
     fixed = ReducedParameters(0.0, 0.0, 0.0, 0.0)
-    return SweepSpec(SweepVariable.DELTA_PHI, 0.0, periods * 2.0 * math.pi,
-                     n, fixed, source, amps)
+    return SweepSpec(SweepVariable.DELTA_PHI, 0.0, 3 * 2.0 * math.pi,
+                     3 * 32 + 1, fixed, source, amps)
 
 
 def pump_coherence_length(source: SourceModel) -> float:
@@ -376,29 +375,28 @@ def pump_coherence_length(source: SourceModel) -> float:
 
 
 def category_ii_spec(source: SourceModel, amps: AlternativeAmplitudes,
-                     coherence_lengths: float = 3.0,
-                     points_per_period: int = 16) -> SweepSpec:
+                     coherence_lengths: float = 3.0) -> SweepSpec:
     """Collective length sweep from 0 to several pump coherence lengths, at
-    ``points_per_period`` points per fringe period plus a spare interval;
-    the fringes run at the pump's central frequency minus its offset."""
+    16 points per fringe period plus a spare interval; the fringes run at
+    the pump's central frequency minus its offset."""
     omega_fringe = abs(source.centrals.omega_p0 - source.pump.center)
     stop = coherence_lengths * pump_coherence_length(source)
     n = int(math.ceil(stop * omega_fringe / (2.0 * math.pi * SPEED_OF_LIGHT)
-                      * points_per_period)) + 2
+                      * 16)) + 2
     fixed = ReducedParameters(0.0, 0.0, 0.0, 0.0)
     return SweepSpec(SweepVariable.DELTA_L, 0.0, stop, n, fixed, source, amps)
 
 
 def category_iii_specs(source: SourceModel, amps: AlternativeAmplitudes,
-                       delta_phi: float, widths: float = 4.0,
-                       n_points: int = 201) -> tuple[SweepSpec, SweepSpec]:
-    """Symmetric scans of both asymmetry lengths at fixed phase.
+                       delta_phi: float) -> tuple[SweepSpec, SweepSpec]:
+    """Symmetric scans of both asymmetry lengths at fixed phase, each from
+    -4 to 4 times c over its phase-matching width in 201 points (odd, so the
+    origin is sampled exactly).
 
     Intended for sources whose asymmetry carriers vanish (see
     :func:`degenerate_central_frequencies`); otherwise the profile carries
     residual fringes and the extractor flags it.
     """
-    n_points = n_points | 1  # odd, so the origin is sampled exactly
     pm = source.phase_matching
     if isinstance(pm, Tabulated2D):  # its joint_widths are grid half-spans
         w1, w2 = (m.characteristic_width for m in pm.marginals())
@@ -406,8 +404,8 @@ def category_iii_specs(source: SourceModel, amps: AlternativeAmplitudes,
         w1, w2 = joint_widths(pm)
     w_prime, w_dprime = SPEED_OF_LIGHT / w1, SPEED_OF_LIGHT / w2
     fixed = ReducedParameters(0.0, 0.0, 0.0, delta_phi)
-    spec_p = SweepSpec(SweepVariable.DELTA_L_PRIME, -widths * w_prime,
-                       widths * w_prime, n_points, fixed, source, amps)
-    spec_d = SweepSpec(SweepVariable.DELTA_L_DPRIME, -widths * w_dprime,
-                       widths * w_dprime, n_points, fixed, source, amps)
+    spec_p = SweepSpec(SweepVariable.DELTA_L_PRIME, -4.0 * w_prime,
+                       4.0 * w_prime, 201, fixed, source, amps)
+    spec_d = SweepSpec(SweepVariable.DELTA_L_DPRIME, -4.0 * w_dprime,
+                       4.0 * w_dprime, 201, fixed, source, amps)
     return spec_p, spec_d

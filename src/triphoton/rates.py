@@ -10,8 +10,9 @@ coherence factors carry (nonzero only for asymmetric densities). For
 equal alternative amplitudes the bracket reduces to C [1 + g g' cos], a
 textbook visibility form, because the densities are unit-area.
 
-One column core computes every row at once, each coherence factor once
-per distinct delay, after rejecting an overflowing carrier phase; the
+One column core computes every row at once, after rejecting an
+overflowing carrier phase: a coherence factor whose delays a sweep leaves
+fixed is computed once, a swept one once per row, in row order; the
 entry points are its one-row views, so they equal a sweep bit for bit.
 They accept either a delay triple (seconds) or reduced lengths (meters);
 the two agree exactly since the length form just divides by c.
@@ -153,30 +154,27 @@ def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int):
     phase = _carrier_phase(carriers, delays, delta_phi)
     u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
     try:
-        g = _per_key(transforms, source.pump, delays[0])
+        g = _factor_columns(transforms, source.pump, delays[0])
     except IntegrationError as e:  # unless g' fails in an earlier row
-        _per_key(joint_transforms, source.phase_matching, u[:e.index], v[:e.index])
+        _factor_columns(joint_transforms, source.phase_matching, u[:e.index], v[:e.index])
         raise
-    gp = _per_key(joint_transforms, source.phase_matching, u, v)
+    gp = _factor_columns(joint_transforms, source.phase_matching, u, v)
     rate, arg, vis = _assemble_rate(phase, *g, *gp, amps.amplitude_visibility,
                                     amps.baseline)
     return rate, g[0], gp[0], arg, vis
 
 
-def _per_key(core, density, *columns: np.ndarray):
-    """``core`` in polar form once per distinct row of the one or two columns
-    (+0.0 and -0.0 alike; a zero delay has the same sign in every row or is
-    in one row), gathered back to rows; a failure gets its key's first row as
-    ``index``. The complex key ``u + iv`` is exact and sorts as the rows do."""
-    key = columns[0] + 1j * columns[1] if len(columns) == 2 else columns[0]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rows = np.sort(first)
-    try:
-        z = core(density, *(c[rows] for c in columns))
-    except IntegrationError as e:
-        e.index = int(rows[e.index])
-        raise
-    return _polar(z[np.searchsorted(rows, first)[inverse]])
+def _factor_columns(core, density, *columns: np.ndarray):
+    """``core`` at the one or two delay columns, in polar form per row. A sweep
+    leaves a factor's columns fixed or sweeps them, so columns that hold the
+    same delays on every row (``==``: +0.0 and -0.0 alike) are computed once,
+    on the first row, and a failure there names row 0; otherwise every row is
+    computed in order and a failure names its own row."""
+    n = columns[0].size
+    if n > 1 and all((c == c[0]).all() for c in columns):
+        mag, phase = _polar(core(density, *(c[:1] for c in columns)))
+        return np.full(n, mag[0]), np.full(n, phase[0])
+    return _polar(core(density, *columns))
 
 
 def _carrier_phase(carriers: tuple[float, float, float], delays, delta_phi):

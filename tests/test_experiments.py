@@ -79,8 +79,8 @@ class TestRunSweep:
             run_sweep(spec)
 
     def test_first_failing_row_is_reported(self):
-        # the memoized factors must fail at the row rate_length fails at
-        # first, here past row 0 since the zero delay is always resolved
+        # the sweep must fail at the row rate_length fails at first, here
+        # past row 0 since the zero delay is always resolved
         g = np.linspace(-1e12, 1e12, 9)
         pm = Tabulated2D(
             g, g, np.outer(1 - np.abs(g) / 1e12, 1 - np.abs(g) / 1e12)).normalize()
@@ -104,7 +104,7 @@ class TestRunSweep:
         # double-prime delay 0.6 * _L fails pm2 in every row, so rate_length
         # meets the pm2 failure first; at dprime 0 a delta_l sweep fails in g
         # alone, from row 5. With choice 2 the native delays fall as the rows
-        # rise, so the first failing row holds the largest failing key
+        # rise, so the first failing row holds the largest failing delay
         fourier = coherence._segmented_fourier
         monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
             fourier(f, knots, delays)[0], np.where(np.abs(delays) >= 0.45 / _W, 1.0, 0.0)))
@@ -127,6 +127,34 @@ class TestRunSweep:
         run_sweep(spec)
         assert len(calls) == 3  # pump, then both phase-matching axes
         assert all(np.size(delays) == 1 for delays in calls)
+
+    @pytest.mark.parametrize("choice", [1, 2, 3])
+    @pytest.mark.parametrize("variable", list(SweepVariable))
+    def test_each_factor_is_computed_once(self, variable, choice, monkeypatch):
+        # a factor whose delays the sweep leaves fixed is computed at one delay,
+        # a swept one at every row in row order; either in one call
+        calls = {}
+        for name in ("transforms", "joint_transforms"):
+            monkeypatch.setattr(rates, name, lambda density, *columns, _name=name,
+                                _core=getattr(rates, name): calls.setdefault(
+                                    _name, []).append(columns) or _core(density, *columns))
+        scale = 1.0 if variable is SweepVariable.DELTA_PHI else _L
+        spec = SweepSpec(variable, -0.8 * scale, 0.8 * scale, 9,
+                         ReducedParameters(1.3 * _L, -0.4 * _L, 0.7 * _L, 0.5,
+                                           topdc_choice=choice),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        run_sweep(spec)
+        values = np.linspace(spec.start, spec.stop, spec.n_points)
+        dt, dt_prime, dt_dprime = (
+            x / SPEED_OF_LIGHT for x in experiments._parameter_columns(spec, values)[:3])
+        pm_swept = variable not in (SweepVariable.DELTA_PHI, SweepVariable.DELTA_L)
+        for name, columns, swept in (
+                ("transforms", (dt,), variable is SweepVariable.DELTA_L),
+                ("joint_transforms", rates._native_pm_delays(
+                    SourceKind.TOPDC, choice, dt_prime, dt_dprime), pm_swept)):
+            (got,) = calls[name]
+            want = columns if swept else tuple(c[:1] for c in columns)
+            assert [np.asarray(c).tobytes() for c in got] == [c.tobytes() for c in want]
 
     @pytest.mark.parametrize("n_points", [5.0, 5.5])
     def test_spec_rejects_non_integer_n_points(self, n_points):
@@ -291,8 +319,9 @@ class TestSweepMatchesRateLength:
     @pytest.mark.parametrize("choice", [1, 2, 3])
     @pytest.mark.parametrize("variable", list(SweepVariable))
     def test_zero_crossing_scans(self, variable, choice):
-        # choices 2 and 3 negate a zero delay into -0.0; the memo keys
-        # compare +0.0 and -0.0 equal, so the origin row must still match
+        # choices 2 and 3 negate a zero delay into -0.0; a fixed column's
+        # constancy test compares +0.0 and -0.0 equal, so the origin row must
+        # still match
         spec = SweepSpec(variable, -2.0 * _L, 2.0 * _L, 9,
                          ReducedParameters(0.0, 0.0, 0.0, 0.5, topdc_choice=choice),
                          tabulated_source(SourceKind.TOPDC), AMPS)

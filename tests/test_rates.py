@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from triphoton.coherence import DelayTriple
+from triphoton import rates
+from triphoton.coherence import DelayTriple, _polar, joint_transforms, transforms
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.errors import CarrierPhaseOverflowError, IntegrationError
 from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
@@ -13,6 +14,7 @@ from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
 from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
                              rate_time)
 from triphoton.spectra import Gaussian, Lorentzian, Separable, Tabulated2D
+from test_experiments import SOURCES, _W
 from test_pathgeom import random_config
 
 ZERO = DelayTriple(0.0, 0.0, 0.0)
@@ -250,6 +252,69 @@ class TestCarrierPhaseOverflow:
             rate_length(gaussian_cpdc(), ReducedParameters(1e308, 0.0, 0.0),
                         AlternativeAmplitudes.balanced())
         assert transform_calls == []
+
+
+def _factor(source: str, joint: bool):
+    src = SOURCES[source](SourceKind.TOPDC)
+    return (joint_transforms, src.phase_matching) if joint else (transforms, src.pump)
+
+
+def _alone(core, density, columns):
+    """Each row's polar form computed alone, up to the first row that fails."""
+    rows = []
+    for i in range(columns[0].size):
+        try:
+            rows.append(_polar(core(density, *(c[i:i + 1] for c in columns))))
+        except IntegrationError:
+            break
+    return rows
+
+
+_CAP = 1e-8  # s: over the 1D quadrature's piece cap on these tables
+
+
+class TestFactorColumns:
+    """``rates._factor_columns`` computes columns that hold one delay pair on
+    every row once, and any others row by row in one call; either way each
+    row gets the bits its delays give alone, and a failure names the first
+    row that fails alone."""
+
+    @pytest.mark.parametrize("source", list(SOURCES))
+    @pytest.mark.parametrize("columns, calls", [
+        ([[0.3, -1.1, 0.3, 0.3, 0.7, -1.1]], [6]),  # repeated, not all equal
+        ([[0.0, -0.0, 0.0, -0.0]], [1]),
+        ([[-0.0, 0.0, 0.0]], [1]),
+        ([[0.3, 0.3, -1.1, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7, -0.2]], [5]),
+        ([[0.3, 0.3, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7]], [4]),
+        ([[-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]], [1]),
+        ([[0.4, 0.4, 0.4, 0.4], [0.0, -0.0, -0.0, 0.0]], [1]),
+    ], ids=["repeated", "signed_zeros", "signed_zeros_minus_first", "repeated_pairs",
+            "one_column_fixed", "signed_zero_pairs", "signed_zero_in_one_column"])
+    def test_rows_equal_their_values_alone(self, source, columns, calls):
+        core, density = _factor(source, joint=len(columns) == 2)
+        columns = [np.array(c) / _W for c in columns]
+        sizes = []
+        spy = lambda d, *c: sizes.append(c[0].size) or core(d, *c)  # noqa: E731
+        mag, phase = rates._factor_columns(spy, density, *columns)
+        assert sizes == calls
+        assert [(m.tobytes(), p.tobytes()) for m, p in zip(mag, phase)] == [
+            (m.tobytes(), p.tobytes()) for m, p in _alone(core, density, columns)]
+
+    @pytest.mark.parametrize("source, columns", [
+        ("tabulated", [[0.0, 3e-15, 0.0, _CAP, 3e-15, _CAP]]),
+        ("tabulated", [[_CAP, _CAP, _CAP]]),
+        ("tabulated", [[0.0, 0.0, 0.0, _CAP], [0.0, _CAP, 0.0, 0.0]]),  # d2 first
+        ("tabulated2d", [[0.0, 1e-13, 1e-12, 1e-13, 1e-12], [0.0] * 5]),
+        ("tabulated2d", [[1e-12, 1e-12, 1e-12], [0.0, -0.0, 0.0]]),
+    ], ids=["repeated", "fixed", "separable_pairs", "table_pairs", "fixed_table_pair"])
+    def test_failure_names_the_first_failing_row(self, source, columns):
+        core, density = _factor(source, joint=len(columns) == 2)
+        columns = [np.array(c) for c in columns]
+        first = len(_alone(core, density, columns))
+        assert first < columns[0].size
+        with pytest.raises(IntegrationError) as info:
+            rates._factor_columns(core, density, *columns)
+        assert info.value.index == first
 
 
 def test_sourcekind_tag():
