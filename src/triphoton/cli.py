@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import sys
 import time
@@ -323,21 +322,16 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     )
 
 
-def _row_format(precision: int, n_fields: int):
-    """Formatter of a CSV line from a tuple of ``n_fields`` numbers, or one
-    number: each to ``precision`` significant digits."""
-    return ",".join([f"%.{precision}g"] * n_fields).__mod__
-
-
 _BLOCK = 1024  # CSV lines formatted and written at a time
 
 
 def _folded_lines(precision: int, prefix: str, columns) -> _Lines:
-    """Per row of equal-length float columns, ``prefix`` and then the line that
-    ``_row_format(precision, len(columns))`` gives, but a column whose 64 bits
-    are the same on every row is formatted once, into the line template, so
-    each line formats only the columns that vary (bits, not ``==``: -0.0
-    prints apart from 0.0, and a NaN is never ``==`` itself)."""
+    """Per row of equal-length float columns, ``prefix`` and then each column
+    to ``precision`` significant digits (``%.{precision}g``), comma-separated;
+    but a column whose 64 bits are the same on every row is formatted once,
+    into the line template, so each line formats only the columns that vary
+    (bits, not ``==``: -0.0 prints apart from 0.0, and a NaN is never ``==``
+    itself)."""
     field, fields, varying = f"%.{precision}g", [], []
     for c in columns:
         bits = c.view(np.int64)
@@ -346,14 +340,15 @@ def _folded_lines(precision: int, prefix: str, columns) -> _Lines:
         else:
             fields.append(field)
             varying.append(c)
-    return _Lines((prefix + ",".join(fields)).__mod__, varying, len(columns[0]))
+    return _Lines(prefix + ",".join(fields) + "\n", varying, len(columns[0]))
 
 
 class _Lines:
-    """CSV lines of ``n_rows`` rows of numpy columns, formatted ``_BLOCK`` rows
-    at a time; a sequence, not a generator, so callers can size it and slice it."""
+    """CSV lines of ``n_rows`` rows of numpy columns; a sequence of rows, so
+    callers can size it and slice it, whose iteration yields the text of
+    ``_BLOCK`` lines at a time, each block formatted by one ``%`` call."""
 
-    def __init__(self, line, columns, n_rows: int):
+    def __init__(self, line: str, columns, n_rows: int):
         self._line, self._columns, self._n_rows = line, columns, n_rows
 
     def __len__(self) -> int:
@@ -364,27 +359,35 @@ class _Lines:
                       len(range(self._n_rows)[rows]))
 
     def __iter__(self):
-        if not self._columns:  # every field is in the template
-            yield from itertools.repeat(self._line(()), len(self))
-            return
         for start in range(0, len(self), _BLOCK):
-            block = (c[start:start + _BLOCK].tolist() for c in self._columns)
-            yield from map(self._line, zip(*block))
+            n = min(_BLOCK, len(self) - start)
+            args = ()  # no column varies: every field is in the template
+            if self._columns:
+                args = tuple(np.column_stack([c[start:start + n] for c in self._columns])
+                             .ravel().tolist())
+            yield (self._line * n) % args
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and one already joined line per row, ``_BLOCK`` lines
-    at a time, so the whole text is never held at once."""
-    lines = iter(rows)
+    """Write the header, then the text that iterating ``rows`` gives: whole
+    lines, newline included, one or a block of them at a time, so a
+    ``_Lines`` table is never held as text at once."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        while block := list(itertools.islice(lines, _BLOCK)):
-            f.write("\n".join(block) + "\n")
+        f.writelines(rows)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with its quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _sweep_metrics_rows(table: SweepTable, precision: int) -> list[str]:
     fringe_like = table.variable in (SweepVariable.DELTA_PHI, SweepVariable.DELTA_L)
-    num = _row_format(precision, 1)
+    num = f"%.{precision}g".__mod__
     try:
         if fringe_like:
             m = extract_fringe_metrics(table)
@@ -399,7 +402,7 @@ def _sweep_metrics_rows(table: SweepTable, precision: int) -> list[str]:
                 f"fwhm,{num(p.fwhm)}",
                 f"not_monotone,{str(p.not_monotone).lower()}"]
     except (InsufficientSamplingError, ValueError) as e:
-        return ["status,extraction_failed", f"reason,{e}"]
+        return ["status,extraction_failed", f"reason,{_csv_field(str(e))}"]
 
 
 def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
@@ -414,7 +417,8 @@ def run_sweep_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
                             "gamma_mag", "gamma_prime_mag", "cosine_argument"],
                _folded_lines(prec, table.variable.value + ",", columns))
     metrics_path = out_dir / "metrics.csv"
-    _write_csv(metrics_path, ["field", "value"], _sweep_metrics_rows(table, prec))
+    _write_csv(metrics_path, ["field", "value"],
+               [f"{line}\n" for line in _sweep_metrics_rows(table, prec)])
     return [sweep_path, metrics_path]
 
 
@@ -452,13 +456,13 @@ def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
                                          spec.oracle)
     except ValueError as e:  # from the sweep, CarrierPhaseOverflowError too
         raise ValidationError(str(e)) from e
-    line = _row_format(config.csv_precision, 7)
-    out_rows = [line((r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
-                      r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error))
-                for r in rows]
+    columns = [np.array(c) for c in zip(*(
+        (r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime, r.delays.delta_tau_dprime,
+         r.factorized, r.oracle, r.rel_error) for r in rows))]
     path = out_dir / "validate.csv"
     _write_csv(path, ["ratio", "delta_tau", "delta_tau_prime", "delta_tau_dprime",
-                      "factorized", "oracle", "rel_error"], out_rows)
+                      "factorized", "oracle", "rel_error"],
+               _folded_lines(config.csv_precision, "", columns))
     return [path]
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from triphoton import cli
 from triphoton.cli import main, parse_config, run_sweep_cmd
 from triphoton.errors import ParseError, ValidationError
 from triphoton.experiments import SweepVariable, run_sweep
+from triphoton.oracle import factorization_error_sweep
 from triphoton.pathgeom import SourceKind
 from triphoton.rates import rate_length
 
@@ -332,6 +335,25 @@ class TestSweepCommand:
         assert with_offset == sweep("shifted", tabulated + "shifted.txt\n")
         assert with_offset != sweep("plain", tabulated + "pump.txt\n")
 
+    def test_failed_extraction_reason_is_one_csv_field(self, tmp_path):
+        # a 15 rad phase scan covers under the 3 fringe periods that extraction
+        # needs; the reason holds a comma, which unquoted split it into 3 fields
+        text = CATEGORY_I.replace("sweep.stop = 6.283185307179586", "sweep.stop = 15") \
+                         .replace("sweep.n_points = 9", "sweep.n_points = 60")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[:2] == [["field", "value"], ["status", "extraction_failed"]]
+        assert len(rows) == 3 and rows[2][0] == "reason"
+        assert rows[2][1] == "scan covers 2.44 periods, need at least 3"
+
+    @pytest.mark.parametrize("text", ["a, b", 'say "a"', "a\nb", "a\r\nb", '"'])
+    def test_csv_field_reads_back_whole(self, text):
+        line = f"reason,{cli._csv_field(text)}\n"
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [["reason", text]]
+
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_SOURCE + "geometry.delta_l_m = 0\n")
         assert main(["sweep", "--config", str(cfg), "--out",
@@ -532,17 +554,27 @@ def test_delta_l_sweep_formats_four_fields_per_row(tmp_path, monkeypatch):
     # line template, and each row formats the other four
     fields, write = [], cli._write_csv
 
+    class Template(str):
+        """A block template that records how many fields each `%` formats."""
+
+        def __mul__(self, n):
+            return Template(str.__mul__(self, n))
+
+        def __mod__(self, args):
+            fields.append(len(args))
+            return str.__mod__(self, args)
+
     def counting(path, header, rows):
         if path.name == "sweep.csv":
-            line = rows._line
-            rows._line = lambda row: fields.append(len(row)) or line(row)
+            rows._line = Template(rows._line)
         write(path, header, rows)
 
+    monkeypatch.setattr(cli, "_BLOCK", 100)
     monkeypatch.setattr(cli, "_write_csv", counting)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, CATEGORY_II)),
                  "--out", str(out)]) == 0
-    assert fields == [4] * 301
+    assert fields == [4 * 100, 4 * 100, 4 * 100, 4 * 1]  # 301 rows, 4 fields each
     lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert {line.split(",")[4] for line in lines} == {"1"}  # gamma_prime_mag
 
@@ -671,6 +703,30 @@ class TestValidateCommand:
             assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
         assert list(out.iterdir()) == []  # no validate.csv, no run_meta.json
+
+    @pytest.mark.parametrize("n_delays", [1, 3])
+    def test_rows_match_per_field_formatting(self, tmp_path, n_delays):
+        # one delay leaves the three delay columns constant, so they are
+        # formatted once, into the line template; the bytes are the same
+        text = MINIMAL_SOURCE + (
+            "geometry.delta_l_m = 0\nvalidate.ratios = 0.3,0.1\n"
+            "validate.n_pump = 33\nvalidate.n_prime = 33\nvalidate.n_dprime = 33\n"
+            f"validate.n_delays = {n_delays}\noutput.csv_precision = 9\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        config = parse_config(text)
+        rows = factorization_error_sweep(config.source, cli._validate_inputs(config),
+                                         list(config.validate.ratios),
+                                         config.validate.oracle)
+        expected = ["ratio,delta_tau,delta_tau_prime,delta_tau_dprime,"
+                    "factorized,oracle,rel_error"]
+        for r in rows:
+            expected.append(",".join(_fmt(v, 9) for v in (
+                r.ratio, r.delays.delta_tau, r.delays.delta_tau_prime,
+                r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)))
+        assert len(expected) == 1 + 2 * n_delays
+        assert (out / "validate.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_narrowband_errors_small(self, tmp_path):
         text = MINIMAL_SOURCE + (
