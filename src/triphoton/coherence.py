@@ -42,11 +42,11 @@ at most 0.75, 20 terms leave a remainder below ``0.75**20 / 20!`` (about
 
 2D separable densities factor into two 1D transforms. 2D tabulated
 densities use a tensor trapezoid sum, Richardson-extrapolated over two
-grid halvings; each of the full, half and quarter sums is one matrix
-product ``(W1*E1) V (W2*E2)^T`` with ``E = exp(-i outer(delays, knots))``,
-over a whole grid for :func:`coherence_surface` and per pair otherwise.
-An unresolved oscillation raises :class:`IntegrationError` naming the
-first failing cell rather than returning a quietly wrong number.
+grid halvings, one transform for the pairs of :func:`joint_transforms` and
+the grid of :func:`coherence_surface`. Each element is summed alone, so a
+surface cell equals the pair at its delays. An unresolved oscillation
+raises :class:`IntegrationError` naming the first failing pair or cell
+rather than returning a quietly wrong number.
 """
 
 from __future__ import annotations
@@ -357,42 +357,42 @@ def gamma_pump(pump: SpectralDensity, delta_tau: float,
 
 
 def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarray:
-    """Tensor trapezoid sums over a delay grid, Richardson-extrapolated over
-    grid halving; element [i, j] is the transform at
-    (taus_prime[i], taus_dprime[j]).
-
-    Two successive halvings give two extrapolants; their spread is the
-    error estimate (exact-order reasoning assumes near-uniform grids, on
-    arbitrary grids it stays a serviceable consistency check). The first
-    failing cell in row-major order is reported.
+    """Tensor trapezoid sums at the numpy broadcast of the delay arrays,
+    Richardson-extrapolated over two grid halvings, whose spread is the error
+    estimate (exact-order reasoning assumes near-uniform grids; on arbitrary
+    grids it stays a serviceable consistency check). An element's row product
+    ``(w1 exp(-i t' g1)) V`` and closing dot with ``w2 exp(-i t'' g2)`` are each
+    one item of a batched ``np.matmul``, so its bits depend only on its own
+    delays. The first failing element, raveled, raises with that ``index``.
     """
+    tp, td = np.asarray(taus_prime, dtype=float), np.asarray(taus_dprime, dtype=float)
     g1, g2, v = pm.grid1, pm.grid2, pm.values
-    e1 = np.exp(-1j * np.outer(taus_prime, g1))
-    e2 = np.exp(-1j * np.outer(taus_dprime, g2))
+    e1 = np.exp(-1j * (tp[..., None, None] * g1))  # a 1 x n1 row per t'
+    e2 = np.exp(-1j * (td[..., None, None] * g2))
 
     def trap(idx1, idx2):
-        a = _trapezoid_weights(g1[idx1]) * e1[:, idx1]
-        b = _trapezoid_weights(g2[idx2]) * e2[:, idx2]
-        return a @ v[np.ix_(idx1, idx2)] @ b.T
+        # take gives C-ordered rows: every element's vectors have unit stride,
+        # as BLAS may round a strided dot differently
+        a = _trapezoid_weights(g1[idx1]) * e1.take(idx1, axis=-1)
+        b = _trapezoid_weights(g2[idx2]) * e2.take(idx2, axis=-1)
+        table = v.take(idx1, axis=0).take(idx2, axis=1).astype(complex)  # matmul casts slower
+        return (a @ table @ b.swapaxes(-1, -2))[..., 0, 0]
 
-    n1, n2 = g1.size, g2.size
-    i1_full, i2_full = np.arange(n1), np.arange(n2)
-    i1_half, i2_half = _half_indices(n1), _half_indices(n2)
-    full = trap(i1_full, i2_full)
-    half = trap(i1_half, i2_half)
-    quarter = trap(i1_half[_half_indices(i1_half.size)],
-                   i2_half[_half_indices(i2_half.size)])
+    levels = [(np.arange(g1.size), np.arange(g2.size))]  # full, half, quarter
+    for _ in range(2):  # a halving keeps every other knot and the last
+        levels.append(tuple(np.append(i[:-1:2], i[-1]) for i in levels[-1]))
+    full, half, quarter = (trap(*level) for level in levels)
     extrap = full + (full - half) / 3.0
     extrap_coarse = half + (half - quarter) / 3.0
     err = np.abs(extrap - extrap_coarse)
-    bad = np.argwhere(err > _TAB2D_ACCEPT * np.maximum(1.0, np.abs(extrap)))
+    bad = np.flatnonzero(err > _TAB2D_ACCEPT * np.maximum(1.0, np.abs(extrap)))
     if bad.size:
-        i, j = (int(k) for k in bad[0])
+        k = int(bad[0])
+        t1, t2 = (float(np.broadcast_to(t, err.shape).flat[k]) for t in (tp, td))
         raise IntegrationError(
-            f"2D tabulated transform inconsistent under grid halving at cell "
-            f"{(i, j)} (estimated error {err[i, j]:.3e}); the table is too "
-            f"coarse for delays ({taus_prime[i]:.3e}, {taus_dprime[j]:.3e})",
-            value=complex(extrap[i, j]), error_estimate=float(err[i, j]))
+            f"2D tabulated transform inconsistent under grid halving (estimated error "
+            f"{err.flat[k]:.3e}); the table is too coarse for delays ({t1:.3e}, {t2:.3e})",
+            value=complex(extrap.flat[k]), error_estimate=float(err.flat[k]), index=k)
     return extrap
 
 
@@ -404,43 +404,39 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _half_indices(n: int) -> np.ndarray:
-    idx = np.arange(0, n, 2)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
 def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
                      method: str = "auto") -> np.ndarray:
-    """Complex phase-matching transforms at each delay pair
-    ``(taus_prime[k], taus_dprime[k])`` (s); the first failing pair raises
+    """Complex phase-matching transforms at the numpy broadcast of the delay
+    arrays ``taus_prime`` and ``taus_dprime`` (s), in its shape (a 0-d pair gives
+    a numpy complex scalar; shapes that do not broadcast raise numpy's
+    ``ValueError``); the first failing pair, raveled, raises
     :class:`IntegrationError` with its position as ``index``.
 
-    Separable densities factor exactly into two 1D transforms; a
-    ``Tabulated2D`` takes one tensor sum per pair, under "auto" or "quadrature".
+    Separable densities factor exactly into two 1D transforms; a ``Tabulated2D``
+    sums each pair alone, in blocks of about ``_BLOCK_CELLS`` pair x knot cells.
     """
+    tp, td = np.broadcast_arrays(np.asarray(taus_prime, dtype=float),
+                                 np.asarray(taus_dprime, dtype=float))
     if isinstance(pm, Separable):
         _check_factors(pm, method)
         try:
-            z1 = transforms(pm.d1, taus_prime, method)
+            z1 = transforms(pm.d1, tp, method)
         except IntegrationError as e:  # unless an earlier pair fails in d2
-            transforms(pm.d2, taus_dprime[:e.index], method)
+            transforms(pm.d2, td.ravel()[:e.index], method)
             raise
-        return z1 * transforms(pm.d2, taus_dprime, method)
+        return z1 * transforms(pm.d2, td, method)
     if isinstance(pm, Tabulated2D):
         _closed_form(pm, method)  # a check: a table has none
-        # one sum per pair, not a grid product: BLAS may round row k of a
-        # product differently from the same row computed alone
-        out = []
-        for k, (u, v) in enumerate(zip(np.asarray(taus_prime, dtype=float).tolist(),
-                                       np.asarray(taus_dprime, dtype=float).tolist())):
+        u, v = tp.ravel(), td.ravel()
+        z = np.empty(u.size, dtype=complex)
+        step = max(1, _BLOCK_CELLS // pm.grid1.size)
+        for i in range(0, u.size, step):
             try:
-                out.append(_tabulated2d_transform(pm, [u], [v])[0, 0])
+                z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
             except IntegrationError as e:
-                e.index = k
-                raise
-        return np.array(out, dtype=complex)
+                k = i + e.index
+                raise IntegrationError(f"pair {k}: {e}", e.value, e.error_estimate, k) from e
+        return z.reshape(tp.shape)[()]
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")
 
 
@@ -468,7 +464,11 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
                      _surface_axis(pm.d2, gd, method, "column"))
     elif isinstance(pm, Tabulated2D):
         _closed_form(pm, method)  # a check: a table has none
-        z = _tabulated2d_transform(pm, gp, gd)
+        try:
+            z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
+        except IntegrationError as e:
+            raise IntegrationError(f"surface cell {divmod(e.index, gd.size)}: {e}",
+                                   e.value, e.error_estimate) from e
     else:
         raise TypeError(f"unsupported joint density type {type(pm).__name__}")
     mag, phase = _polar(z)

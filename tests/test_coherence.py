@@ -511,23 +511,32 @@ class TestQuadratureCost:
             tracemalloc.stop()
         assert peak / pieces <= 840  # bytes, as the comment on _MAX_PIECES states
 
-    def test_memory_bounded_by_the_block(self):
-        # the delays share one layout of 400 pieces; their array passes run in
-        # blocks of _BLOCK_CELLS delay x piece cells, so what grows with the
-        # delay count is only each delay's output and bookkeeping
-        density = _jittered_table(7, 401)
-        delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+    @pytest.mark.parametrize("kind", ["quadrature", "tabulated2d"])
+    def test_memory_bounded_by_the_block(self, kind):
+        # the 1D delays share one layout of 400 pieces; their array passes run
+        # in blocks of _BLOCK_CELLS delay x piece cells, and a Tabulated2D sums
+        # its pairs in blocks of _BLOCK_CELLS pair x knot cells, so what grows
+        # with the delay count is only each delay's output and bookkeeping
+        if kind == "quadrature":
+            density = _jittered_table(7, 401)
+            delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+            run = lambda n: transforms(density, delays[:n], "quadrature")  # noqa: E731
+            cell_bytes = 8  # real block arrays
+        else:
+            pm, delays = correlated_table(0.5), np.linspace(-1.5, 1.5, 10000)
+            run = lambda n: joint_transforms(pm, delays[:n], -delays[:n])  # noqa: E731
+            cell_bytes = 16  # complex block arrays
         peaks = {}
         for n in (5000, 10000):
             tracemalloc.start()
             try:
-                transforms(density, delays[:n], "quadrature")
+                run(n)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         per_delay = (peaks[10000] - peaks[5000]) / 5000
         assert per_delay <= 400  # bytes: a z, an error, a delay and their tuples
-        assert peaks[5000] - 5000 * per_delay <= 8 * 8 * coherence._BLOCK_CELLS
+        assert peaks[5000] - 5000 * per_delay <= 8 * cell_bytes * coherence._BLOCK_CELLS
 
     def test_memory_per_delay(self):
         # the delays share one layout of 400 pieces; each keeps its position,
@@ -738,11 +747,11 @@ class TestSurfaceErrors:
             coherence_surface(pm, [0.0, 0.5], [0.5], method="quadrature")
 
 
-def correlated_table(rho):
+def correlated_table(rho, knots=97):
     # spans +-8 sigma: on a table cut where the density is still ~1e-6 the
     # Richardson step moves g'(0, 0) off 1 by ~1e-8 (the sampled continuum's
     # truncated area), a property of the trapezoid model, not of the batching
-    g = np.linspace(-8, 8, 97)
+    g = np.linspace(-8, 8, knots)
     x, y = g[:, None], g[None, :]
     return Tabulated2D(g, g, np.exp(-(x * x - 2 * rho * x * y + y * y)
                                     / (2 * (1 - rho * rho)))).normalize()
@@ -762,9 +771,63 @@ class TestTabulated2DSurfaceProperties:
         assert surf[0][0].as_complex() == pytest.approx(1.0, abs=1e-9)
         for i, tp in enumerate(taus_prime):
             for j, td in enumerate(taus_dprime):
-                z = surf[i][j].as_complex()
-                assert abs(z) <= 1 + 1e-9
-                assert abs(z - gamma_prime(pm, tp, td).as_complex()) <= 1e-12
+                assert abs(surf[i][j].as_complex()) <= 1 + 1e-9
+                assert _polar_bits(surf[i][j]) == _polar_bits(gamma_prime(pm, tp, td))
+
+
+def _polar_bits(value):
+    return np.array([value.magnitude, value.phase]).view(np.int64).tolist()
+
+
+class TestTabulated2DPairs:
+    """A Tabulated2D sums each broadcast pair alone, in blocks of
+    ``_BLOCK_CELLS // grid1.size`` pairs, so no result depends on its block."""
+
+    def test_blocked_pairs_equal_lone_pairs_bit_for_bit(self):
+        pm = correlated_table(0.5, 161)
+        assert coherence._BLOCK_CELLS // pm.grid1.size == 101  # 250 pairs: three blocks
+        u, v = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 250))
+        lone = [joint_transforms(pm, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert _bits(joint_transforms(pm, u, v)) == _bits(lone)
+
+    def test_failing_pair_named_by_its_index_in_the_call(self, monkeypatch):
+        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 20)  # blocks of two pairs
+        g = np.linspace(-1, 1, 9)
+        pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
+        taus = np.zeros(8)
+        taus[[5, 7]] = 1e4
+        with pytest.raises(IntegrationError, match=r"^pair 5: 2D tabulated transform ") as info:
+            joint_transforms(pm, taus, 0.0)
+        assert info.value.index == 5
+
+
+class TestJointShapes:
+    """joint_transforms takes the numpy broadcast of its two delay columns on
+    both density kinds; columns that do not broadcast raise numpy's error."""
+
+    KINDS = {"separable": Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.3)),
+             "separable_table": Separable(asym_tabulated(), Gaussian(sigma=0.8)),
+             "tabulated2d": correlated_table(0.3)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("taus_prime, taus_dprime", [
+        ([0.0, 0.5, 1.0], [0.2]), ([0.2], [0.0, 0.5, 1.0]), (0.5, -0.25),
+        ([[0.0], [0.7]], [0.2, -0.4, 0.9])])
+    def test_result_has_the_broadcast_shape(self, kind, taus_prime, taus_dprime):
+        pm = self.KINDS[kind]
+        z = joint_transforms(pm, taus_prime, taus_dprime)
+        u, v = np.broadcast_arrays(np.asarray(taus_prime, float), np.asarray(taus_dprime, float))
+        if u.shape:
+            assert type(z) is np.ndarray and z.shape == u.shape
+        else:
+            assert type(z) is np.complex128
+        assert _bits(np.ravel(z)) == _bits(joint_transforms(pm, u.ravel(), v.ravel()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_that_do_not_broadcast_raise(self, kind):
+        # before, a table zipped (3,) against (2,) into two values
+        with pytest.raises(ValueError, match="^shape mismatch: "):
+            joint_transforms(self.KINDS[kind], [0.0, 0.5, 1.0], [0.2, 0.4])
 
 
 class TestValueTypes:

@@ -446,7 +446,8 @@ class TestBatchedSweep:
         cfg = OracleConfig(n_pump=33, n_prime=33, n_dprime=33, pump_coupling=LinearShift(0.5))
         rows = factorization_error_sweep(source, delays, [1.0, 0.1], cfg)
         assert len(rows) == 6
-        assert len(joint) == (3 if tabulated else 0)
+        # g' once per delay: 3 pairs in all, whatever the calls
+        assert sum(np.broadcast(*a[1:]).size for a in joint) == (3 if tabulated else 0)
         # per ratio, the fine and the coarse grid evaluate each density once:
         # the shared phase-matching factors twice per ratio, each ratio's pump twice
         counts = Counter(map(id, evaluated))
@@ -517,7 +518,7 @@ class TestSweepErrorOrder:
     raised them)."""
 
     PUMP_MESSAGE = "coherence quadrature at delay 1e-07 s needs 1.6e+06 pieces, more than the 262144 allowed"
-    TABLE_MESSAGE = ("2D tabulated transform inconsistent under grid halving at cell (0, 0) "
+    TABLE_MESSAGE = ("pair 1: 2D tabulated transform inconsistent under grid halving "
                      "(estimated error 1.994e-01); the table is too coarse for delays "
                      "(3.500e-12, 3.500e-12)")
 
