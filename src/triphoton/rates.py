@@ -10,10 +10,10 @@ coherence factors carry (nonzero only for asymmetric densities). For
 equal alternative amplitudes the bracket reduces to C [1 + g g' cos], a
 textbook visibility form, because the densities are unit-area.
 
-One column core computes every row at once, after rejecting an
+One column core computes a block of rows at once, after rejecting an
 overflowing carrier phase: a coherence factor whose delays a sweep leaves
-fixed is computed once, a swept one once per row, in row order; the
-entry points are its one-row views, so they equal a sweep bit for bit.
+fixed is computed once per block, a swept one once per row, in row order;
+the entry points are its one-row views, so they equal a sweep bit for bit.
 They accept either a delay triple (seconds) or reduced lengths (meters);
 the two agree exactly since the length form just divides by c.
 """
@@ -165,11 +165,12 @@ def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int):
 
 
 def _factor_columns(core, density, *columns: np.ndarray):
-    """``core`` at the one or two delay columns, in polar form per row. A sweep
-    leaves a factor's columns fixed or sweeps them, so columns that hold the
-    same delays on every row (``==``: +0.0 and -0.0 alike) are computed once,
-    on the first row, and a failure there names row 0; otherwise every row is
-    computed in order and a failure names its own row."""
+    """``core`` at the one or two delay columns of a block of rows, in polar
+    form per row. A sweep leaves a factor's columns fixed or sweeps them, so
+    columns that hold the same delays on every row of the block (``==``: +0.0
+    and -0.0 alike) are computed once per block, on its first row, and a
+    failure there names row 0; otherwise every row is computed in order and a
+    failure names its own row."""
     n = columns[0].size
     if n > 1 and all((c == c[0]).all() for c in columns):
         mag, phase = _polar(core(density, *(c[:1] for c in columns)))

@@ -597,6 +597,23 @@ def test_sweep_csv_adds_under_1_mb_to_the_sweep_peak(tmp_path):
     assert command_peak - sweep_peak <= 1e6
 
 
+def test_sweep_holds_under_64_bytes_per_row():
+    # run_sweep fills its 48 B per row of result columns one block of rows at
+    # a time, so the rate core's parameter, delay and temporary columns never
+    # exist for all 50,001 rows at once
+    n = 50001
+    config = parse_config(CATEGORY_II.replace("sweep.n_points = 301",
+                                              f"sweep.n_points = {n}"))
+    run_sweep(config.sweep)  # one-time allocations land outside the peak
+    tracemalloc.start()
+    try:
+        run_sweep(config.sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n
+
+
 class TestReduceCommand:
     def test_all_equal_geometry_prints_zeros(self, tmp_path, capsys):
         text = MINIMAL_SOURCE + "".join(
@@ -777,24 +794,30 @@ def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
     assert built.count("triphoton") == 1
 
 
+def _modules_after_cli_import(names: str) -> str:
+    """What ``names``, an expression over ``sys.modules``, prints after a fresh
+    interpreter imports ``triphoton.cli`` alone."""
+    src = Path(triphoton.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", f"import sys, triphoton.cli; print({names})"],
+                          env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only reference
-    src = Path(triphoton.__file__).resolve().parents[1]
-    code = ("import sys, triphoton.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _modules_after_cli_import(
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
 
 
 def test_cli_import_loads_neither_argparse_nor_json():
     # config parsing, which every set-up runs, needs neither; the command
     # line and the run manifest import them when they run
-    src = Path(triphoton.__file__).resolve().parents[1]
-    code = ("import sys, triphoton.cli; "
-            "print(sorted(m for m in ('argparse', 'json') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _modules_after_cli_import(
+        "sorted(m for m in ('argparse', 'json') if m in sys.modules)") == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the quadrature rules are literals (1.8 MB resident and about 2 ms saved)
+    assert _modules_after_cli_import(
+        "sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))") == "[]"

@@ -386,6 +386,14 @@ def _direct_gauss_legendre(f, knots, delay):
     return z_hi, abs(z_hi - z_lo)
 
 
+@pytest.mark.parametrize("rule, n", [("_GL_HI", 12), ("_GL_LO", 6)])
+def test_gauss_legendre_literals_are_leggauss(rule, n):
+    # the rules are written out so importing triphoton skips numpy.polynomial
+    for got, want in zip(getattr(coherence, rule), np.polynomial.legendre.leggauss(n),
+                         strict=True):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 class TestSegmentedFourierLayout:
     def test_matches_per_knot_layout_bit_for_bit(self):
         rng = np.random.default_rng(5)

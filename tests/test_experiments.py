@@ -94,17 +94,19 @@ class TestRunSweep:
         with pytest.raises(IntegrationError, match=rf"^sweep row {k} \("):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("rows", [experiments._SWEEP_ROWS, 2])  # 2: row 5 in block 3
     @pytest.mark.parametrize("variable, choice, dprime, first_row", [  # dprime in _L
         (SweepVariable.DELTA_L, 1, 0.6, 0), (SweepVariable.DELTA_L_PRIME, 1, 0.6, 0),
         (SweepVariable.DELTA_L_PRIME, 2, 0.0, 5), (SweepVariable.DELTA_L, 1, 0.0, 5)])
     def test_first_failing_row_across_factors(self, variable, choice, dprime, first_row,
-                                              monkeypatch):
+                                              rows, monkeypatch):
         # every quadrature at |delay| >= 0.45 / _W fails. With choice 1 the
         # swept factor (g, or pm1 within g') fails from row 5 on and the fixed
         # double-prime delay 0.6 * _L fails pm2 in every row, so rate_length
         # meets the pm2 failure first; at dprime 0 a delta_l sweep fails in g
         # alone, from row 5. With choice 2 the native delays fall as the rows
         # rise, so the first failing row holds the largest failing delay
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
         fourier = coherence._segmented_fourier
         monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
             fourier(f, knots, delays)[0], np.where(np.abs(delays) >= 0.45 / _W, 1.0, 0.0)))
@@ -295,9 +297,10 @@ class TestSweepMatchesRateLength:
            symmetric=st.booleans(), lo=st.floats(-3.0, 2.5),
            span=st.floats(0.1, 3.0), half_points=st.integers(1, 4),
            amps=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-                          st.floats(0.1, 3.0)))
+                          st.floats(0.1, 3.0)),
+           rows=st.sampled_from([experiments._SWEEP_ROWS, 2]))  # 2: up to 5 blocks
     def test_every_row_equals_rate_length(self, variable, labeling, source, fixed,
-                                          symmetric, lo, span, half_points, amps):
+                                          symmetric, lo, span, half_points, amps, rows):
         kind, choice = labeling
         scale = 1.0 if variable is SweepVariable.DELTA_PHI else _L
         start, stop = (-span, span) if symmetric else (lo, lo + span)
@@ -306,7 +309,9 @@ class TestSweepMatchesRateLength:
                                    topdc_choice=choice)
         spec = SweepSpec(variable, start * scale, stop * scale, 2 * half_points + 1,
                          params, SOURCES[source](kind), AlternativeAmplitudes(*amps))
-        assert_sweep_matches_rate_length(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_SWEEP_ROWS", rows)
+            assert_sweep_matches_rate_length(spec)
 
     @pytest.mark.parametrize("choice", [2, 3])
     def test_cpdc_rejects_topdc_choices_before_any_row(self, choice):

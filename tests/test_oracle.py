@@ -3,6 +3,7 @@ import random
 import re
 import warnings
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from triphoton.oracle import (INTERFERENCE_SCALE, LinearShift, OracleConfig,
                               factorization_error_sweep,
                               factorized_interference_term,
                               interference_term_3d, max_error_by_ratio)
-from triphoton.pathgeom import CentralFrequencies
+from triphoton.pathgeom import CentralFrequencies, carrier_omegas
 from triphoton.rates import SourceModel
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared, Tabulated,
                                Tabulated2D, joint_widths)
@@ -172,6 +173,38 @@ class TestCoupling:
         with pytest.raises(ValueError):
             factorization_error_sweep(gaussian_source(), [DelayTriple(0, 0, 0)],
                                       [0.0], OracleConfig())
+
+
+def _exact_coupled_term(source, delays, delta_phi, slope):
+    """2 Re[exp(-i phi) g(dt + s dt') g'(dt', dt'')], phi the carrier phase: with
+    ``LinearShift(s)``, x = w' - s w splits the oracle's integrand exactly into
+    the pump transform at dt + s dt' times the phase-matching transform."""
+    dt, dt_prime, dt_dprime = astuple(delays)
+    w_p0, w0_prime, w0_dprime = carrier_omegas(source.centrals, source.kind)
+    phi = w_p0 * dt + w0_prime * dt_prime + w0_dprime * dt_dprime + delta_phi
+    z = complex(coherence.transforms(source.pump, dt + slope * dt_prime)) * complex(
+        coherence.joint_transforms(source.phase_matching, dt_prime, dt_dprime))
+    return 2.0 * (complex(math.cos(phi), -math.sin(phi)) * z).real
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slope=_unit, ratio=st.floats(0.05, 1.0), widths=st.tuples(*[st.floats(0.5, 2.0)] * 2),
+       offsets=st.tuples(_unit, _unit, _unit),
+       delays=st.tuples(*[st.floats(-3.0, 3.0)] * 3), delta_phi=st.floats(0.0, 2 * math.pi))
+def test_coupled_oracle_equals_exact_shifted_product(slope, ratio, widths, offsets, delays,
+                                                     delta_phi):
+    # Gaussian tails end below double precision inside the default window, so
+    # the 129^3 tensor sum is exact to rounding, centre offsets included
+    sigmas = (ratio * SIGMA_PM, widths[0] * SIGMA_PM, widths[1] * SIGMA_PM)
+    pump, d1, d2 = (Gaussian(sigma=s, center_offset=o * s) for s, o in zip(sigmas, offsets))
+    source = SourceModel.cpdc(pump, Separable(d1, d2), CENTRALS)
+    d = DelayTriple(*(t / s for t, s in zip(delays, sigmas)))
+    cfg = OracleConfig(pump_coupling=LinearShift(slope))
+    got = interference_term_3d(source, d, delta_phi, cfg).value
+    assert got == pytest.approx(_exact_coupled_term(source, d, delta_phi, slope), abs=1e-12)
 
 
 class TestExchangeSymmetry:
