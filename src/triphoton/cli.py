@@ -39,7 +39,6 @@ deterministic: identical configs give byte-identical CSVs.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import sys
 import time
@@ -91,7 +90,7 @@ class RunConfig:
     validate: ValidateSpec
     csv_precision: int
     out_dir: str | None
-    config_sha256: str
+    config_text: str
 
 
 class _KeyStore:
@@ -318,7 +317,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     return RunConfig(
         source=source, geometry=geometry, path_config=path_config, amps=amps,
         sweep=sweep, validate=validate, csv_precision=precision, out_dir=out_dir,
-        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        config_text=text,
     )
 
 
@@ -499,7 +498,10 @@ def run_reduce_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
 
 def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
     """Dispatch a subcommand; returns the files written (besides run_meta)."""
-    import json  # only the manifest needs it, so config parsing skips the import
+    # only the manifest needs these, so config parsing skips the imports
+    # (hashlib loads OpenSSL's _hashlib)
+    import hashlib
+    import json
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_meta.json").unlink(missing_ok=True)  # no manifest, no result
@@ -514,7 +516,7 @@ def run(subcommand: str, config: RunConfig, out_dir: Path) -> list[Path]:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
     meta = {
         "subcommand": subcommand,
-        "config_sha256": config.config_sha256,
+        "config_sha256": hashlib.sha256(config.config_text.encode("utf-8")).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "outputs": [p.name for p in outputs],

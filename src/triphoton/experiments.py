@@ -10,8 +10,8 @@ Hong-Ou-Mandel scan).
 A sweep produces a table of numpy columns, one entry per row: the
 parameter values, the rate and its interference ingredients, each block
 of rows from one call of the rate core of :mod:`triphoton.rates`, so a
-phase scan pays for its two coherence factors once per block, not once
-per row, and a long scan's working memory stays one block.
+phase scan pays for its two coherence factors once per sweep, not once
+per row or block, and a long scan's working memory stays one block.
 Metric extraction works on the tables alone so it applies equally to the
 CLI's CSV pipeline. It is array code with no loop over rows or periods:
 one window rule (sample count, max and min per window, from
@@ -136,12 +136,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
     columns = [np.empty(values.size) for _ in range(5)]
+    fixed = {}  # the factors at fixed delays, computed in the first block
     for start in range(0, values.size, _SWEEP_ROWS):
         block = values[start:start + _SWEEP_ROWS]
         *lengths, dphi = _parameter_columns(spec, block)
         try:
             parts = _rate_columns(spec.source, [x / SPEED_OF_LIGHT for x in lengths],
-                                  dphi, spec.amps, spec.fixed.topdc_choice)
+                                  dphi, spec.amps, spec.fixed.topdc_choice, fixed)
         except IntegrationError as e:
             i = start + e.index
             raise IntegrationError(

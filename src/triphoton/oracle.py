@@ -16,9 +16,12 @@ its knots, so its profile is the exact linear interpolation of the
 contracted column at the prime knots. At a prime knot the table is its
 own row, linear along the double-prime axis, so the column reads the
 stored rows with the table's own cell rule and no 2D evaluation runs (the
-result is bit-identical to one); the coupled prime sum then
-evaluates that profile at every shifted prime detuning in one array, with
-no loop over the pump axis. Memory stays O(n_pump * n_prime).
+rows are bit-identical to one, and so is the column to one cast to complex
+in the same memory order). The rows are cast once per grid, so a delay's
+column is one complex matrix-vector product; the coupled prime sum then
+evaluates that profile at every shifted prime detuning with one complex
+interpolation, in one array, with no loop over the pump axis. Memory stays
+O(n_pump * n_prime).
 
 Everything but the three delay phase columns is delay-independent, so
 the core :func:`_triple_sum` builds the axes, the trapezoid weights, the
@@ -222,9 +225,12 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
     else:
         # bilinear: linear in the prime detuning between knots, so the
         # column summed at the prime knots interpolates exactly; there the
-        # table is its rows, and the dprime axis spans grid2 (no mask)
+        # table is its rows, and the dprime axis spans grid2 (no mask). Cast
+        # once, F-ordered: the fastest complex GEMV, and numpy's own cast of a
+        # real matrix would run on every delay
         j, ty = _interpolation_cell(pm.grid2, dprime_axis)
-        knot_rows = (1 - ty) * pm.values[:, j] + ty * pm.values[:, j + 1]
+        knot_rows = ((1 - ty) * pm.values[:, j]
+                     + ty * pm.values[:, j + 1]).astype(complex, order="F")
 
     out = np.empty(len(delays), dtype=complex)
     for k, d in enumerate(delays):
@@ -234,9 +240,7 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
         if isinstance(pm, Separable):
             profile = v1 * complex(v2 @ e2)
         else:
-            col = knot_rows @ e2
-            profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
-                       + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
+            profile = np.interp(shifted, pm.grid1, knot_rows @ e2, left=0.0, right=0.0)
         out[k] = ep @ (profile @ e1)
     return out
 

@@ -12,7 +12,8 @@ textbook visibility form, because the densities are unit-area.
 
 One column core computes a block of rows at once, after rejecting an
 overflowing carrier phase: a coherence factor whose delays a sweep leaves
-fixed is computed once per block, a swept one once per row, in row order;
+fixed is computed once per sweep (the sweep hands the core one dict of
+such factors from block to block), a swept one once per row, in row order;
 the entry points are its one-row views, so they equal a sweep bit for bit.
 They accept either a delay triple (seconds) or reduced lengths (meters);
 the two agree exactly since the length form just divides by c.
@@ -146,36 +147,45 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
     return RateResult(*(float(c[0]) for c in columns), float(amps.baseline))
 
 
-def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int):
+def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int,
+                  fixed: dict | None = None):
     """The :class:`RateResult` columns but the baseline at the delay columns
     ``(dt, dt', dt'')`` (s) and ``delta_phi``; a transform failure re-raises the
-    first failing row's error (g before g') with that row as ``index``."""
+    first failing row's error (g before g') with that row as ``index``.
+    ``fixed`` keeps the factors at fixed delays for the next call on this
+    source (see :func:`_factor_columns`)."""
     carriers = carrier_omegas(source.centrals, source.kind, choice)
     phase = _carrier_phase(carriers, delays, delta_phi)
     u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
     try:
-        g = _factor_columns(transforms, source.pump, delays[0])
+        g = _factor_columns(transforms, source.pump, delays[0], fixed=fixed)
     except IntegrationError as e:  # unless g' fails in an earlier row
-        _factor_columns(joint_transforms, source.phase_matching, u[:e.index], v[:e.index])
+        _factor_columns(joint_transforms, source.phase_matching, u[:e.index], v[:e.index],
+                        fixed=fixed)
         raise
-    gp = _factor_columns(joint_transforms, source.phase_matching, u, v)
+    gp = _factor_columns(joint_transforms, source.phase_matching, u, v, fixed=fixed)
     rate, arg, vis = _assemble_rate(phase, *g, *gp, amps.amplitude_visibility,
                                     amps.baseline)
     return rate, g[0], gp[0], arg, vis
 
 
-def _factor_columns(core, density, *columns: np.ndarray):
+def _factor_columns(core, density, *columns: np.ndarray, fixed: dict | None = None):
     """``core`` at the one or two delay columns of a block of rows, in polar
     form per row. A sweep leaves a factor's columns fixed or sweeps them, so
     columns that hold the same delays on every row of the block (``==``: +0.0
-    and -0.0 alike) are computed once per block, on its first row, and a
-    failure there names row 0; otherwise every row is computed in order and a
-    failure names its own row."""
+    and -0.0 alike) are computed once, on its first row, and a failure there
+    names row 0; otherwise every row is computed in order and a failure names
+    its own row. ``fixed`` keeps the first row's polar values by core and
+    delays, so a caller that passes one dict to every block of a sweep
+    computes a fixed factor once per sweep."""
     n = columns[0].size
-    if n > 1 and all((c == c[0]).all() for c in columns):
-        mag, phase = _polar(core(density, *(c[:1] for c in columns)))
-        return np.full(n, mag[0]), np.full(n, phase[0])
-    return _polar(core(density, *columns))
+    if n == 0 or any((c != c[0]).any() for c in columns):
+        return _polar(core(density, *columns))
+    fixed = {} if fixed is None else fixed
+    key = (core, *(float(c[0]) for c in columns))
+    if key not in fixed:
+        fixed[key] = [x[0] for x in _polar(core(density, *(c[:1] for c in columns)))]
+    return tuple(np.full(n, x) for x in fixed[key])
 
 
 def _carrier_phase(carriers: tuple[float, float, float], delays, delta_phi):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -264,6 +265,13 @@ class TestSweepCommand:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["subcommand"] == "sweep"
         assert meta["tool_version"]
+
+    def test_manifest_holds_the_config_digest(self, tmp_path):
+        cfg = write_config(tmp_path, "# comment\n" + CATEGORY_I)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
     def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         # a rerun that dies inside a CSV must not leave the earlier run's
@@ -794,12 +802,13 @@ def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
     assert built.count("triphoton") == 1
 
 
-def _modules_after_cli_import(names: str) -> str:
+def _modules_after_cli_import(names: str, then: str = "") -> str:
     """What ``names``, an expression over ``sys.modules``, prints after a fresh
-    interpreter imports ``triphoton.cli`` alone."""
+    interpreter imports ``triphoton.cli`` alone and runs the statement ``then``."""
     src = Path(triphoton.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", f"import sys, triphoton.cli; print({names})"],
+    code = f"import sys, triphoton.cli\n{then}\nprint({names})"
+    proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
@@ -821,3 +830,10 @@ def test_cli_import_loads_no_numpy_polynomial():
     # the quadrature rules are literals (1.8 MB resident and about 2 ms saved)
     assert _modules_after_cli_import(
         "sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))") == "[]"
+
+
+def test_config_parsing_loads_no_hashlib():
+    # hashlib loads OpenSSL's _hashlib; only the run manifest takes the digest
+    assert _modules_after_cli_import(
+        "sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)",
+        then=f"triphoton.cli.parse_config({CATEGORY_I!r})") == "[]"

@@ -130,6 +130,26 @@ class TestRunSweep:
         assert len(calls) == 3  # pump, then both phase-matching axes
         assert all(np.size(delays) == 1 for delays in calls)
 
+    def test_long_phase_sweep_computes_each_factor_once(self, monkeypatch):
+        # 20,001 rows span five blocks: the factors at the sweep's fixed
+        # delays are computed in the first block and kept for the others
+        spec = SweepSpec(SweepVariable.DELTA_PHI, 0.0, 2 * math.pi, 20001,
+                         ReducedParameters(1.3 * _L, -0.4 * _L, 0.7 * _L),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        assert spec.n_points > 4 * experiments._SWEEP_ROWS
+        calls = []
+        fourier = coherence._segmented_fourier
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
+            calls.append(delays) or fourier(f, knots, delays)))
+        table = run_sweep(spec)
+        assert len(calls) == 3  # pump, then both phase-matching axes
+        assert all(np.size(delays) == 1 for delays in calls)
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", spec.n_points)  # one block
+        one_block = run_sweep(spec)
+        for name in ("rates", "gamma_mag", "gamma_prime_mag", "cosine_argument",
+                     "visibility_bound"):
+            assert getattr(table, name).tobytes() == getattr(one_block, name).tobytes()
+
     @pytest.mark.parametrize("choice", [1, 2, 3])
     @pytest.mark.parametrize("variable", list(SweepVariable))
     def test_each_factor_is_computed_once(self, variable, choice, monkeypatch):

@@ -286,9 +286,11 @@ class TestTabulated2DJoint:
         assert abs(got - ref) <= 1e-12 * INTERFERENCE_SCALE
 
 
-def _knot_row_reference_sum(source, delays, cfg):
-    """The tensor sum with the double-prime column from a full 2D evaluation
-    of the table at its prime knots (the form before the knot-row contraction)."""
+def _knot_row_terms(source, delays, cfg):
+    """``(ep, e1, e2, shifted, rows)``: the weighted phase columns of the three
+    axes, the shifted prime detunings, and the table at its prime knots over
+    the double-prime axis from a full 2D evaluation (the form before the
+    knot-row contraction)."""
     pump_axis, prime_axis, dprime_axis = oracle._axes(source, cfg)
     ep = (oracle._trapezoid_weights(pump_axis) * np.asarray(source.pump.evaluate(pump_axis))
           * np.exp(-1j * pump_axis * delays.delta_tau))
@@ -296,9 +298,31 @@ def _knot_row_reference_sum(source, delays, cfg):
     e2 = oracle._trapezoid_weights(dprime_axis) * np.exp(-1j * dprime_axis * delays.delta_tau_dprime)
     shifted = prime_axis[None, :] - cfg.slope * pump_axis[:, None]
     pm = source.phase_matching
-    col = np.asarray(pm.evaluate(pm.grid1[:, None], dprime_axis[None, :])) @ e2
-    profile = (np.interp(shifted, pm.grid1, col.real, left=0.0, right=0.0)
-               + 1j * np.interp(shifted, pm.grid1, col.imag, left=0.0, right=0.0))
+    rows = np.asarray(pm.evaluate(pm.grid1[:, None], dprime_axis[None, :]))
+    return ep, e1, e2, shifted, rows
+
+
+def _knot_row_reference_sum(source, delays, cfg):
+    """The tensor sum with the double-prime column from a full 2D evaluation
+    of the table at its prime knots, cast to complex in the oracle's memory
+    order (the two orders' complex products round apart) and interpolated
+    as one complex column."""
+    ep, e1, e2, shifted, rows = _knot_row_terms(source, delays, cfg)
+    grid1 = source.phase_matching.grid1
+    col = rows.astype(complex, order="F") @ e2
+    profile = np.interp(shifted, grid1, col, left=0.0, right=0.0)
+    return complex(ep @ (profile @ e1))
+
+
+def _two_real_interpolation_sum(source, delays, cfg):
+    """The tensor sum as the oracle took it before its single complex
+    interpolation: numpy's own cast of the real matrix in the product, and
+    the column's real and imaginary parts interpolated apart."""
+    ep, e1, e2, shifted, rows = _knot_row_terms(source, delays, cfg)
+    grid1 = source.phase_matching.grid1
+    col = rows @ e2
+    profile = (np.interp(shifted, grid1, col.real, left=0.0, right=0.0)
+               + 1j * np.interp(shifted, grid1, col.imag, left=0.0, right=0.0))
     return complex(ep @ (profile @ e1))
 
 
@@ -329,7 +353,8 @@ def _random_joint_table(rng):
 
 class TestKnotRowContraction:
     """The Tabulated2D tensor sum equals, bit for bit, the sum that reads the
-    double-prime column from a full 2D evaluation at the prime knots."""
+    double-prime column from a full 2D evaluation at the prime knots, and
+    lies within 1e-15 of that sum with two real interpolations."""
 
     @pytest.mark.parametrize("seed, coupling", [(1, None), (2, LinearShift(0.0)),
                                                 (3, LinearShift(0.6)), (4, LinearShift(-0.9))])
@@ -346,7 +371,9 @@ class TestKnotRowContraction:
             d = DelayTriple(*(rng.uniform(-1.5, 1.5, 3) / SIGMA_PM))
             phi = float(rng.uniform(0, 2 * math.pi))
 
-            assert oracle._triple_sum(src, [d], cfg)[0] == _knot_row_reference_sum(src, d, cfg)
+            total = oracle._triple_sum(src, [d], cfg)[0]
+            assert total == _knot_row_reference_sum(src, d, cfg)
+            assert abs(total - _two_real_interpolation_sum(src, d, cfg)) <= 1e-15
             got = interference_term_3d(src, d, phi, cfg)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_triple_sum", _each_delay(_knot_row_reference_sum))
@@ -354,6 +381,37 @@ class TestKnotRowContraction:
             assert got.value == want.value
             assert got.imag_residual == want.imag_residual
             assert got.coarse_value == want.coarse_value
+
+
+class _CountingInterp:
+    # numpy as `oracle` sees it, counting the calls of interp
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name != "interp":
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestInterpolationCost:
+    @pytest.mark.parametrize("coupling", [None, LinearShift(0.8)])
+    def test_one_interp_call_per_delay(self, monkeypatch, coupling):
+        # the knot-row column is interpolated as one complex column
+        pm2d = _gaussian_table(0.5, SIGMA_PM, SIGMA_PM, n=41)
+        src = SourceModel.cpdc(Gaussian(sigma=1e12), pm2d, CENTRALS)
+        delays = [DelayTriple(0.3e-12 * k, 0.2 / SIGMA_PM, -0.1 * k / SIGMA_PM)
+                  for k in range(5)]
+        proxy = _CountingInterp()
+        monkeypatch.setattr(oracle, "np", proxy)
+        oracle._triple_sum(src, delays, OracleConfig(n_pump=33, n_prime=48, n_dprime=40,
+                                                     pump_coupling=coupling))
+        assert proxy.calls == len(delays)
 
 
 class TestTabulated2DReadsKnotRows:
