@@ -12,8 +12,8 @@ one-row views, so a sweep's columns equal the scalar values bit for bit.
 
 Numerical strategy
 ------------------
-Shapes with a known transform get a closed form, one numpy expression
-over the delay array. The generic path uses a composite Gauss-Legendre
+A density's kind picks its path: a closed form (one numpy expression)
+for a shape that has one, else the generic composite Gauss-Legendre
 rule whose pieces break at every density knot and never span more than
 1.5 rad of oscillation, so each piece is polynomially smooth no matter
 how large the delay gets (silent accuracy loss on oscillatory integrands
@@ -287,7 +287,8 @@ def _window_knots(width: float) -> np.ndarray:
 
 
 def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.ndarray:
-    """Generic Fourier integrals at the delays; the first failure gets its ``index``."""
+    """Generic Fourier integrals at the delays, on any 1D density (the tests'
+    reference for the closed forms); the first failure gets its ``index``."""
     lo, hi = density.support()
     infinite = math.isinf(lo) or math.isinf(hi)
     if infinite:
@@ -320,53 +321,37 @@ def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.nd
     return z
 
 
-def transforms(density: SpectralDensity, delays, method: str = "auto") -> np.ndarray:
+def transforms(density: SpectralDensity, delays) -> np.ndarray:
     """Complex Fourier transforms of a density at each of the ``delays`` (s),
     in their shape (a 0-d delay gives a numpy complex scalar).
 
-    ``method``: "auto" uses the closed form when available, "closed_form"
-    demands one, "quadrature" forces the generic numerical path, which
-    raises :class:`IntegrationError` at the first delay, in raveled order,
-    that it cannot resolve.
+    The density's kind picks the path: its closed form where it has one,
+    else the quadrature engine, which raises :class:`IntegrationError` at the
+    first delay, in raveled order, that it cannot resolve.
     """
     delays = np.asarray(delays, dtype=float)
-    z = _closed_form(density, method, delays)
+    _check_normalized(density)
+    z = density.analytic_transform(delays)
     if z is None:
         z = _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
     return z
 
 
-def _closed_form(density, method: str, delays=None):
-    """The closed-form transforms at ``delays``, or None where the numerical
-    engine runs ("quadrature", or "auto" on a 1D or 2D table): the one check
-    of ``method`` and of normalization, made before any sum runs."""
+def _check_normalized(density) -> None:
+    """The one normalization check, made before any sum (of both ``Separable`` factors)."""
     if not density.is_normalized:
         raise ValueError("density must be normalized (call normalize() first)")
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    z = (density.analytic_transform(delays)
-         if method != "quadrature" and isinstance(density, SpectralDensity) else None)
-    if z is None and method == "closed_form":
-        raise ValueError(f"{type(density).__name__} has no closed-form transform")
-    return z
 
 
-def _check_factors(pm: Separable, method: str) -> None:
-    """Both factors' checks, made before either factor's transform runs."""
-    for density in (pm.d1, pm.d2):
-        _closed_form(density, method, np.empty(0))
-
-
-def transform_1d(density: SpectralDensity, delay: float, method: str = "auto") -> complex:
+def transform_1d(density: SpectralDensity, delay: float) -> complex:
     """Complex Fourier transform of a density at one ``delay`` (s): the
     one-row view of :func:`transforms`."""
-    return complex(transforms(density, [delay], method)[0])
+    return complex(transforms(density, [delay])[0])
 
 
-def gamma_pump(pump: SpectralDensity, delta_tau: float,
-               method: str = "auto") -> CoherenceValue:
+def gamma_pump(pump: SpectralDensity, delta_tau: float) -> CoherenceValue:
     """Pump coherence factor at collective delay ``delta_tau`` (s)."""
-    return CoherenceValue.from_complex(transform_1d(pump, delta_tau, method))
+    return CoherenceValue.from_complex(transform_1d(pump, delta_tau))
 
 
 def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarray:
@@ -417,8 +402,7 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
-                     method: str = "auto") -> np.ndarray:
+def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime) -> np.ndarray:
     """Complex phase-matching transforms at the numpy broadcast of the delay
     arrays ``taus_prime`` and ``taus_dprime`` (s), in its shape (a 0-d pair gives
     a numpy complex scalar; shapes that do not broadcast raise numpy's
@@ -431,15 +415,15 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
     tp, td = np.broadcast_arrays(np.asarray(taus_prime, dtype=float),
                                  np.asarray(taus_dprime, dtype=float))
     if isinstance(pm, Separable):
-        _check_factors(pm, method)
+        _check_normalized(pm)
         try:
-            z1 = transforms(pm.d1, tp, method)
+            z1 = transforms(pm.d1, tp)
         except IntegrationError as e:  # unless an earlier pair fails in d2
-            transforms(pm.d2, td.ravel()[:e.index], method)
+            transforms(pm.d2, td.ravel()[:e.index])
             raise
-        return z1 * transforms(pm.d2, td, method)
+        return z1 * transforms(pm.d2, td)
     if isinstance(pm, Tabulated2D):
-        _closed_form(pm, method)  # a check: a table has none
+        _check_normalized(pm)
         u, v = tp.ravel(), td.ravel()
         z = np.empty(u.size, dtype=complex)
         step = max(1, _BLOCK_CELLS // pm.grid1.size)
@@ -454,15 +438,15 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime,
 
 
 def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
-                delta_tau_dprime: float, method: str = "auto") -> CoherenceValue:
+                delta_tau_dprime: float) -> CoherenceValue:
     """Phase-matching coherence factor at the two asymmetry delays (s): the
     one-row view of :func:`joint_transforms`."""
     return CoherenceValue.from_complex(
-        joint_transforms(pm, [delta_tau_prime], [delta_tau_dprime], method)[0])
+        joint_transforms(pm, [delta_tau_prime], [delta_tau_dprime])[0])
 
 
-def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
-                      method: str = "auto") -> list[list[CoherenceValue]]:
+def coherence_surface(pm: JointSpectralDensity, grid_prime,
+                      grid_dprime) -> list[list[CoherenceValue]]:
     """``gamma_prime`` over a delay grid; element [i][j] is the value at
     (grid_prime[i], grid_dprime[j]).
 
@@ -472,11 +456,10 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
     gp = np.asarray(grid_prime, dtype=float).ravel()
     gd = np.asarray(grid_dprime, dtype=float).ravel()
     if isinstance(pm, Separable):
-        _check_factors(pm, method)
-        z = np.outer(_surface_axis(pm.d1, gp, method, "row"),
-                     _surface_axis(pm.d2, gd, method, "column"))
+        _check_normalized(pm)
+        z = np.outer(_surface_axis(pm.d1, gp, "row"), _surface_axis(pm.d2, gd, "column"))
     elif isinstance(pm, Tabulated2D):
-        _closed_form(pm, method)  # a check: a table has none
+        _check_normalized(pm)
         try:
             z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
         except IntegrationError as e:
@@ -489,10 +472,9 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime, grid_dprime,
             for row in zip(mag.tolist(), phase.tolist())]
 
 
-def _surface_axis(density: SpectralDensity, delays: np.ndarray, method: str,
-                  axis: str) -> np.ndarray:
+def _surface_axis(density: SpectralDensity, delays: np.ndarray, axis: str) -> np.ndarray:
     try:
-        return transforms(density, delays, method)
+        return transforms(density, delays)
     except IntegrationError as e:
         raise IntegrationError(
             f"surface {axis} {e.index} (all cells): {e}",

@@ -5,8 +5,10 @@ The rate for a two-alternative setup is
     R = |c|^2 [ |K1|^2 + |K2|^2
                 + 2 |K1||K2| g(dt) g'(dt', dt'') cos(arg) ]
 
-with ``arg = w_p0*dt + w0'*dt' + w0''*dt'' + dphi`` plus any phases the
-coherence factors carry (nonzero only for asymmetric densities). For
+with ``arg = phase + arg g + arg g'`` and ``phase = w_p0*dt + w0'*dt' +
+w0''*dt'' + dphi``. That sign is a known defect: the oracle gives ``phase -
+arg g - arg g'``, so an off-centre or asymmetric density whose mean sits at
+``w_p0 + offset`` puts the fringes at ``w_p0 - offset``. For
 equal alternative amplitudes the bracket reduces to C [1 + g g' cos], a
 textbook visibility form, because the densities are unit-area.
 

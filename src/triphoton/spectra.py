@@ -293,8 +293,8 @@ class Tabulated(SpectralDensity):
     def from_file(cls, path, center_offset: float = 0.0) -> "Tabulated":
         """Load a two-column text file (detuning rad/s, value); the grid is
         shifted by ``center_offset``."""
-        data = np.loadtxt(path, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
+        data = np.loadtxt(path, dtype=float, ndmin=2)  # one row stays a row
+        if data.shape[1] != 2:
             raise ValueError(f"{path}: expected two columns (detuning, value)")
         return cls(data[:, 0], data[:, 1], center_offset=center_offset)
 

@@ -22,6 +22,12 @@ from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
 ANALYTIC = [Gaussian(sigma=1.0), Lorentzian(gamma=1.0), SincSquared(width=1.0)]
 
 
+def _on_path(path, quadrature):
+    # the transform a density takes by its kind ("closed_form", "auto"), or
+    # the quadrature engine forced on it ("quadrature")
+    return quadrature if path == "quadrature" else transforms
+
+
 def asym_tabulated():
     grid = np.linspace(-2.0, 3.0, 41)
     vals = np.maximum(0.0, (grid + 2.0) * (3.0 - grid)) * (1.0 + 0.3 * np.tanh(grid))
@@ -30,11 +36,11 @@ def asym_tabulated():
 
 class TestZeroDelay:
     @pytest.mark.parametrize("density", ANALYTIC)
-    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
-    def test_unit_magnitude_zero_phase(self, density, method):
-        g = gamma_pump(density, 0.0, method=method)
-        assert abs(g.magnitude - 1.0) <= 1e-9
-        assert abs(g.phase) <= 1e-9
+    @pytest.mark.parametrize("path", ["closed_form", "quadrature"])
+    def test_unit_magnitude_zero_phase(self, density, path, quadrature):
+        z = _on_path(path, quadrature)(density, 0.0)
+        assert abs(abs(z) - 1.0) <= 1e-9
+        assert abs(cmath.phase(z)) <= 1e-9
 
     def test_tabulated_zero_delay(self):
         g = gamma_pump(asym_tabulated(), 0.0)
@@ -47,46 +53,46 @@ class TestDelayShapes:
     numpy complex scalar, as the closed forms do."""
 
     @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("path", ["auto", "quadrature"])
     @pytest.mark.parametrize("density", ANALYTIC + [asym_tabulated()],
                              ids=["gaussian", "lorentzian", "sinc_squared", "tabulated"])
-    def test_shape_and_type_follow_the_delays(self, density, method, shape):
+    def test_shape_and_type_follow_the_delays(self, density, path, shape, quadrature):
+        transform = _on_path(path, quadrature)
         delays = np.linspace(-1.5, 2.5, 6)[:math.prod(shape)].reshape(shape)
-        z = transforms(density, delays, method)
-        flat = transforms(density, delays.ravel(), method)
+        z = transform(density, delays)
+        flat = transform(density, delays.ravel())
         if shape:
             assert type(z) is np.ndarray and z.shape == shape
         else:
             assert type(z) is np.complex128
         assert z.dtype == complex
         np.testing.assert_array_equal(np.ravel(z), flat)
-        assert type(transforms(density, 0.5, method)) is np.complex128
+        assert type(transform(density, 0.5)) is np.complex128
 
 
 class TestKnownTransforms:
-    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
-    def test_gaussian_point(self, method):
-        g = gamma_pump(Gaussian(sigma=1.0), 1.0, method=method)
-        assert g.magnitude == pytest.approx(0.6065306597126334, rel=1e-9)
+    @pytest.mark.parametrize("path", ["closed_form", "quadrature"])
+    def test_gaussian_point(self, path, quadrature):
+        z = _on_path(path, quadrature)(Gaussian(sigma=1.0), 1.0)
+        assert abs(z) == pytest.approx(0.6065306597126334, rel=1e-9)
 
-    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
-    def test_lorentzian_point(self, method):
-        g = gamma_pump(Lorentzian(gamma=1.0), 2.0, method=method)
-        assert g.magnitude == pytest.approx(0.1353352832366127, rel=1e-9)
+    @pytest.mark.parametrize("path", ["closed_form", "quadrature"])
+    def test_lorentzian_point(self, path, quadrature):
+        z = _on_path(path, quadrature)(Lorentzian(gamma=1.0), 2.0)
+        assert abs(z) == pytest.approx(0.1353352832366127, rel=1e-9)
 
-    def test_sinc_squared_triangle(self):
+    def test_sinc_squared_triangle(self, quadrature):
         d = SincSquared(width=1.0)
         for tau in (0.3, 1.0, 1.7, 2.5):
             expected = max(0.0, 1.0 - tau / 2.0)
-            got = gamma_pump(d, tau, method="quadrature")
-            assert got.magnitude == pytest.approx(expected, abs=1e-9)
+            assert abs(quadrature(d, tau)) == pytest.approx(expected, abs=1e-9)
 
-    def test_gaussian_decay_point_absolute(self):
+    def test_gaussian_decay_point_absolute(self, quadrature):
         # magnitude at 5 characteristic delays is exp(-12.5); the generic
         # quadrature must reproduce this nearly-zero value absolutely
-        got = gamma_pump(Gaussian(sigma=1.0), 5.0, method="quadrature")
-        assert abs(got.magnitude - 3.726653172078671e-06) <= 1e-7
-        assert got.magnitude < 4e-6
+        got = abs(quadrature(Gaussian(sigma=1.0), 5.0))
+        assert abs(got - 3.726653172078671e-06) <= 1e-7
+        assert got < 4e-6
 
 
 class TestClosedVsQuadrature:
@@ -96,19 +102,19 @@ class TestClosedVsQuadrature:
         Gaussian(sigma=2.0, center_offset=5.0),
         Lorentzian(gamma=1.5, center_offset=-4.0),
     ])
-    def test_agreement_over_five_widths(self, density):
+    def test_agreement_over_five_widths(self, density, quadrature):
         w = density.characteristic_width
         for frac in np.linspace(-5.0, 5.0, 21):
             tau = frac / w
-            zc = transform_1d(density, tau, method="closed_form")
-            zq = transform_1d(density, tau, method="quadrature")
+            zc = transform_1d(density, tau)
+            zq = complex(quadrature(density, tau))
             assert abs(zq - zc) <= 1e-7 * abs(zc)
 
-    def test_sinc_squared_agreement(self):
+    def test_sinc_squared_agreement(self, quadrature):
         d = SincSquared(width=1.0)
         for frac in np.linspace(-5.0, 5.0, 21):
-            zc = transform_1d(d, frac, method="closed_form")
-            zq = transform_1d(d, frac, method="quadrature")
+            zc = transform_1d(d, frac)
+            zq = complex(quadrature(d, frac))
             assert abs(zq - zc) <= 1e-7 * abs(zc) + 1e-9
 
 
@@ -132,14 +138,14 @@ class TestProperties:
             assert g_neg.magnitude == pytest.approx(g_pos.magnitude, abs=1e-12)
             assert g_neg.phase == pytest.approx(-g_pos.phase, abs=1e-12)
 
-    def test_magnitude_bounded_by_one(self):
+    def test_magnitude_bounded_by_one(self, quadrature):
         rng = random.Random(31)
         densities = ANALYTIC + [asym_tabulated()]
         for _ in range(200):
             d = rng.choice(densities)
             tau = rng.uniform(-6.0, 6.0) / d.characteristic_width
-            method = rng.choice(["auto", "quadrature"])
-            assert gamma_pump(d, tau, method=method).magnitude <= 1.0 + 1e-9
+            path = rng.choice(["auto", "quadrature"])
+            assert abs(_on_path(path, quadrature)(d, tau)) <= 1.0 + 1e-9
 
     def test_unnormalized_density_rejected(self):
         raw = Tabulated([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
@@ -147,58 +153,47 @@ class TestProperties:
             gamma_pump(raw, 0.5)
 
     def test_closed_form_unavailable_for_tabulated(self):
-        with pytest.raises(ValueError, match="closed-form"):
-            transform_1d(asym_tabulated(), 0.5, method="closed_form")
+        assert asym_tabulated().analytic_transform(np.array([0.5])) is None
 
 
-def _bad_inputs():
-    """(density, method, message) triples that every transform entry point
-    taking the density must reject."""
-    gauss, table = Gaussian(sigma=1.0), asym_tabulated()
+def _unnormalized():
+    """Densities that every transform entry point taking them must reject."""
+    gauss = Gaussian(sigma=1.0)
     raw_table = Tabulated([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
     g = np.linspace(-1.0, 1.0, 9)
     raw_table2d = Tabulated2D(g, g, 3.0 * np.outer(1 - np.abs(g), 1 - np.abs(g)))
-    unknown, closed = r"^unknown method 'bogus'$", r"^Tabulated(2D)? has no closed-form transform$"
-    cases = [(d, "bogus", unknown) for d in (gauss, table, Separable(gauss, table),
-                                             raw_table2d.normalize())]
-    cases += [(d, "closed_form", closed) for d in (table, Separable(gauss, table),
-                                                   raw_table2d.normalize())]
-    cases += [(d, "auto", "density must be normalized") for d in (
-        raw_table, Separable(gauss, raw_table), Separable(raw_table, gauss), raw_table2d)]
-    return cases
+    return [raw_table, Separable(gauss, raw_table), Separable(raw_table, gauss), raw_table2d]
 
 
 _ENTRY_POINTS_1D = {
-    "transforms": lambda d, m: transforms(d, [0.0, 0.3], m),
-    "transforms_no_delays": lambda d, m: transforms(d, [], m),
-    "gamma_pump": lambda d, m: gamma_pump(d, 0.3, m),
+    "transforms": lambda d: transforms(d, [0.0, 0.3]),
+    "transforms_no_delays": lambda d: transforms(d, []),
+    "gamma_pump": lambda d: gamma_pump(d, 0.3),
 }
 _ENTRY_POINTS_2D = {
-    "joint_transforms": lambda d, m: joint_transforms(d, [0.0, 0.3], [0.0, 0.2], m),
-    "joint_transforms_no_pairs": lambda d, m: joint_transforms(d, [], [], m),
-    "gamma_prime": lambda d, m: gamma_prime(d, 0.3, 0.2, m),
-    "coherence_surface": lambda d, m: coherence_surface(d, [0.0, 0.3], [0.2], m),
+    "joint_transforms": lambda d: joint_transforms(d, [0.0, 0.3], [0.0, 0.2]),
+    "joint_transforms_no_pairs": lambda d: joint_transforms(d, [], []),
+    "gamma_prime": lambda d: gamma_prime(d, 0.3, 0.2),
+    "coherence_surface": lambda d: coherence_surface(d, [0.0, 0.3], [0.2]),
 }
 
 
-@pytest.mark.parametrize("entry, density, method, message", [
-    pytest.param(entry, density, method, message,
-                 id=f"{entry}-{type(density).__name__}-{method}-{k}")
-    for k, (density, method, message) in enumerate(_bad_inputs())
+@pytest.mark.parametrize("entry, density", [
+    pytest.param(entry, density, id=f"{entry}-{type(density).__name__}-{k}")
+    for k, density in enumerate(_unnormalized())
     for entry in (_ENTRY_POINTS_2D if isinstance(density, (Separable, Tabulated2D))
                   else _ENTRY_POINTS_1D)])
-def test_entry_points_reject_bad_input_before_any_sum(entry, density, method, message,
-                                                      monkeypatch):
-    # one check of the method and of normalization per density kind: a 2D
-    # table is rejected like a 1D one, before any quadrature or tensor sum
+def test_entry_points_reject_bad_input_before_any_sum(entry, density, monkeypatch):
+    # one normalization check per density kind: a 2D table is rejected like
+    # a 1D one, before any quadrature or tensor sum
     def no_sum(*args):
         raise AssertionError("a sum ran before the input was rejected")
 
     for name in ("_segmented_fourier", "_tabulated2d_transform"):
         monkeypatch.setattr(coherence, name, no_sum)
     entry_points = {**_ENTRY_POINTS_1D, **_ENTRY_POINTS_2D}
-    with pytest.raises(ValueError, match=message):
-        entry_points[entry](density, method)
+    with pytest.raises(ValueError, match=r"^density must be normalized \(call normalize\(\) first\)$"):
+        entry_points[entry](density)
 
 
 @pytest.mark.parametrize("entry", ["joint_transforms", "coherence_surface"])
@@ -324,12 +319,12 @@ class TestSurface:
 
 
 class TestOscillatorySafeguard:
-    def test_huge_delay_stays_accurate(self):
+    def test_huge_delay_stays_accurate(self, quadrature):
         # hundreds of thousands of cosine cycles across the window: the
         # piece subdivision must keep the near-zero value near zero
         for density, expected in ((Gaussian(sigma=1.0), math.exp(-0.5 * 40.0 ** 2)),
                                   (Lorentzian(gamma=1.0), math.exp(-40.0))):
-            z = transform_1d(density, 40.0, method="quadrature")
+            z = quadrature(density, 40.0)
             assert abs(abs(z) - expected) <= 1e-9
 
     def test_huge_delay_tabulated(self):
@@ -528,7 +523,7 @@ class TestQuadratureCost:
         if kind == "quadrature":
             density = _jittered_table(7, 401)
             delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
-            run = lambda n: transforms(density, delays[:n], "quadrature")  # noqa: E731
+            run = lambda n: transforms(density, delays[:n])  # noqa: E731
             cell_bytes = 8  # real block arrays
         else:
             pm, delays = correlated_table(0.5), np.linspace(-1.5, 1.5, 10000)
@@ -556,7 +551,7 @@ class TestQuadratureCost:
         for n in (5000, 10000):
             tracemalloc.start()
             try:
-                transforms(density, delays[:n], "quadrature")
+                transforms(density, delays[:n])
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -616,14 +611,14 @@ def _quadrature_cases(draw):
 class TestBatchedQuadrature:
     @settings(max_examples=60, deadline=None)
     @given(_quadrature_cases())
-    def test_equals_per_delay_quadrature_bit_for_bit(self, case):
+    def test_equals_per_delay_quadrature_bit_for_bit(self, quadrature, case):
         density, delays = case
-        z = transforms(density, delays, "quadrature")
+        z = quadrature(density, delays)
         assert z.tolist() == [_quadrature_reference(density, t) for t in delays.tolist()]
 
     @pytest.mark.parametrize("density", [_jittered_table(5), Gaussian(sigma=1.0),
                                          SincSquared(width=2.0, center_offset=7.0)])
-    def test_one_evaluation_per_rule_and_layout(self, density, monkeypatch):
+    def test_one_evaluation_per_rule_and_layout(self, density, monkeypatch, quadrature):
         calls = []
         evaluate = type(density).evaluate
         monkeypatch.setattr(type(density), "evaluate",
@@ -638,7 +633,7 @@ class TestBatchedQuadrature:
                                          / coherence._MAX_PHASE_PER_PIECE)).tobytes()
                    for t in delays}
         assert 3 <= len(layouts) < len(delays)
-        transforms(density, delays, "quadrature")
+        quadrature(density, delays)
         assert len(calls) == 2 * len(layouts)
 
 
@@ -710,13 +705,13 @@ class TestQuadratureErrorOrder:
 
     def _raised(self, delays):
         with pytest.raises(IntegrationError) as info:
-            transforms(self.density, np.array(delays), "quadrature")
+            transforms(self.density, np.array(delays))
         return info.value
 
     def test_unresolved_delay_before_capped_one(self):
         z, err = _segmented_fourier_listcomp(self.density.evaluate, self.density.grid, 0.3)
         assert err > 1e-8
-        transform_1d(self.density, 2.5, "quadrature")  # four pieces: converges
+        transform_1d(self.density, 2.5)  # four pieces: converges
         e = self._raised([2.5, 0.3, 1e300, 0.3])
         assert str(e) == f"coherence quadrature did not converge (estimated error {err:.3e})"
         assert (e.index, e.value, e.error_estimate) == (1, z, err)
@@ -747,12 +742,12 @@ class TestSurfaceErrors:
         fourier = coherence._segmented_fourier
         monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
             fourier(f, knots, delays)[0], np.where(delays == 0.5, 1.0, 0.0)))
-        pm = Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0))
+        pm = Separable(asym_tabulated(), _jittered_table(3))  # tables take the engine
         with pytest.raises(IntegrationError, match=r"^surface column 2 \(all cells\): "):
-            coherence_surface(pm, [0.0, 0.25], [0.0, 0.25, 0.5], method="quadrature")
+            coherence_surface(pm, [0.0, 0.25], [0.0, 0.25, 0.5])
         # the rows are evaluated first
         with pytest.raises(IntegrationError, match=r"^surface row 1 \(all cells\): "):
-            coherence_surface(pm, [0.0, 0.5], [0.5], method="quadrature")
+            coherence_surface(pm, [0.0, 0.5], [0.5])
 
 
 def correlated_table(rho, knots=97):

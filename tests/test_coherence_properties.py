@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton.coherence import (_polar, gamma_prime, gamma_pump, joint_transforms,
-                                 transform_1d, transforms)
+from triphoton.coherence import (CoherenceValue, _polar, gamma_prime, gamma_pump,
+                                 joint_transforms, transform_1d, transforms)
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
                                Tabulated, Tabulated2D)
 
@@ -60,6 +60,15 @@ def correlated_table(rho, w1, w2, knots=97):
                                               / (2 * (1 - rho * rho)))).normalize()
 
 
+def one_row(density, path, quadrature):
+    """``transform_1d`` and ``gamma_pump`` of the density ("auto"), or the same
+    one-row views of the quadrature engine forced on it ("quadrature")."""
+    if path == "quadrature":
+        z = lambda t: complex(quadrature(density, [t])[0])  # noqa: E731
+        return z, lambda t: CoherenceValue.from_complex(z(t))
+    return (lambda t: transform_1d(density, t)), (lambda t: gamma_pump(density, t))
+
+
 def assert_invariants(factor, taus):
     """|g| <= 1, g(0) = 1 and g(-tau) = conj g(tau) for ``factor(tau)``."""
     zero = factor(0.0)
@@ -74,33 +83,35 @@ def assert_invariants(factor, taus):
 class TestInvariants:
     @settings(max_examples=40, deadline=None)
     @given(density=analytic_densities(), fractions=_fractions,
-           method=st.sampled_from(["closed_form", "quadrature"]))
-    def test_analytic(self, density, fractions, method):
+           path=st.sampled_from(["closed_form", "quadrature"]))
+    def test_analytic(self, density, fractions, path, quadrature):
         w = delay_unit(density)
-        assert_invariants(lambda t: gamma_pump(density, t, method=method),
-                          [f / w for f in fractions])
+        assert_invariants(one_row(density, path, quadrature)[1], [f / w for f in fractions])
 
     @settings(max_examples=40, deadline=None)
     @given(density=tabulated_densities(), fractions=_fractions,
-           method=st.sampled_from(["auto", "quadrature"]))
-    def test_tabulated(self, density, fractions, method):
+           path=st.sampled_from(["auto", "quadrature"]))
+    def test_tabulated(self, density, fractions, path, quadrature):
         w = delay_unit(density)
-        assert_invariants(lambda t: gamma_pump(density, t, method=method),
-                          [f / w for f in fractions])
+        assert_invariants(one_row(density, path, quadrature)[1], [f / w for f in fractions])
 
     @settings(max_examples=30, deadline=None)
     @given(d1=st.one_of(analytic_densities(), tabulated_densities()),
            d2=st.one_of(analytic_densities(), tabulated_densities()),
            fractions=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
                               min_size=1, max_size=3),
-           method=st.sampled_from(["auto", "quadrature"]))
-    def test_separable(self, d1, d2, fractions, method):
+           path=st.sampled_from(["auto", "quadrature"]))
+    def test_separable(self, d1, d2, fractions, path, quadrature):
         pm = Separable(d1, d2)
         w1, w2 = delay_unit(d1), delay_unit(d2)
+        z1, z2 = one_row(d1, path, quadrature)[0], one_row(d2, path, quadrature)[0]
         for f1, f2 in fractions:
-            assert_invariants(
-                lambda t: gamma_prime(pm, t * f1 / w1, t * f2 / w2, method=method),
-                [1.0])
+            if path == "quadrature":  # the product joint_transforms takes of the factors
+                factor = lambda t: CoherenceValue.from_complex(  # noqa: E731
+                    z1(t * f1 / w1) * z2(t * f2 / w2))
+            else:
+                factor = lambda t: gamma_prime(pm, t * f1 / w1, t * f2 / w2)  # noqa: E731
+            assert_invariants(factor, [1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(rho=st.floats(-0.7, 0.7), scale=_scale,
@@ -132,14 +143,15 @@ def assert_same_bits(value, mag, phase):
 class TestOneRowView:
     @settings(max_examples=40, deadline=None)
     @given(density=st.one_of(analytic_densities(), tabulated_densities()),
-           fractions=_delay_fractions, method=st.sampled_from(["auto", "quadrature"]))
-    def test_transforms(self, density, fractions, method):
+           fractions=_delay_fractions, path=st.sampled_from(["auto", "quadrature"]))
+    def test_transforms(self, density, fractions, path, quadrature):
         delays = np.array(fractions) / delay_unit(density)  # keeps -0.0
-        z = transforms(density, delays, method)
+        z = (quadrature if path == "quadrature" else transforms)(density, delays)
         mag, phase = _polar(z)
+        value, factor = one_row(density, path, quadrature)
         for k, tau in enumerate(delays.tolist()):
-            assert repr(transform_1d(density, tau, method)) == repr(complex(z[k]))
-            assert_same_bits(gamma_pump(density, tau, method), mag[k], phase[k])
+            assert repr(value(tau)) == repr(complex(z[k]))
+            assert_same_bits(factor(tau), mag[k], phase[k])
 
     @settings(max_examples=30, deadline=None)
     @given(d1=st.one_of(analytic_densities(), tabulated_densities()),

@@ -18,9 +18,9 @@ def test_star_import():
     assert set(triphoton.__all__) <= namespace.keys()
 
 
-def test_method_is_taken_by_the_transform_entry_points_only():
-    # the coherence module owns the numerical-path choice; the rate and
-    # oracle entry points take none
+def test_no_public_callable_takes_method():
+    # a density's kind alone picks its transform; no entry point offers a
+    # choice of numerical path
     def takes_method(obj):
         try:
             return "method" in inspect.signature(obj).parameters
@@ -28,5 +28,4 @@ def test_method_is_taken_by_the_transform_entry_points_only():
             return False
 
     public = (getattr(triphoton, n) for n in triphoton.__all__)
-    assert {obj.__name__ for obj in public if callable(obj) and takes_method(obj)} == {
-        "transform_1d", "gamma_pump", "gamma_prime", "coherence_surface"}
+    assert {obj.__name__ for obj in public if callable(obj) and takes_method(obj)} == set()

@@ -207,6 +207,28 @@ def test_coupled_oracle_equals_exact_shifted_product(slope, ratio, widths, offse
     assert got == pytest.approx(_exact_coupled_term(source, d, delta_phi, slope), abs=1e-12)
 
 
+_SHAPES = st.tuples(*[st.sampled_from([Gaussian, Lorentzian, SincSquared])] * 3).filter(
+    lambda shapes: shapes != (Gaussian,) * 3)  # at least one heavy tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=_SHAPES, slope=_unit, ratio=st.floats(0.05, 1.0),
+       widths=st.tuples(*[st.floats(0.5, 2.0)] * 2), offsets=st.tuples(_unit, _unit, _unit),
+       delays=st.tuples(*[st.floats(-3.0, 3.0)] * 3), delta_phi=st.floats(0.0, 2 * math.pi))
+def test_coupled_oracle_within_its_flags_of_exact_on_heavy_tails(shapes, slope, ratio, widths,
+                                                                offsets, delays, delta_phi):
+    # a heavy tail beyond the window and a coarse 129^3 grid are what the
+    # oracle's own flags measure, so they bound its distance to the exact term
+    scales = (ratio * SIGMA_PM, widths[0] * SIGMA_PM, widths[1] * SIGMA_PM)
+    pump, d1, d2 = (shape(s, center_offset=o * s)
+                    for shape, s, o in zip(shapes, scales, offsets))
+    source = SourceModel.cpdc(pump, Separable(d1, d2), CENTRALS)
+    d = DelayTriple(*(t / x.characteristic_width for t, x in zip(delays, (pump, d1, d2))))
+    term = interference_term_3d(source, d, delta_phi, OracleConfig(pump_coupling=LinearShift(slope)))
+    gap = abs(term.value - _exact_coupled_term(source, d, delta_phi, slope)) / INTERFERENCE_SCALE
+    assert gap <= term.tail_mass + term.coarse_rel_change
+
+
 class TestExchangeSymmetry:
     def test_cpdc_bc_swap_with_dprime_negation(self):
         # even second phase-matching factor: swapping the b and c centrals

@@ -196,6 +196,21 @@ def test_tabulated_from_file(tmp_path):
     assert t.evaluate(0.0) > 0
 
 
+def test_tabulated_from_one_row_file(tmp_path):
+    # two columns but one knot: the grid check names the fault, not the columns
+    path = tmp_path / "density.txt"
+    path.write_text("0 1\n")
+    with pytest.raises(ValueError, match="^grid must be 1D with at least two points$"):
+        Tabulated.from_file(path)
+
+
+def test_tabulated_from_one_column_file(tmp_path):
+    path = tmp_path / "density.txt"
+    path.write_text("0\n1\n2\n")
+    with pytest.raises(ValueError, match=r"density\.txt: expected two columns \(detuning, value\)$"):
+        Tabulated.from_file(path)
+
+
 def test_sine_integral_matches_scipy():
     sici = pytest.importorskip("scipy.special").sici  # test-only reference
     two = 2.0  # the switch from the power series to the continued fraction
