@@ -212,6 +212,49 @@ def test_separable_factors_checked_before_either_quadrature(entry, monkeypatch):
     assert calls == []
 
 
+def _kinds_and_their_sums():
+    """Each density kind, with the numerical sums its transform runs: none
+    for a closed form, the quadrature engine for a table (or a separable
+    factor that is one), the Richardson table sum for a 2D table."""
+    g = np.linspace(-4, 4, 97)
+    table2d = Tabulated2D(g, g, np.outer(np.exp(-g ** 2), np.exp(-g ** 2))).normalize()
+    return [(d, set()) for d in ANALYTIC] + [
+        (asym_tabulated(), {"quadrature"}),
+        (Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0)), set()),
+        (Separable(asym_tabulated(), SincSquared(width=1.0)), {"quadrature"}),
+        (Separable(Gaussian(sigma=1.0), asym_tabulated()), {"quadrature"}),
+        (table2d, {"table2d"}),
+    ]
+
+
+_DISPATCH_1D = {
+    "transforms": lambda d: transforms(d, [0.0, 0.3]),
+    "transform_1d": lambda d: transform_1d(d, 0.3),
+    "gamma_pump": lambda d: gamma_pump(d, 0.3),
+}
+_DISPATCH_2D = {
+    "joint_transforms": lambda d: joint_transforms(d, [0.0, 0.3], [0.0, 0.2]),
+    "gamma_prime": lambda d: gamma_prime(d, 0.3, 0.2),
+    "coherence_surface": lambda d: coherence_surface(d, [0.0, 0.3], [0.2]),
+}
+
+
+@pytest.mark.parametrize("entry, density, sums", [
+    pytest.param(entry, density, sums, id=f"{entry}-{type(density).__name__}-{k}")
+    for k, (density, sums) in enumerate(_kinds_and_their_sums())
+    for entry in (_DISPATCH_2D if isinstance(density, (Separable, Tabulated2D))
+                  else _DISPATCH_1D)])
+def test_density_kind_alone_picks_the_transform(entry, density, sums, monkeypatch):
+    ran = set()
+    for name, label in (("_segmented_fourier", "quadrature"),
+                        ("_tabulated2d_transform", "table2d")):
+        engine = getattr(coherence, name)
+        monkeypatch.setattr(coherence, name,
+                            lambda *args, _e=engine, _l=label: ran.add(_l) or _e(*args))
+    {**_DISPATCH_1D, **_DISPATCH_2D}[entry](density)
+    assert ran == sums
+
+
 class TestGammaPrime:
     def test_zero_delays(self):
         pm = Separable(Gaussian(sigma=1.0), Gaussian(sigma=2.0))
