@@ -54,18 +54,21 @@ from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
                      ValidationError)
 from .experiments import (SweepSpec, SweepTable, SweepVariable,
                           extract_dip_profile, extract_fringe_metrics, run_sweep)
-from .oracle import LinearShift, OracleConfig, factorization_error_sweep
+from .oracle import (LinearShift, OracleConfig, _pump_rescale_factor,
+                     factorization_error_sweep)
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
-                       SourceKind, carrier_wavenumbers, reduce_cpdc, reduce_topdc)
+                       SourceKind, _LENGTH_FIELDS, _PHASE_FIELDS, _TOPDC_LABELS,
+                       carrier_wavenumbers, reduce_cpdc, reduce_topdc)
 from .rates import AlternativeAmplitudes, SourceModel
 from .spectra import (Gaussian, Lorentzian, Separable, SincSquared, Tabulated,
                       joint_widths)
 
-_LENGTH_KEYS = [f"length_{t}_m" for t in
-                ("a1", "b1", "c1", "p1", "a2", "b2", "c2", "p2")]
-_PHASE_KEYS = [f"phase_{t}_rad" for t in
-               ("a1", "b1", "c1", "p1", "a2", "b2", "c2", "p2")]
-_DIRECT_KEYS = ["delta_l_m", "delta_l_prime_m", "delta_l_dprime_m", "delta_phi_rad"]
+# geometry.* key -> PathConfiguration field (the eight-length form) or
+# ReducedParameters field (the direct form, which ``reduce`` prints)
+_EIGHT_KEYS = {**{f"length_{f.partition('_')[2]}_m": f for f in _LENGTH_FIELDS},
+               **{f"phase_{f.partition('_')[2]}_rad": f for f in _PHASE_FIELDS}}
+_DIRECT_KEYS = {"delta_l_m": "delta_l", "delta_l_prime_m": "delta_l_prime",
+                "delta_l_dprime_m": "delta_l_dprime", "delta_phi_rad": "delta_phi"}
 
 
 @dataclass(frozen=True)
@@ -161,20 +164,18 @@ class _KeyStore:
             raise ValidationError(f"unknown key {key!r}")
 
 
-# analytic shape -> (density class, its width field, config key of the width)
-_SHAPES = {"gaussian": (Gaussian, "sigma", "sigma_rad_s"),
-           "lorentzian": (Lorentzian, "gamma", "gamma_rad_s"),
-           "sinc_squared": (SincSquared, "width", "width_rad_s")}
+# analytic shape -> density class; its width key is its width field in rad/s
+_SHAPES = {"gaussian": Gaussian, "lorentzian": Lorentzian, "sinc_squared": SincSquared}
 
 
 def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
     shape = store.get(f"{prefix}.shape", required=True).lower()
     offset = store.get_float(f"{prefix}.center_offset_rad_s", default=0.0)
     if shape in _SHAPES:
-        cls, field, key = _SHAPES[shape]
-        width = store.get_float(f"{prefix}.{key}", required=True)
+        cls = _SHAPES[shape]
+        width = store.get_float(f"{prefix}.{cls._width_field}_rad_s", required=True)
         try:  # the density checks its own width and offset
-            return cls(**{field: width}, center_offset=offset)
+            return cls(**{cls._width_field: width}, center_offset=offset)
         except ValueError as e:
             raise ValidationError(f"{prefix}: {e}") from e
     if shape == "tabulated":
@@ -192,10 +193,10 @@ def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
 
 
 def _build_geometry(store: _KeyStore, kind: SourceKind):
-    eight = [k for k in _LENGTH_KEYS + _PHASE_KEYS if store.has(f"geometry.{k}")]
+    eight = [k for k in _EIGHT_KEYS if store.has(f"geometry.{k}")]
     direct = [k for k in _DIRECT_KEYS if store.has(f"geometry.{k}")]
     choice = store.get_int("geometry.topdc_choice", default=1)
-    if choice not in (1, 2, 3):
+    if choice not in _TOPDC_LABELS:
         raise ValidationError("geometry.topdc_choice must be 1, 2 or 3")
     if eight and direct:
         raise ValidationError(
@@ -206,25 +207,15 @@ def _build_geometry(store: _KeyStore, kind: SourceKind):
             "geometry underspecified: give eight lengths/phases or the direct "
             "reduced parameters")
     if direct:
-        reduced = ReducedParameters(
-            delta_l=store.get_float("geometry.delta_l_m", default=0.0),
-            delta_l_prime=store.get_float("geometry.delta_l_prime_m", default=0.0),
-            delta_l_dprime=store.get_float("geometry.delta_l_dprime_m", default=0.0),
-            delta_phi=store.get_float("geometry.delta_phi_rad", default=0.0),
-            topdc_choice=choice if kind is SourceKind.TOPDC else 1,
-        )
-        return reduced, None
-    lengths = {k: store.get_float(f"geometry.{k}", default=0.0) for k in _LENGTH_KEYS}
-    phases = {k: store.get_float(f"geometry.{k}", default=0.0) for k in _PHASE_KEYS}
+        return ReducedParameters(
+            **{field: store.get_float(f"geometry.{k}", default=0.0)
+               for k, field in _DIRECT_KEYS.items()},
+            topdc_choice=choice if kind is SourceKind.TOPDC else 1), None
+    arms = {field: store.get_float(f"geometry.{k}", default=0.0)
+            for k, field in _EIGHT_KEYS.items()}
     try:  # the reduced lengths and phase can overflow even when every input is finite
-        pc = PathConfiguration(
-            **{f"l_{k.split('_')[1]}": v for k, v in lengths.items()},
-            **{f"phi_{k.split('_')[1]}": v for k, v in phases.items()},
-        )
-        if kind is SourceKind.TOPDC:
-            reduced = reduce_topdc(pc, choice)
-        else:
-            reduced = reduce_cpdc(pc)
+        pc = PathConfiguration(**arms)
+        reduced = reduce_topdc(pc, choice) if kind is SourceKind.TOPDC else reduce_cpdc(pc)
     except ValueError as e:
         raise ValidationError(f"geometry: {e}") from e
     return reduced, pc
@@ -437,8 +428,8 @@ def _validate_inputs(config: RunConfig) -> list[DelayTriple]:
             raise ValidationError(
                 f"validate.delay_span_widths = {spec.delay_span_widths!r} inverse widths "
                 f"of the {section} width {width!r} rad/s overflow {name}")
-    for ratio in spec.ratios:  # as factorization_error_sweep rescales the pump
-        factor = ratio * w1 / w_pump
+    for ratio in spec.ratios:
+        factor = _pump_rescale_factor(src, ratio)
         if not 0.0 < factor < math.inf:
             raise ValidationError(
                 f"validate.ratios: {ratio!r} x the source.pm1 width {w1!r} rad/s / the "
@@ -467,12 +458,8 @@ def run_validate_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
 
 def _reduce_block(reduced: ReducedParameters, kind: SourceKind,
                   centrals: CentralFrequencies) -> list[str]:
-    lines = [
-        f"geometry.delta_l_m = {reduced.delta_l!r}",
-        f"geometry.delta_l_prime_m = {reduced.delta_l_prime!r}",
-        f"geometry.delta_l_dprime_m = {reduced.delta_l_dprime!r}",
-        f"geometry.delta_phi_rad = {reduced.delta_phi!r}",
-    ]
+    lines = [f"geometry.{k} = {getattr(reduced, field)!r}"
+             for k, field in _DIRECT_KEYS.items()]
     if kind is SourceKind.TOPDC:
         lines.append(f"geometry.topdc_choice = {reduced.topdc_choice}")
     kp, k1, k2 = carrier_wavenumbers(centrals, kind, reduced.topdc_choice)
@@ -486,7 +473,7 @@ def run_reduce_cmd(config: RunConfig, out_dir: Path) -> list[Path]:
     centrals = config.source.centrals
     lines = [f"# reduced geometry (source.type = {kind.value})"]
     if config.path_config is not None and kind is SourceKind.TOPDC:
-        for choice in (1, 2, 3):
+        for choice in _TOPDC_LABELS:
             lines.append(f"# choice {choice}")
             lines.extend(_reduce_block(reduce_topdc(config.path_config, choice),
                                        kind, centrals))

@@ -327,8 +327,11 @@ def transforms(density: SpectralDensity, delays) -> np.ndarray:
 
     The density's kind picks the path: its closed form where it has one,
     else the quadrature engine, which raises :class:`IntegrationError` at the
-    first delay, in raveled order, that it cannot resolve.
+    first delay, in raveled order, that it cannot resolve. A joint density
+    raises ``TypeError`` before any check or sum.
     """
+    if not isinstance(density, SpectralDensity):
+        raise TypeError(f"unsupported 1D density type {type(density).__name__}")
     delays = np.asarray(delays, dtype=float)
     _check_normalized(density)
     z = density.analytic_transform(delays)

@@ -219,9 +219,10 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
     # prime detuning, which the pump couples to only through the shift
     shifted = prime_axis[None, :] - cfg.slope * pump_axis[:, None]
     pm = source.phase_matching
-    if isinstance(pm, Separable):
+    if isinstance(pm, Separable):  # the profile rule is picked once per grid
         v2 = np.asarray(pm.d2.evaluate(dprime_axis))
         v1 = np.asarray(pm.d1.evaluate(shifted))
+        profile = lambda e2: v1 * complex(v2 @ e2)  # noqa: E731
     else:
         # bilinear: linear in the prime detuning between knots, so the
         # column summed at the prime knots interpolates exactly; there the
@@ -231,17 +232,15 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
         j, ty = _interpolation_cell(pm.grid2, dprime_axis)
         knot_rows = ((1 - ty) * pm.values[:, j]
                      + ty * pm.values[:, j + 1]).astype(complex, order="F")
+        profile = lambda e2: np.interp(  # noqa: E731
+            shifted, pm.grid1, knot_rows @ e2, left=0.0, right=0.0)
 
     out = np.empty(len(delays), dtype=complex)
     for k, d in enumerate(delays):
         ep = weighted_pump * np.exp(-1j * pump_axis * d.delta_tau)
         e1 = w1 * np.exp(-1j * prime_axis * d.delta_tau_prime)
         e2 = w2 * np.exp(-1j * dprime_axis * d.delta_tau_dprime)
-        if isinstance(pm, Separable):
-            profile = v1 * complex(v2 @ e2)
-        else:
-            profile = np.interp(shifted, pm.grid1, knot_rows @ e2, left=0.0, right=0.0)
-        out[k] = ep @ (profile @ e1)
+        out[k] = ep @ (profile(e2) @ e1)
     return out
 
 
@@ -286,6 +285,12 @@ def factorized_interference_term(source: SourceModel, delays: DelayTriple,
     return 2.0 * r.gamma_mag * r.gamma_prime_mag * math.cos(r.cosine_argument)
 
 
+def _pump_rescale_factor(source: SourceModel, ratio: float) -> float:
+    """The factor that rescales the pump's width to ``ratio`` times the
+    prime-axis phase-matching width."""
+    return ratio * joint_widths(source.phase_matching)[0] / source.pump.characteristic_width
+
+
 def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
                               ratios: list[float],
                               cfg: OracleConfig) -> list[RatioErrorRow]:
@@ -304,15 +309,13 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
-    pm_width, _ = joint_widths(source.phase_matching)
     columns = tuple(np.array([getattr(d, name) for d in delays], dtype=float)
                     for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"))
     phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1), columns, 0.0)
     gp = None
     rows: list[RatioErrorRow] = []
     for ratio in ratios:
-        factor = ratio * pm_width / source.pump.characteristic_width
-        src = source.with_pump(source.pump.with_width_scaled(factor))
+        src = source.with_pump(source.pump.with_width_scaled(_pump_rescale_factor(source, ratio)))
         if gp is None:  # g' does not depend on the pump
             try:
                 gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))

@@ -8,10 +8,10 @@ performs that reduction for both source types and exposes the carrier
 frequency/wave-number combinations that multiply each reduced length in
 the interference cosine.
 
-For the third-order source there are three equivalent parameterizations
-(cyclic relabelings of the photons). They produce different individual
+For the third-order source there are three equivalent parameterizations,
+the labelings of :data:`_TOPDC_LABELS`. They produce different individual
 (delta_l_prime, delta_l_dprime) pairs but the same total cosine argument
-and, with the matching coordinate mapping in :mod:`triphoton.rates`, the
+and, with the matching coordinate mapping :func:`_native_pm_delays`, the
 same coincidence rate.
 
 A source's ``pm1`` and ``pm2`` densities are functions of the detunings
@@ -41,6 +41,18 @@ class SourceKind(Enum):
 _LENGTH_FIELDS = ("l_a1", "l_b1", "l_c1", "l_p1", "l_a2", "l_b2", "l_c2", "l_p2")
 _PHASE_FIELDS = ("phi_a1", "phi_b1", "phi_c1", "phi_p1",
                  "phi_a2", "phi_b2", "phi_c2", "phi_p2")
+
+_TOPDC_LABELS = {1: "abc", 2: "bac", 3: "cba"}
+"""Each third-order labeling choice's (reference, prime, double-prime) photons.
+Choice 2 swaps photons a and b of choice 1 and choice 3 swaps a and c: they are
+transpositions, not cyclic relabelings."""
+
+
+def _topdc_photons(choice: int) -> str:
+    """The (reference, prime, double-prime) photons of a labeling ``choice``."""
+    if choice not in _TOPDC_LABELS:
+        raise ValueError("choice must be 1, 2 or 3")
+    return _TOPDC_LABELS[choice]
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class ReducedParameters:
     topdc_choice: int = 1
 
     def __post_init__(self):
-        if self.topdc_choice not in (1, 2, 3):
+        if self.topdc_choice not in _TOPDC_LABELS:
             raise ValueError("topdc_choice must be 1, 2 or 3")
         for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"):
             v = getattr(self, name)
@@ -150,33 +162,21 @@ def reduce_cpdc(p: PathConfiguration) -> ReducedParameters:
     return ReducedParameters(dl, dlp, dldp, p.delta_phi)
 
 
-def _topdc_delta_l(p: PathConfiguration) -> float:
-    # shared by all three choices, evaluated identically so the results
-    # are bitwise equal across choices
-    return ((p.l_a1 + p.l_b1 + p.l_c1) / 3 + p.l_p1) \
-        - ((p.l_a2 + p.l_b2 + p.l_c2) / 3 + p.l_p2)
-
-
 def reduce_topdc(p: PathConfiguration, choice: int = 1) -> ReducedParameters:
     """Reduce a third-order-source geometry; ``choice`` picks the labeling.
 
-    Choice 1 references photon a (dL' = a-b arm difference, dL'' = a-c),
-    choices 2 and 3 are the cyclic relabelings referencing photons b and
-    c respectively. dL and dphi are identical across choices.
+    dL' and dL'' are the reference photon's arm difference less the prime and
+    the double-prime photon's (choice 1: a-b and a-c; see :data:`_TOPDC_LABELS`).
+    dL and dphi are identical across choices.
     """
-    dl = _topdc_delta_l(p)
-    if choice == 1:
-        dlp = (p.l_a1 - p.l_b1) - (p.l_a2 - p.l_b2)
-        dldp = (p.l_a1 - p.l_c1) - (p.l_a2 - p.l_c2)
-    elif choice == 2:
-        dlp = (p.l_b1 - p.l_a1) - (p.l_b2 - p.l_a2)
-        dldp = (p.l_b1 - p.l_c1) - (p.l_b2 - p.l_c2)
-    elif choice == 3:
-        dlp = (p.l_c1 - p.l_b1) - (p.l_c2 - p.l_b2)
-        dldp = (p.l_c1 - p.l_a1) - (p.l_c2 - p.l_a2)
-    else:
-        raise ValueError("choice must be 1, 2 or 3")
-    return ReducedParameters(dl, dlp, dldp, p.delta_phi, topdc_choice=choice)
+    r, s, t = _topdc_photons(choice)
+    l1 = {"a": p.l_a1, "b": p.l_b1, "c": p.l_c1}
+    l2 = {"a": p.l_a2, "b": p.l_b2, "c": p.l_c2}
+    dl = ((p.l_a1 + p.l_b1 + p.l_c1) / 3 + p.l_p1) \
+        - ((p.l_a2 + p.l_b2 + p.l_c2) / 3 + p.l_p2)
+    return ReducedParameters(dl, (l1[r] - l1[s]) - (l2[r] - l2[s]),
+                             (l1[r] - l1[t]) - (l2[r] - l2[t]), p.delta_phi,
+                             topdc_choice=choice)
 
 
 def carrier_omegas(f: CentralFrequencies, source: SourceKind,
@@ -193,13 +193,23 @@ def carrier_omegas(f: CentralFrequencies, source: SourceKind,
         if choice != 1:
             raise ValueError("CPDC has a single parameterization (choice 1)")
         return (wp, wa - wb - wc, wb - wc)
-    if choice == 1:
-        return (wp, (wa + wc - 2 * wb) / 3, (wa + wb - 2 * wc) / 3)
-    if choice == 2:
-        return (wp, (wb + wc - 2 * wa) / 3, (wa + wb - 2 * wc) / 3)
-    if choice == 3:
-        return (wp, (wa + wc - 2 * wb) / 3, (wb + wc - 2 * wa) / 3)
-    raise ValueError("choice must be 1, 2 or 3")
+    omega = {"a": wa, "b": wb, "c": wc}
+    wr, ws, wt = (omega[x] for x in _topdc_photons(choice))
+    return (wp, (wr + wt - 2 * ws) / 3, (wr + ws - 2 * wt) / 3)
+
+
+def _native_pm_delays(kind: SourceKind, choice: int, dt_prime, dt_dprime):
+    """Choice-n asymmetry delays in the joint density's native (choice-1)
+    coordinates, an exact linear identity (``carrier_omegas`` has rejected any
+    other choice): photon a's lead over b and over c, from each photon's delay
+    behind the reference. The reference has no term, so signed zeros keep their bits.
+    """
+    if kind is SourceKind.CPDC:
+        return dt_prime, dt_dprime
+    behind = dict(zip(_TOPDC_LABELS[choice][1:], (dt_prime, dt_dprime)))
+    if "a" not in behind:  # photon a is the reference
+        return dt_prime, dt_dprime
+    return tuple(behind[x] - behind["a"] if x in behind else -behind["a"] for x in "bc")
 
 
 def carrier_wavenumbers(f: CentralFrequencies, source: SourceKind,

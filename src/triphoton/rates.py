@@ -28,6 +28,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import pathgeom
 from .coherence import DelayTriple, _polar, joint_transforms, transforms
 from .coherence import gamma_prime  # noqa: F401  (bench/spans.py traces rates.gamma_prime)
 from .errors import CarrierPhaseOverflowError, IntegrationError
@@ -120,21 +121,6 @@ class RateResult:
     baseline: float
 
 
-def _native_pm_delays(kind: SourceKind, choice: int, dt_prime, dt_dprime):
-    """Map choice-n asymmetry delays to the joint density's native coordinates.
-
-    The three third-order labelings are linear reshuffles of the same
-    detuning plane; expressing the transform of the one stored density in
-    each labeling is equivalent to evaluating the choice-1 transform at
-    these remapped delays (``carrier_omegas`` has rejected any other choice).
-    """
-    if kind is SourceKind.CPDC or choice == 1:
-        return dt_prime, dt_dprime
-    if choice == 2:
-        return -dt_prime, dt_dprime - dt_prime
-    return dt_prime - dt_dprime, -dt_dprime
-
-
 def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
               amps: AlternativeAmplitudes, *, choice: int = 1) -> RateResult:
     """Rate as a function of the three delays (s) and the phase difference.
@@ -158,7 +144,7 @@ def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int,
     source (see :func:`_factor_columns`)."""
     carriers = carrier_omegas(source.centrals, source.kind, choice)
     phase = _carrier_phase(carriers, delays, delta_phi)
-    u, v = _native_pm_delays(source.kind, choice, delays[1], delays[2])
+    u, v = pathgeom._native_pm_delays(source.kind, choice, delays[1], delays[2])
     try:
         g = _factor_columns(transforms, source.pump, delays[0], fixed=fixed)
     except IntegrationError as e:  # unless g' fails in an earlier row

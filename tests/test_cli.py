@@ -243,6 +243,19 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="no such file"):
             parse_config(text, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("form", ["eight_lengths", "direct"])
+    def test_readme_example_parses(self, form):
+        # pins the README's config example to the parser's key tables, with its
+        # commented direct-geometry lines in place of the eight-length ones too
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = readme.split("```ini\n")[1].split("```")[0]
+        if form == "direct":
+            text = "\n".join(line[2:] if line.startswith("# geometry.") else line
+                             for line in text.splitlines()
+                             if not line.startswith(("geometry.length_", "geometry.phase_")))
+        cfg = parse_config(text)
+        assert (cfg.path_config is None) == (form == "direct")
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -645,23 +658,32 @@ class TestReduceCommand:
         assert "geometry.delta_l_prime_m = 3.0" in out   # choice 1
         assert "geometry.delta_l_prime_m = -3.0" in out  # choice 2
 
-    def test_reduce_round_trip_reproduces_sweep(self, tmp_path, capsys):
-        # reduce output pasted back as direct geometry gives identical CSVs
+    @pytest.mark.parametrize("kind, choice", [("cpdc", None), ("topdc", 1), ("topdc", 2),
+                                              ("topdc", 3)],
+                             ids=["cpdc", "topdc-1", "topdc-2", "topdc-3"])
+    def test_reduce_round_trip_reproduces_sweep(self, tmp_path, capsys, kind, choice):
+        # reduce output pasted back as direct geometry gives identical CSVs; for
+        # TOPDC, the block printed under the eight-length config's own choice
         sweep_tail = ("sweep.variable = delta_phi\nsweep.start = 0\n"
                       "sweep.stop = 12.6\nsweep.n_points = 33\n")
-        eight = MINIMAL_SOURCE + (
+        source = MINIMAL_SOURCE.replace("source.type = cpdc", f"source.type = {kind}")
+        eight = source + (
             "geometry.length_a1_m = 1.25e-6\ngeometry.length_b2_m = 0.5e-6\n"
             "geometry.phase_c1_rad = 0.35\n")
+        if choice is not None:
+            eight += f"geometry.topdc_choice = {choice}\n"
         cfg = write_config(tmp_path, eight + sweep_tail, "eight.cfg")
         out1 = tmp_path / "out1"
         assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["reduce", "--config", str(cfg), "--out",
                      str(tmp_path / "r")]) == 0
         printed = capsys.readouterr().out
+        if choice is not None:
+            printed = printed.split(f"# choice {choice}\n")[1].split("# choice")[0]
         direct_lines = [line for line in printed.splitlines()
                         if line.startswith("geometry.")]
         cfg2 = write_config(tmp_path,
-                            MINIMAL_SOURCE + "\n".join(direct_lines) + "\n"
+                            source + "\n".join(direct_lines) + "\n"
                             + sweep_tail, "direct.cfg")
         out2 = tmp_path / "out2"
         assert main(["sweep", "--config", str(cfg2), "--out", str(out2)]) == 0

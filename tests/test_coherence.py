@@ -255,6 +255,25 @@ def test_density_kind_alone_picks_the_transform(entry, density, sums, monkeypatc
     assert ran == sums
 
 
+@pytest.mark.parametrize("entry", list(_DISPATCH_1D))
+@pytest.mark.parametrize("density", [
+    d for d in _unnormalized() if isinstance(d, (Separable, Tabulated2D))] + [
+    Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0)),
+    Tabulated2D(*[np.linspace(-1.0, 1.0, 9)] * 2, np.ones((9, 9))).normalize()],
+    ids=lambda d: type(d).__name__)
+def test_1d_entry_points_name_a_joint_density_kind(entry, density, monkeypatch):
+    # these raised a bare AttributeError (no analytic_transform), or, for a
+    # joint density not normalized, the normalization error; the kind is named
+    # before that check and before any sum
+    def no_sum(*args):
+        raise AssertionError("a sum ran before the input was rejected")
+
+    for name in ("_segmented_fourier", "_tabulated2d_transform"):
+        monkeypatch.setattr(coherence, name, no_sum)
+    with pytest.raises(TypeError, match=f"^unsupported 1D density type {type(density).__name__}$"):
+        _DISPATCH_1D[entry](density)
+
+
 class TestGammaPrime:
     def test_zero_delays(self):
         pm = Separable(Gaussian(sigma=1.0), Gaussian(sigma=2.0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton import coherence, experiments, rates
+from triphoton import coherence, experiments, pathgeom, rates
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.coherence import gamma_pump
 from triphoton.errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
@@ -172,7 +172,7 @@ class TestRunSweep:
         pm_swept = variable not in (SweepVariable.DELTA_PHI, SweepVariable.DELTA_L)
         for name, columns, swept in (
                 ("transforms", (dt,), variable is SweepVariable.DELTA_L),
-                ("joint_transforms", rates._native_pm_delays(
+                ("joint_transforms", pathgeom._native_pm_delays(
                     SourceKind.TOPDC, choice, dt_prime, dt_dprime), pm_swept)):
             (got,) = calls[name]
             want = columns if swept else tuple(c[:1] for c in columns)
