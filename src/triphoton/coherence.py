@@ -40,13 +40,11 @@ at most 0.75, 20 terms leave a remainder below ``0.75**20 / 20!`` (about
 1e-21) of the mass. The phase of the layout's midpoint is applied exactly
 (Dekker's product), so tables far off centre lose no digits to it.
 
-2D separable densities factor into two 1D transforms. 2D tabulated
-densities use a tensor trapezoid sum, Richardson-extrapolated over two
-grid halvings, one transform for the pairs of :func:`joint_transforms` and
-the grid of :func:`coherence_surface`. Each element is summed alone, so a
-surface cell equals the pair at its delays. An unresolved oscillation
-raises :class:`IntegrationError` naming the first failing pair or cell
-rather than returning a quietly wrong number.
+2D separable densities factor into two 1D transforms. A 2D table is its
+bilinear interpolant, transformed exactly as each axis's hat-function
+transforms around the value matrix (Filon 1928; Iserles and Norsett 2005):
+a closed form, which cannot fail. Each element of a pair array or a surface
+is summed alone, so a surface cell equals the pair at its delays.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import IntegrationError
-from .spectra import SpectralDensity, Separable, Tabulated2D, JointSpectralDensity
+from .spectra import SpectralDensity, Separable, Tabulated2D, JointSpectralDensity, _phases
 
 # Half-width of the quadrature window in characteristic widths. Wide
 # enough that the Gaussian remainder is below double precision and the
@@ -69,9 +67,6 @@ _INNER_WIDTHS = 8.0  # densely sampled core of the window
 # Acceptable estimated error for the 1D engine (absolute, relative to
 # max(1, |value|)).
 _QUAD_ACCEPT = 1e-8
-
-# Acceptable relative inconsistency for the 2D tabulated trapezoid sum.
-_TAB2D_ACCEPT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -357,60 +352,59 @@ def gamma_pump(pump: SpectralDensity, delta_tau: float) -> CoherenceValue:
     return CoherenceValue.from_complex(transform_1d(pump, delta_tau))
 
 
+def _sinc_j1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sin(p) / p`` and ``j1(p) = (sin(p) / p - cos(p)) / p`` elementwise. The
+    difference cancels below |p| = 0.1, so there (and only there, as ``p * p``
+    may overflow far above) five terms of each Taylor series leave under 3e-18."""
+    small = np.abs(p) < 0.1
+    q = np.where(small, p, 0.0)
+    q2 = q * q
+    s = 1.0 + q2 * (-1 / 6 + q2 * (1 / 120 + q2 * (-1 / 5040 + q2 / 362880)))
+    j = q * (1 / 3 + q2 * (-1 / 30 + q2 * (1 / 840 + q2 * (-1 / 45360 + q2 / 3991680))))
+    r = p[~small]
+    s[~small] = np.sin(r) / r
+    j[~small] = (s[~small] - np.cos(r)) / r
+    return s, j
+
+
+def _hat_transforms(grid: np.ndarray, taus) -> np.ndarray:
+    """Transforms of the hat basis of ``grid`` at each of the ``taus`` (s), on a new
+    last axis, so ``h @ values`` transforms the interpolant through ``values``. On
+    a knot interval of centre m and half-width a, its left and right hats give
+    ``a exp(-i tau m) (sinc p +- i j1(p))``, p = tau a; a ValueError names a delay
+    where ``tau * x`` overflows on a knot."""
+    taus = np.asarray(taus, dtype=float)[..., None]
+    _phases(float(max(grid[0], grid[-1], key=abs)), taus)
+    half = 0.5 * grid[1:] - 0.5 * grid[:-1]  # halved first: no overflow
+    s, j = _sinc_j1(taus * half)
+    c = np.exp(-1j * (taus * (0.5 * grid[:-1] + 0.5 * grid[1:])))
+    c *= half
+    d = 1j * c * j
+    c *= s
+    del s, j  # in place from here, so a block holds few temporaries
+    h = np.zeros(taus.shape[:-1] + grid.shape, dtype=complex)
+    np.add(c, d, out=h[..., :-1])
+    c -= d
+    h[..., 1:] += c
+    return h
+
+
 def _tabulated2d_transform(pm: Tabulated2D, taus_prime, taus_dprime) -> np.ndarray:
-    """Tensor trapezoid sums at the numpy broadcast of the delay arrays,
-    Richardson-extrapolated over two grid halvings, whose spread is the error
-    estimate (exact-order reasoning assumes near-uniform grids; on arbitrary
-    grids it stays a serviceable consistency check). An element's row product
-    ``(w1 exp(-i t' g1)) V`` and closing dot with ``w2 exp(-i t'' g2)`` are each
-    one item of a batched ``np.matmul``, so its bits depend only on its own
-    delays. The first failing element, raveled, raises with that ``index``.
-    """
-    tp, td = np.asarray(taus_prime, dtype=float), np.asarray(taus_dprime, dtype=float)
-    g1, g2, v = pm.grid1, pm.grid2, pm.values
-    e1 = np.exp(-1j * (tp[..., None, None] * g1))  # a 1 x n1 row per t'
-    e2 = np.exp(-1j * (td[..., None, None] * g2))
-
-    def trap(idx1, idx2):
-        # take gives C-ordered rows: every element's vectors have unit stride,
-        # as BLAS may round a strided dot differently
-        a = _trapezoid_weights(g1[idx1]) * e1.take(idx1, axis=-1)
-        b = _trapezoid_weights(g2[idx2]) * e2.take(idx2, axis=-1)
-        table = v.take(idx1, axis=0).take(idx2, axis=1).astype(complex)  # matmul casts slower
-        return (a @ table @ b.swapaxes(-1, -2))[..., 0, 0]
-
-    levels = [(np.arange(g1.size), np.arange(g2.size))]  # full, half, quarter
-    for _ in range(2):  # a halving keeps every other knot and the last
-        levels.append(tuple(np.append(i[:-1:2], i[-1]) for i in levels[-1]))
-    full, half, quarter = (trap(*level) for level in levels)
-    extrap = full + (full - half) / 3.0
-    extrap_coarse = half + (half - quarter) / 3.0
-    err = np.abs(extrap - extrap_coarse)
-    bad = np.flatnonzero(err > _TAB2D_ACCEPT * np.maximum(1.0, np.abs(extrap)))
-    if bad.size:
-        k = int(bad[0])
-        t1, t2 = (float(np.broadcast_to(t, err.shape).flat[k]) for t in (tp, td))
-        raise IntegrationError(
-            f"2D tabulated transform inconsistent under grid halving (estimated error "
-            f"{err.flat[k]:.3e}); the table is too coarse for delays ({t1:.3e}, {t2:.3e})",
-            value=complex(extrap.flat[k]), error_estimate=float(err.flat[k]), index=k)
-    return extrap
-
-
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.zeros(grid.size)
-    d = np.diff(grid)
-    w[:-1] += d / 2
-    w[1:] += d / 2
-    return w
+    """``h1 V h2``, the exact transform of the table's bilinear interpolant at the
+    broadcast delays; an element's row product and closing dot are each one item
+    of a batched ``np.matmul``, so its bits depend only on its own delays."""
+    h1 = _hat_transforms(pm.grid1, taus_prime)[..., None, :]
+    h2 = _hat_transforms(pm.grid2, taus_dprime)[..., None, :]
+    table = pm.values.astype(complex)  # matmul casts slower
+    return (h1 @ table @ h2.swapaxes(-1, -2))[..., 0, 0]
 
 
 def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime) -> np.ndarray:
     """Complex phase-matching transforms at the numpy broadcast of the delay
     arrays ``taus_prime`` and ``taus_dprime`` (s), in its shape (a 0-d pair gives
     a numpy complex scalar; shapes that do not broadcast raise numpy's
-    ``ValueError``); the first failing pair, raveled, raises
-    :class:`IntegrationError` with its position as ``index``.
+    ``ValueError``). On a ``Separable`` density, the first failing pair, raveled,
+    raises :class:`IntegrationError` with its position as ``index``.
 
     Separable densities factor exactly into two 1D transforms; a ``Tabulated2D``
     sums each pair alone, in blocks of about ``_BLOCK_CELLS`` pair x knot cells.
@@ -431,11 +425,7 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime) -> np.nd
         z = np.empty(u.size, dtype=complex)
         step = max(1, _BLOCK_CELLS // pm.grid1.size)
         for i in range(0, u.size, step):
-            try:
-                z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
-            except IntegrationError as e:
-                k = i + e.index
-                raise IntegrationError(f"pair {k}: {e}", e.value, e.error_estimate, k) from e
+            z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
         return z.reshape(tp.shape)[()]
     raise TypeError(f"unsupported joint density type {type(pm).__name__}")
 
@@ -463,11 +453,7 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime,
         z = np.outer(_surface_axis(pm.d1, gp, "row"), _surface_axis(pm.d2, gd, "column"))
     elif isinstance(pm, Tabulated2D):
         _check_normalized(pm)
-        try:
-            z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
-        except IntegrationError as e:
-            raise IntegrationError(f"surface cell {divmod(e.index, gd.size)}: {e}",
-                                   e.value, e.error_estimate) from e
+        z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
     else:
         raise TypeError(f"unsupported joint density type {type(pm).__name__}")
     mag, phase = _polar(z)

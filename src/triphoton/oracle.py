@@ -41,11 +41,10 @@ term falls short of 2 by about ``2 * tail_mass`` without coupling, and by
 less with it (the widened prime axis catches part of the mass). It is
 flagged, not divided out, since that correction holds only at zero delay.
 
-Trapezoid tensor quadrature is used deliberately: it shares no method
-with the adaptive engine in :mod:`triphoton.coherence` (only the
-trapezoid-weight helper), so a disagreement localizes a bug instead of
-hiding it. Sums are plain numpy reductions (pairwise, deterministic at a
-fixed grid and single thread).
+Trapezoid tensor quadrature is used deliberately: it shares no method or
+helper with the transforms in :mod:`triphoton.coherence`, so a disagreement
+localizes a bug instead of hiding it. Sums are plain numpy reductions
+(pairwise, deterministic at a fixed grid and single thread).
 """
 
 from __future__ import annotations
@@ -57,8 +56,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .coherence import (DelayTriple, _polar, _trapezoid_weights, joint_transforms,
-                        transforms)
+from .coherence import DelayTriple, _polar, joint_transforms, transforms
 from .errors import IntegrationError
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
@@ -151,6 +149,11 @@ class RatioErrorRow:
     @property
     def truncated(self) -> bool:
         return self.tail_mass > COARSE_GRID_TOLERANCE
+
+
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    d = np.diff(grid) / 2
+    return np.append(d, 0.0) + np.append(0.0, d)
 
 
 def _span(density, mult: float) -> tuple[float, float]:

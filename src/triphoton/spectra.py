@@ -76,6 +76,16 @@ class SpectralDensity:
         return (-math.inf, math.inf)
 
 
+def _phases(freq: float, delays: np.ndarray) -> np.ndarray:
+    """``freq * delays`` (rad/s, s); a ValueError names a delay where one overflows."""
+    with np.errstate(over="ignore"):
+        phase = freq * delays
+    bad = np.ravel(delays)[np.isinf(phase).ravel()]
+    if bad.size:
+        raise ValueError(f"the phase of {freq!r} rad/s overflows at delay {float(bad[0])!r} s")
+    return phase
+
+
 def _check_width(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -155,6 +165,10 @@ class _AnalyticShape(SpectralDensity):
         _check_width("factor", factor)
         return replace(self, **{self._width_field: self.characteristic_width * factor})
 
+    def _centre_phase(self, delays: np.ndarray) -> np.ndarray:
+        """``exp(-i center_offset delay)``, the factor every closed form shares."""
+        return np.exp(-1j * _phases(self.center_offset, delays))
+
 
 @dataclass(frozen=True)
 class Gaussian(_AnalyticShape):
@@ -177,7 +191,7 @@ class Gaussian(_AnalyticShape):
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # past |sigma * delay| ~ 1.3e154 the square is inf
             mag = np.exp(-0.5 * (self.sigma * delays) ** 2)
-        return mag * np.exp(-1j * (self.center_offset * delays))
+        return mag * self._centre_phase(delays)
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,7 @@ class Lorentzian(_AnalyticShape):
 
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         mag = np.exp(-self.gamma * np.abs(delays))
-        return mag * np.exp(-1j * (self.center_offset * delays))
+        return mag * self._centre_phase(delays)
 
 
 @dataclass(frozen=True)
@@ -260,7 +274,7 @@ class SincSquared(_AnalyticShape):
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         # Fourier pair of sinc^2 is the triangle function.
         mag = np.maximum(0.0, 1.0 - np.abs(delays) * self.width / 2.0)
-        return mag * np.exp(-1j * (self.center_offset * delays))
+        return mag * self._centre_phase(delays)
 
 
 class Tabulated(SpectralDensity):
@@ -378,16 +392,12 @@ def _interpolation_cell(grid: np.ndarray, x):
 
 
 class Tabulated2D:
-    """Joint density tabulated on a rectangular grid.
+    """Joint density tabulated on a rectangular grid, zero outside it.
 
-    Zero outside the grid. Normalization uses the 2D trapezoid rule, and
-    :meth:`evaluate` interpolates bilinearly. The coherence transform does
-    not use that interpolant: it is a trapezoid sum Richardson-extrapolated
-    over grid halving, which converges to the transform of the smooth
-    function the table samples. Per axis the two differ by a relative
-    (delay x spacing)**2 / 12 or so, at most about 1e-3 on a 161 x 161
-    Gaussian table over +-8 sigma. A 1D :class:`Tabulated` instead
-    transforms as its piecewise-linear interpolant.
+    The table is its bilinear interpolant: :meth:`evaluate` interpolates
+    bilinearly, normalization takes that interpolant's exact area (the 2D
+    trapezoid rule), and the coherence transform is that interpolant's, as a
+    1D :class:`Tabulated` transforms as its piecewise-linear interpolant.
     """
 
     def __init__(self, grid1, grid2, values):

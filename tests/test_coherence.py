@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,14 @@ def asym_tabulated():
     grid = np.linspace(-2.0, 3.0, 41)
     vals = np.maximum(0.0, (grid + 2.0) * (3.0 - grid)) * (1.0 + 0.3 * np.tanh(grid))
     return Tabulated(grid, vals).normalize()
+
+
+def correlated_table(rho, knots=97):
+    # spans +-8 sigma, so the table's edges hold no mass worth naming
+    g = np.linspace(-8, 8, knots)
+    x, y = g[:, None], g[None, :]
+    return Tabulated2D(g, g, np.exp(-(x * x - 2 * rho * x * y + y * y)
+                                    / (2 * (1 - rho * rho)))).normalize()
 
 
 class TestZeroDelay:
@@ -215,7 +224,7 @@ def test_separable_factors_checked_before_either_quadrature(entry, monkeypatch):
 def _kinds_and_their_sums():
     """Each density kind, with the numerical sums its transform runs: none
     for a closed form, the quadrature engine for a table (or a separable
-    factor that is one), the Richardson table sum for a 2D table."""
+    factor that is one), the exact table transform for a 2D table."""
     g = np.linspace(-4, 4, 97)
     table2d = Tabulated2D(g, g, np.outer(np.exp(-g ** 2), np.exp(-g ** 2))).normalize()
     return [(d, set()) for d in ANALYTIC] + [
@@ -299,43 +308,94 @@ class TestGammaPrime:
         z2 = transform_1d(pm.d2, -0.9)
         assert z == pytest.approx(z1 * z2, rel=1e-12)
 
-    def test_tabulated2d_against_closed_form(self):
-        # a finely tabulated Gaussian product must transform like the
-        # closed-form Gaussian pair (independent cross-validation of the
-        # tensor sum)
-        g1 = np.linspace(-8, 8, 321)
-        g2 = np.linspace(-12, 12, 481)
-        v1 = np.exp(-g1 ** 2 / 2)
+    @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
+    def test_product_tables_equal_the_1d_engines_product(self, jittered):
+        # one model for both containers: a product table transforms as the
+        # product of its two 1D tables, the 1D engine's piecewise-linear
+        # interpolants, from |tau| h = 0 through the series switch (p = tau h / 2
+        # at 0.1) to 150
+        rng = np.random.default_rng(5)
+        if jittered:
+            g1, g2 = (np.cumsum(rng.uniform(0.05, 0.15, n)) for n in (161, 241))
+            g1, g2 = g1 - g1.mean(), g2 - g2.mean()
+        else:
+            g1, g2 = np.linspace(-8, 8, 161), np.linspace(-12, 12, 241)
+        v1 = np.exp(-g1 ** 2 / 2) * (1 + 0.3 * np.tanh(g1))
         v2 = np.exp(-g2 ** 2 / (2 * 1.5 ** 2))
-        pm = Tabulated2D(g1, g2, np.outer(v1, v2)).normalize()
-        for tau1, tau2 in [(0.0, 0.0), (0.6, -0.4), (1.5, 0.9), (-2.0, 2.0)]:
-            z = gamma_prime(pm, tau1, tau2).as_complex()
-            expected = math.exp(-tau1 ** 2 / 2) * math.exp(-(1.5 * tau2) ** 2 / 2)
-            assert z == pytest.approx(expected, abs=2e-7)
+        table = Tabulated2D(g1, g2, np.outer(v1, v2)).normalize()
+        tables = Separable(Tabulated(g1, v1).normalize(), Tabulated(g2, v2).normalize())
+        tau_h = np.array([0.0, 1e-3, 0.05, 0.19, 0.2, 0.21, 0.5, 1.0, 3.0, 10.0, 30.0,
+                          100.0, 150.0])
+        h = 0.1  # mean spacing on both axes
+        for taus_prime, taus_dprime in ((tau_h / h, -tau_h[::-1] / h),
+                                        (-tau_h / h, np.full_like(tau_h, 3.0))):
+            gap = joint_transforms(table, taus_prime, taus_dprime) - joint_transforms(
+                tables, taus_prime, taus_dprime)
+            assert np.max(np.abs(gap)) <= 1e-13
 
-    def test_table_containers_differ_by_the_interpolation_term(self):
-        # the same table in two containers: 1D tables transform as their
-        # piecewise-linear interpolant, the 2D sum converges to the continuum,
-        # so the gap is the interpolant's leading term -(t1^2 h1^2 + t2^2 h2^2)/12 g'
+    def test_table_to_continuum_gap_is_the_interpolation_term(self):
+        # a table transforms as its bilinear interpolant, so its gap to the
+        # sampled Gaussian's closed form is the interpolant's leading term
+        # -(t1^2 h1^2 + t2^2 h2^2) / 12 g'
         g1 = np.linspace(-8, 8, 321)
         g2 = np.linspace(-12, 12, 481)
         v1 = np.exp(-g1 ** 2 / 2)
         v2 = np.exp(-g2 ** 2 / (2 * 1.5 ** 2))
         table = Tabulated2D(g1, g2, np.outer(v1, v2)).normalize()
-        tables = Separable(Tabulated(g1, v1).normalize(), Tabulated(g2, v2).normalize())
         h = 0.05  # both grids
         taus_prime = np.array([0.2, 0.6, 1.5, -2.0])
         taus_dprime = np.array([0.1, -0.4, 0.9, 2.0])
-        z = joint_transforms(table, taus_prime, taus_dprime)
-        gap = joint_transforms(tables, taus_prime, taus_dprime) - z
-        leading = -(taus_prime ** 2 + taus_dprime ** 2) * h ** 2 / 12 * z
+        continuum = np.exp(-taus_prime ** 2 / 2 - (1.5 * taus_dprime) ** 2 / 2)
+        gap = joint_transforms(table, taus_prime, taus_dprime) - continuum
+        leading = -(taus_prime ** 2 + taus_dprime ** 2) * h ** 2 / 12 * continuum
         assert np.all(np.abs(gap - leading) <= 2e-3 * np.abs(leading))
 
-    def test_tabulated2d_coarse_grid_raises(self):
-        g = np.linspace(-1, 1, 9)
-        pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
-        with pytest.raises(IntegrationError):
-            gamma_prime(pm, 1e4, 1e4)  # oscillation far beyond grid resolution
+    def test_hat_transforms_on_a_uniform_grid(self):
+        # an interior knot's hat is a triangle of half-width h, whose transform
+        # is h exp(-i tau x_k) sinc^2(tau h / 2); the knots are exact doubles
+        h = 0.125
+        g = np.arange(-64, 65) * h
+        tau_h = np.array([0.0, -0.0, 1e-3, 0.1, 0.19, 0.2, 0.21, 0.5, 1.0, 3.0, 30.0, 150.0])
+        taus = np.concatenate([tau_h, -tau_h]) / h
+        hats = coherence._hat_transforms(g, taus)[:, 1:-1]
+        x = g[None, 1:-1]
+        t = taus[:, None]
+        expected = h * np.exp(-1j * t * x) * np.sinc(t * h / 2 / np.pi) ** 2
+        assert np.all(np.abs(hats - expected) <= 2e-15 * h * (1 + np.abs(t * x)))
+
+    def test_sinc_j1_against_exact_series(self):
+        # the Taylor sums in rationals; j1's closed form cancels as p -> 0, so
+        # the series must take the small p, where j1 is also relatively exact
+        ps = np.concatenate([np.geomspace(1e-12, 2.0, 60), [0.0, 0.0999999, 0.1, 0.1000001]])
+        p = np.concatenate([ps, -ps])
+        s, j = coherence._sinc_j1(p)
+        for k, x in enumerate(p.tolist()):
+            q, exact_s, exact_j = Fraction(x), Fraction(0), Fraction(0)
+            for n in range(30):
+                exact_s += (-1) ** n * q ** (2 * n) / math.factorial(2 * n + 1)
+                exact_j += (-1) ** n * q ** (2 * n + 1) * (2 * n + 2) / math.factorial(2 * n + 3)
+            assert abs(s[k] - float(exact_s)) <= 2.3e-16
+            assert abs(j[k] - float(exact_j)) <= (
+                4.5e-16 * abs(float(exact_j)) if abs(x) < 0.1 else 1e-15)
+
+    @pytest.mark.parametrize("delay", [1e150, 1e300, -1e300])
+    def test_huge_delays_stay_finite_and_bounded(self, delay):
+        # p * p overflows past |p| ~ 1.3e154, so the series must not see such p
+        pm = correlated_table(0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = joint_transforms(pm, [delay, delay, 0.3, 0.0], [delay, 0.0, delay, -delay])
+        assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= 1.0)
+
+    @pytest.mark.parametrize("density, knot", [
+        (correlated_table(0.4), -8.0),
+        (Separable(Gaussian(sigma=1.0, center_offset=8.0), Gaussian(sigma=1.0)), 8.0),
+        (Separable(Lorentzian(gamma=1.0, center_offset=-8.0), Gaussian(sigma=1.0)), -8.0),
+        (Separable(Lorentzian(gamma=1.0), SincSquared(width=1.0, center_offset=-8.0)), -8.0)])
+    def test_overflowing_phase_named(self, density, knot):
+        message = f"the phase of {knot!r} rad/s overflows at delay 1.7e+308 s"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            joint_transforms(density, [0.0, 1.7e308], 1.7e308)
 
 
 class TestSurface:
@@ -791,15 +851,6 @@ class TestQuadratureErrorOrder:
 
 
 class TestSurfaceErrors:
-    def test_cell_index_reported(self):
-        g = np.linspace(-1, 1, 9)
-        pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
-        with pytest.raises(IntegrationError, match=r"cell \(1, 0\)"):
-            coherence_surface(pm, [0.0, 1e4], [0.0])
-        # (0, 1), (1, 1), (2, 0) and (2, 1) fail; row-major order comes first
-        with pytest.raises(IntegrationError, match=r"cell \(0, 1\)"):
-            coherence_surface(pm, [0.0, 0.0, 1e4], [0.0, 1e4])
-
     def test_separable_axis_reported(self, monkeypatch):
         fourier = coherence._segmented_fourier
         monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
@@ -810,16 +861,6 @@ class TestSurfaceErrors:
         # the rows are evaluated first
         with pytest.raises(IntegrationError, match=r"^surface row 1 \(all cells\): "):
             coherence_surface(pm, [0.0, 0.5], [0.5])
-
-
-def correlated_table(rho, knots=97):
-    # spans +-8 sigma: on a table cut where the density is still ~1e-6 the
-    # Richardson step moves g'(0, 0) off 1 by ~1e-8 (the sampled continuum's
-    # truncated area), a property of the trapezoid model, not of the batching
-    g = np.linspace(-8, 8, knots)
-    x, y = g[:, None], g[None, :]
-    return Tabulated2D(g, g, np.exp(-(x * x - 2 * rho * x * y + y * y)
-                                    / (2 * (1 - rho * rho)))).normalize()
 
 
 _delays = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6)
@@ -854,16 +895,6 @@ class TestTabulated2DPairs:
         u, v = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 250))
         lone = [joint_transforms(pm, a, b) for a, b in zip(u.tolist(), v.tolist())]
         assert _bits(joint_transforms(pm, u, v)) == _bits(lone)
-
-    def test_failing_pair_named_by_its_index_in_the_call(self, monkeypatch):
-        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 20)  # blocks of two pairs
-        g = np.linspace(-1, 1, 9)
-        pm = Tabulated2D(g, g, np.outer(1 - np.abs(g), 1 - np.abs(g))).normalize()
-        taus = np.zeros(8)
-        taus[[5, 7]] = 1e4
-        with pytest.raises(IntegrationError, match=r"^pair 5: 2D tabulated transform ") as info:
-            joint_transforms(pm, taus, 0.0)
-        assert info.value.index == 5
 
 
 class TestJointShapes:

@@ -52,8 +52,7 @@ def delay_unit(density):
 
 
 def correlated_table(rho, w1, w2, knots=97):
-    # smooth enough that the Richardson check accepts delays up to ~2 widths;
-    # an even knot count makes the grid halvings keep an unpaired last knot
+    # spans +-8 widths per axis; the tests draw odd and even knot counts
     g = np.linspace(-8, 8, knots)
     x, y = g[:, None], g[None, :]
     return Tabulated2D(g * w1, g * w2, np.exp(-(x * x - 2 * rho * x * y + y * y)

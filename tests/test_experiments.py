@@ -65,12 +65,9 @@ class TestRunSweep:
         assert np.argmax(table.rates) == mid
 
     def test_sweep_aborts_with_row_context(self):
-        # a coarse tabulated joint density cannot resolve large asymmetry
-        # delays; the sweep must abort naming the failing row
-        g = np.linspace(-1e12, 1e12, 9)
-        pm = Tabulated2D(
-            g, g, np.outer(1 - np.abs(g) / 1e12, 1 - np.abs(g) / 1e12)).normalize()
-        src = SourceModel.cpdc(Gaussian(sigma=1e11), pm,
+        # past the piece cap the quadrature of a tabulated phase-matching
+        # factor fails; the sweep must abort naming the failing row
+        src = SourceModel.cpdc(Gaussian(sigma=1e11), _wide_triangle_tables(),
                                CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
         spec = SweepSpec(SweepVariable.DELTA_L_PRIME, -10.0, 10.0, 5,
                          ReducedParameters(0.0, 0.0, 0.0, 0.0), src, AMPS)
@@ -81,12 +78,9 @@ class TestRunSweep:
     def test_first_failing_row_is_reported(self):
         # the sweep must fail at the row rate_length fails at first, here
         # past row 0 since the zero delay is always resolved
-        g = np.linspace(-1e12, 1e12, 9)
-        pm = Tabulated2D(
-            g, g, np.outer(1 - np.abs(g) / 1e12, 1 - np.abs(g) / 1e12)).normalize()
-        src = SourceModel.cpdc(Gaussian(sigma=1e11), pm,
+        src = SourceModel.cpdc(Gaussian(sigma=1e11), _wide_triangle_tables(),
                                CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
-        spec = SweepSpec(SweepVariable.DELTA_L_PRIME, 0.0, 1e-4, 9,
+        spec = SweepSpec(SweepVariable.DELTA_L_PRIME, 0.0, 10.0, 9,
                          ReducedParameters(0.0, 0.0, 0.0, 0.0), src, AMPS)
         expected = _rows_by_rate_length(spec)
         k = len(expected)
@@ -255,6 +249,14 @@ def analytic_source(kind):
     return SourceModel(kind, Gaussian(sigma=_W, center_offset=0.2 * _W),
                        Separable(Lorentzian(gamma=2 * _W),
                                  SincSquared(width=1.5 * _W)), _CENTRALS[kind])
+
+
+def _wide_triangle_tables():
+    # 2e13 rad/s wide: past |delay| ~ 2e-8 s (6 m) a factor needs more
+    # quadrature pieces than the cap allows
+    g = np.linspace(-1e13, 1e13, 9)
+    tri = Tabulated(g, 1 - np.abs(g) / 1e13).normalize()
+    return Separable(tri, tri)
 
 
 def tabulated_source(kind):

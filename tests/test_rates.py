@@ -13,7 +13,7 @@ from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
                                 SourceKind, reduce_topdc)
 from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
                              rate_time)
-from triphoton.spectra import Gaussian, Lorentzian, Separable, Tabulated2D
+from triphoton.spectra import Gaussian, Lorentzian, Separable, Tabulated
 from test_experiments import SOURCES, _W
 from test_pathgeom import random_config
 
@@ -201,14 +201,14 @@ def test_cpdc_rejects_topdc_choices():
 
 
 def test_cpdc_labeling_rejected_before_coherence_factors():
-    # the 65x65-knot table cannot resolve a 1e-13 s delay, so computing g'
-    # first would raise IntegrationError instead of the labeling error
+    # a 1e-9 s delay puts the 65-knot tables past the quadrature's piece cap,
+    # so computing g' first would raise IntegrationError instead of the
+    # labeling error
     g = np.linspace(-3e14, 3e14, 65)
-    pm = Tabulated2D(g, g, np.exp(-(g[:, None] ** 2 + g[None, :] ** 2)
-                                  / 9e13 ** 2)).normalize()
-    src = SourceModel.cpdc(Gaussian(sigma=1e12), pm,
+    table = Tabulated(g, np.exp(-g ** 2 / 9e13 ** 2)).normalize()
+    src = SourceModel.cpdc(Gaussian(sigma=1e12), Separable(table, table),
                            CentralFrequencies(2.4e15, 1.3e15, 1.1e15))
-    delays = DelayTriple(0.0, 0.0, 1e-13)
+    delays = DelayTriple(0.0, 0.0, 1e-9)
     with pytest.raises(IntegrationError):
         rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0))
     with pytest.raises(ValueError, match="CPDC"):
@@ -304,8 +304,8 @@ class TestFactorColumns:
         ("tabulated", [[0.0, 3e-15, 0.0, _CAP, 3e-15, _CAP]]),
         ("tabulated", [[_CAP, _CAP, _CAP]]),
         ("tabulated", [[0.0, 0.0, 0.0, _CAP], [0.0, _CAP, 0.0, 0.0]]),  # d2 first
-        ("tabulated2d", [[0.0, 1e-13, 1e-12, 1e-13, 1e-12], [0.0] * 5]),
-        ("tabulated2d", [[1e-12, 1e-12, 1e-12], [0.0, -0.0, 0.0]]),
+        ("tabulated", [[0.0, 3e-15, _CAP, 3e-15, _CAP], [0.0] * 5]),
+        ("tabulated", [[_CAP, _CAP, _CAP], [0.0, -0.0, 0.0]]),
     ], ids=["repeated", "fixed", "separable_pairs", "table_pairs", "fixed_table_pair"])
     def test_failure_names_the_first_failing_row(self, source, columns):
         core, density = _factor(source, joint=len(columns) == 2)
