@@ -13,24 +13,16 @@ one-row views, so a sweep's columns equal the scalar values bit for bit.
 Numerical strategy
 ------------------
 A density's kind picks its path: a closed form (one numpy expression)
-for a shape that has one, else the generic composite Gauss-Legendre
-rule whose pieces break at every density knot and never span more than
-1.5 rad of oscillation, so each piece is polynomially smooth no matter
-how large the delay gets (silent accuracy loss on oscillatory integrands
-is the classic failure mode this avoids). A lower-order rule on the same
-pieces gives the error estimate. Delays with the same piece counts share
-one layout and one density evaluation per rule; since no count falls as
-``|delay|`` grows, equal total counts mean equal layouts, so sorting the
-totals groups the delays.
-
-* finite-support (tabulated) densities are integrated over their exact
-  support with pieces breaking at the table knots;
-* infinite-support shapes are integrated over a graded window (dense
-  inner core, one-width outer steps, out to ``WINDOW_WIDTHS``
-  characteristic widths) in centered coordinates, so large carrier
-  offsets never inflate the oscillation count; the remainder beyond the
-  window is added back analytically per shape (exact sine-integral
-  forms, see ``SpectralDensity.oscillatory_tail``).
+for a shape that has one, else, for a table, the composite
+Gauss-Legendre rule over its exact support, whose pieces break at every
+knot and never span more than 1.5 rad of oscillation, so each piece is
+polynomially smooth no matter how large the delay gets (silent accuracy
+loss on oscillatory integrands is the classic failure mode this avoids).
+A lower-order rule on the same pieces gives the error estimate. Delays
+with the same piece counts share one layout and one density evaluation
+per rule; since no count falls as ``|delay|`` grows, equal total counts
+mean equal layouts, so sorting the totals groups the delays. Any other
+1D density, and a non-finite delay, are rejected by name before any sum.
 
 Each layout's rules are reduced once to moments about the piece centres,
 so a delay costs one phase per piece rather than one per node: a piece of
@@ -56,13 +48,8 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import IntegrationError
-from .spectra import SpectralDensity, Separable, Tabulated2D, JointSpectralDensity, _phases
-
-# Half-width of the quadrature window in characteristic widths. Wide
-# enough that the Gaussian remainder is below double precision and the
-# heavy-tail corrections' expansions converge fast.
-WINDOW_WIDTHS = 64.0
-_INNER_WIDTHS = 8.0  # densely sampled core of the window
+from .spectra import (JointSpectralDensity, Separable, SpectralDensity, Tabulated, Tabulated2D,
+                      _phases)
 
 # Acceptable estimated error for the 1D engine (absolute, relative to
 # max(1, |value|)).
@@ -272,40 +259,14 @@ def _segmented_fourier(f, knots: np.ndarray,
     return z, err
 
 
-def _window_knots(width: float) -> np.ndarray:
-    """Graded window: quarter-width steps in the core (peaked shapes),
-    one-width steps outside (densities may keep oscillating on the width
-    scale arbitrarily far out, so the outer step must not grow)."""
-    inner = np.linspace(-_INNER_WIDTHS, _INNER_WIDTHS, 65)
-    outer = np.arange(_INNER_WIDTHS + 1.0, WINDOW_WIDTHS + 0.5, 1.0)
-    return np.concatenate([-outer[::-1], inner, outer]) * width
-
-
-def _transform_quadrature(density: SpectralDensity, delays: np.ndarray) -> np.ndarray:
-    """Generic Fourier integrals at the delays, on any 1D density (the tests'
-    reference for the closed forms); the first failure gets its ``index``."""
-    lo, hi = density.support()
-    infinite = math.isinf(lo) or math.isinf(hi)
-    if infinite:
-        # centered coordinates keep the oscillation count proportional to
-        # delay * width rather than delay * carrier offset
-        center = density.center
-        knots = _window_knots(density.characteristic_width)
-        f = lambda u: density.evaluate(center + u)  # noqa: E731
-    else:
-        knots = density.grid  # a table, the one density of finite support
-        f = density.evaluate
+def _transform_quadrature(density: Tabulated, delays: np.ndarray) -> np.ndarray:
+    """A table's Fourier integrals at the delays, over its exact support with
+    pieces breaking at its knots; the first failure gets its ``index``."""
     try:
-        z, err = _segmented_fourier(f, knots, delays)
+        z, err = _segmented_fourier(density.evaluate, density.grid, delays)
     except IntegrationError as e:  # unless an earlier delay fails to converge
         _transform_quadrature(density, delays[:e.index])
         raise
-    if infinite:  # the remainder beyond the window, then the centre phase
-        for k, delay in enumerate(delays.tolist()):
-            zk = complex(z[k]) + density.oscillatory_tail(float(knots[-1]), delay)
-            if center != 0.0:
-                zk *= complex(math.cos(center * delay), -math.sin(center * delay))
-            z[k] = zk
     err = np.broadcast_to(err, z.shape)  # fmax and hypot as Python's max and abs
     bad = np.flatnonzero(err > _QUAD_ACCEPT * np.fmax(1.0, np.hypot(z.real, z.imag)))
     if bad.size:
@@ -320,23 +281,34 @@ def transforms(density: SpectralDensity, delays) -> np.ndarray:
     """Complex Fourier transforms of a density at each of the ``delays`` (s),
     in their shape (a 0-d delay gives a numpy complex scalar).
 
-    The density's kind picks the path: its closed form where it has one,
-    else the quadrature engine, which raises :class:`IntegrationError` at the
-    first delay, in raveled order, that it cannot resolve. A joint density
-    raises ``TypeError`` before any check or sum.
+    After :func:`_check`, the density's kind picks the path: the quadrature
+    engine for a table, which raises :class:`IntegrationError` at the first
+    delay, in raveled order, that it cannot resolve, else its closed form.
     """
-    if not isinstance(density, SpectralDensity):
-        raise TypeError(f"unsupported 1D density type {type(density).__name__}")
     delays = np.asarray(delays, dtype=float)
-    _check_normalized(density)
-    z = density.analytic_transform(delays)
-    if z is None:
-        z = _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
-    return z
+    _check(density, delays)
+    if isinstance(density, Tabulated):
+        return _transform_quadrature(density, delays.ravel()).reshape(delays.shape)[()]
+    return density.analytic_transform(delays)
 
 
-def _check_normalized(density) -> None:
-    """The one normalization check, made before any sum (of both ``Separable`` factors)."""
+def _check(density, *delays: np.ndarray, joint: bool = False) -> None:
+    """The one input check, made before any sum: a ``TypeError`` names a density
+    not of the kind asked for (``joint``, else 1D: a table or a class overriding
+    ``analytic_transform``, as each ``Separable`` factor must be), then a
+    ``ValueError`` the first non-finite delay, raveled, or a density not normalized."""
+    factors = [density]
+    if joint:
+        if not isinstance(density, (Separable, Tabulated2D)):
+            raise TypeError(f"unsupported joint density type {type(density).__name__}")
+        factors = [density.d1, density.d2] if isinstance(density, Separable) else []
+    for d in factors:
+        if not (isinstance(d, Tabulated) or isinstance(d, SpectralDensity) and (
+                type(d).analytic_transform is not SpectralDensity.analytic_transform)):
+            raise TypeError(f"unsupported 1D density type {type(d).__name__}")
+    for d in delays:
+        if not np.isfinite(d).all():
+            raise ValueError(f"delays must be finite, got {float(d[~np.isfinite(d)][0])!r}")
     if not density.is_normalized:
         raise ValueError("density must be normalized (call normalize() first)")
 
@@ -403,31 +375,28 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime) -> np.nd
     """Complex phase-matching transforms at the numpy broadcast of the delay
     arrays ``taus_prime`` and ``taus_dprime`` (s), in its shape (a 0-d pair gives
     a numpy complex scalar; shapes that do not broadcast raise numpy's
-    ``ValueError``). On a ``Separable`` density, the first failing pair, raveled,
-    raises :class:`IntegrationError` with its position as ``index``.
+    ``ValueError``), after :func:`_check`. On a ``Separable`` density, the first
+    failing pair, raveled, raises :class:`IntegrationError` with its ``index``.
 
     Separable densities factor exactly into two 1D transforms; a ``Tabulated2D``
     sums each pair alone, in blocks of about ``_BLOCK_CELLS`` pair x knot cells.
     """
     tp, td = np.broadcast_arrays(np.asarray(taus_prime, dtype=float),
                                  np.asarray(taus_dprime, dtype=float))
+    _check(pm, tp, td, joint=True)
     if isinstance(pm, Separable):
-        _check_normalized(pm)
         try:
             z1 = transforms(pm.d1, tp)
         except IntegrationError as e:  # unless an earlier pair fails in d2
             transforms(pm.d2, td.ravel()[:e.index])
             raise
         return z1 * transforms(pm.d2, td)
-    if isinstance(pm, Tabulated2D):
-        _check_normalized(pm)
-        u, v = tp.ravel(), td.ravel()
-        z = np.empty(u.size, dtype=complex)
-        step = max(1, _BLOCK_CELLS // pm.grid1.size)
-        for i in range(0, u.size, step):
-            z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
-        return z.reshape(tp.shape)[()]
-    raise TypeError(f"unsupported joint density type {type(pm).__name__}")
+    u, v = tp.ravel(), td.ravel()
+    z = np.empty(u.size, dtype=complex)
+    step = max(1, _BLOCK_CELLS // pm.grid1.size)
+    for i in range(0, u.size, step):
+        z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
+    return z.reshape(tp.shape)[()]
 
 
 def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
@@ -448,14 +417,11 @@ def coherence_surface(pm: JointSpectralDensity, grid_prime,
     """
     gp = np.asarray(grid_prime, dtype=float).ravel()
     gd = np.asarray(grid_dprime, dtype=float).ravel()
+    _check(pm, gp, gd, joint=True)
     if isinstance(pm, Separable):
-        _check_normalized(pm)
         z = np.outer(_surface_axis(pm.d1, gp, "row"), _surface_axis(pm.d2, gd, "column"))
-    elif isinstance(pm, Tabulated2D):
-        _check_normalized(pm)
-        z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
     else:
-        raise TypeError(f"unsupported joint density type {type(pm).__name__}")
+        z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
     mag, phase = _polar(z)
     return [[CoherenceValue(*cell) for cell in zip(*row)]
             for row in zip(mag.tolist(), phase.tolist())]

@@ -115,6 +115,9 @@ class OracleTerm:
     ``tail_mass`` is the joint mass outside the integration window,
     ``1 - prod(1 - m)`` over the axes' masses ``m`` beyond their spans;
     with coupling it bounds the grid's loss from above (see the module notes).
+    It and ``coarse_rel_change`` estimate the term's error but do not bound
+    it: on coupled table sources the gap to the exact shifted product passed
+    ``tail_mass + coarse_rel_change`` in 5 of 68 seeded cases, by up to 2.8x.
     """
 
     value: float

@@ -24,7 +24,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SpectralDensity:
-    """Base class for 1D normalized spectral power densities."""
+    """Base class for 1D normalized spectral power densities. The coherence
+    transforms take one by its closed form, :meth:`analytic_transform`, which
+    a subclass must override unless it is a :class:`Tabulated`."""
 
     #: Peak position (rad/s). Zero means the density sits on the carrier.
     center_offset: float = 0.0
@@ -52,15 +54,6 @@ class SpectralDensity:
     def mass_outside(self, lo: float, hi: float) -> float:
         """Exact probability mass outside the interval [lo, hi]."""
         raise NotImplementedError
-
-    def oscillatory_tail(self, half_span: float, delay: float) -> float:
-        """Both-sided ``integral of f(u) cos(u*delay) du`` over ``|u - center| > half_span``.
-
-        Used by the quadrature engine to correct finite-window Fourier
-        integrals of shapes with slowly decaying tails. Finite-support
-        and effectively-compact shapes return 0.
-        """
-        return 0.0
 
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray | None:
         """Closed-form ``integral of f(w) exp(-i w delay) dw`` at each of the
@@ -124,26 +117,6 @@ def _sine_integral(x: float) -> float:
             break
     h *= complex(math.cos(t), -math.sin(t))
     return math.copysign(math.pi / 2 + h.imag, x)
-
-
-def _cos_tail_integral(n: int, freq: float, lower: float) -> float:
-    """``integral of cos(freq*u)/u**(2n) du`` from ``lower`` to infinity, exact.
-
-    Recursive integration by parts; the n=1 base case is the standard
-    sine-integral form. ``freq`` may be zero.
-    """
-    t = abs(freq)
-    if n == 1:
-        if t == 0.0:
-            return 1.0 / lower
-        si = _sine_integral(t * lower)
-        return math.cos(t * lower) / lower - t * (math.pi / 2 - si)
-    m = 2 * n
-    return (
-        math.cos(t * lower) / ((m - 1) * lower ** (m - 1))
-        - t * math.sin(t * lower) / ((m - 1) * (m - 2) * lower ** (m - 2))
-        - t * t / ((m - 1) * (m - 2)) * _cos_tail_integral(n - 1, t, lower)
-    )
 
 
 class _AnalyticShape(SpectralDensity):
@@ -212,16 +185,6 @@ class Lorentzian(_AnalyticShape):
         b = (hi - self.center_offset) / self.gamma
         return (0.5 + math.atan(a) / math.pi) + (0.5 - math.atan(b) / math.pi)
 
-    def oscillatory_tail(self, half_span: float, delay: float) -> float:
-        # Expand 1/(u^2 + g^2) in powers of (g/u)^2; three terms leave a
-        # relative residual ~(g/half_span)^7, negligible for spans >= 32 g.
-        g = self.gamma
-        i2 = _cos_tail_integral(1, delay, half_span)
-        i4 = _cos_tail_integral(2, delay, half_span)
-        i6 = _cos_tail_integral(3, delay, half_span)
-        one_side = (g / math.pi) * (i2 - g * g * i4 + g ** 4 * i6)
-        return 2.0 * one_side
-
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         mag = np.exp(-self.gamma * np.abs(delays))
         return mag * self._centre_phase(delays)
@@ -258,18 +221,6 @@ class SincSquared(_AnalyticShape):
         below = 1.0 - self._mass_above(lo - self.center_offset)
         above = self._mass_above(hi - self.center_offset)
         return below + above
-
-    def oscillatory_tail(self, half_span: float, delay: float) -> float:
-        # f(u) = w sin^2(u/w) / (pi u^2); with sin^2 = (1 - cos(2u/w))/2 the
-        # tail reduces exactly to three sine-integral kernels.
-        w = self.width
-        t = abs(delay)
-        one_side = (w / (2.0 * math.pi)) * (
-            _cos_tail_integral(1, t, half_span)
-            - 0.5 * _cos_tail_integral(1, 2.0 / w + t, half_span)
-            - 0.5 * _cos_tail_integral(1, abs(2.0 / w - t), half_span)
-        )
-        return 2.0 * one_side
 
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray:
         # Fourier pair of sinc^2 is the triangle function.

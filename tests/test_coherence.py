@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import window_quadrature
 from triphoton import coherence
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
                                  gamma_prime, gamma_pump, joint_transforms,
@@ -18,7 +19,7 @@ from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.errors import IntegrationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
-                               Tabulated, Tabulated2D)
+                               SpectralDensity, Tabulated, Tabulated2D)
 
 ANALYTIC = [Gaussian(sigma=1.0), Lorentzian(gamma=1.0), SincSquared(width=1.0)]
 
@@ -174,6 +175,15 @@ def _unnormalized():
     return [raw_table, Separable(gauss, raw_table), Separable(raw_table, gauss), raw_table2d]
 
 
+def _forbid_sums(monkeypatch):
+    # the quadrature engine and the 2D table transform fail the test if run
+    def no_sum(*args):
+        raise AssertionError("a sum ran before the input was rejected")
+
+    for name in ("_segmented_fourier", "_tabulated2d_transform"):
+        monkeypatch.setattr(coherence, name, no_sum)
+
+
 _ENTRY_POINTS_1D = {
     "transforms": lambda d: transforms(d, [0.0, 0.3]),
     "transforms_no_delays": lambda d: transforms(d, []),
@@ -195,11 +205,7 @@ _ENTRY_POINTS_2D = {
 def test_entry_points_reject_bad_input_before_any_sum(entry, density, monkeypatch):
     # one normalization check per density kind: a 2D table is rejected like
     # a 1D one, before any quadrature or tensor sum
-    def no_sum(*args):
-        raise AssertionError("a sum ran before the input was rejected")
-
-    for name in ("_segmented_fourier", "_tabulated2d_transform"):
-        monkeypatch.setattr(coherence, name, no_sum)
+    _forbid_sums(monkeypatch)
     entry_points = {**_ENTRY_POINTS_1D, **_ENTRY_POINTS_2D}
     with pytest.raises(ValueError, match=r"^density must be normalized \(call normalize\(\) first\)$"):
         entry_points[entry](density)
@@ -274,13 +280,62 @@ def test_1d_entry_points_name_a_joint_density_kind(entry, density, monkeypatch):
     # these raised a bare AttributeError (no analytic_transform), or, for a
     # joint density not normalized, the normalization error; the kind is named
     # before that check and before any sum
-    def no_sum(*args):
-        raise AssertionError("a sum ran before the input was rejected")
-
-    for name in ("_segmented_fourier", "_tabulated2d_transform"):
-        monkeypatch.setattr(coherence, name, no_sum)
+    _forbid_sums(monkeypatch)
     with pytest.raises(TypeError, match=f"^unsupported 1D density type {type(density).__name__}$"):
         _DISPATCH_1D[entry](density)
+
+
+class _NoTransform(SpectralDensity):
+    # a unit-area Gaussian of infinite support, without a closed form or a table
+    characteristic_width = 1.0
+
+    def evaluate(self, detuning):
+        return Gaussian(sigma=1.0).evaluate(detuning)
+
+
+@pytest.mark.parametrize("entry, density", [
+    pytest.param(entry, density, id=f"{entry}-{name}")
+    for name, density in (("alone", _NoTransform()),
+                          ("first_factor", Separable(_NoTransform(), asym_tabulated())),
+                          ("second_factor", Separable(asym_tabulated(), _NoTransform())))
+    for entry in (_DISPATCH_1D if name == "alone" else _DISPATCH_2D)])
+def test_a_1d_density_without_a_transform_is_named(entry, density, monkeypatch):
+    # the library ran a graded-window quadrature on such a density; with
+    # none, its kind is named before any sum, also that of a separable
+    # factor whose table partner would be summed first
+    _forbid_sums(monkeypatch)
+    with pytest.raises(TypeError, match="^unsupported 1D density type _NoTransform$"):
+        {**_DISPATCH_1D, **_DISPATCH_2D}[entry](density)
+
+
+# a non-finite delay in each entry point, placed where a sum over the other
+# delays (a table factor's, or a surface's rows) would come first
+_NONFINITE_1D = {
+    "transforms": lambda d, bad: transforms(d, [0.3, bad, 0.0]),
+    "transform_1d": lambda d, bad: transform_1d(d, bad),
+    "gamma_pump": lambda d, bad: gamma_pump(d, bad),
+}
+_NONFINITE_2D = {
+    "joint_transforms": lambda d, bad: joint_transforms(d, [0.0, 0.3], [0.2, bad]),
+    "gamma_prime": lambda d, bad: gamma_prime(d, bad, 0.3),
+    "coherence_surface": lambda d, bad: coherence_surface(d, [0.0, 0.3], [0.2, bad]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("entry, density", [
+    pytest.param(entry, density, id=f"{entry}-{name}")
+    for name, density in (("closed_form", Gaussian(sigma=1.0)), ("table", asym_tabulated()),
+                          ("separable", Separable(asym_tabulated(), Gaussian(sigma=1.0))),
+                          ("tabulated2d", correlated_table(0.3)))
+    for entry in (_NONFINITE_2D if isinstance(density, (Separable, Tabulated2D))
+                  else _NONFINITE_1D)])
+def test_nonfinite_delays_named_before_any_sum(entry, density, bad, monkeypatch):
+    # a closed form returned nan+nanj or warned, a table's quadrature failed
+    # on its piece count, a 2D table on its phase or returned nan+nanj
+    _forbid_sums(monkeypatch)
+    with pytest.raises(ValueError, match=f"^delays must be finite, got {re.escape(repr(bad))}$"):
+        {**_NONFINITE_1D, **_NONFINITE_2D}[entry](density, bad)
 
 
 class TestGammaPrime:
@@ -555,7 +610,7 @@ def _accuracy_cases(draw):
         shape = {"gaussian": Gaussian, "lorentzian": Lorentzian,
                  "sinc_squared": SincSquared}[kind]
         density = shape(draw(st.floats(0.5, 2.0)) * scale)
-        knots = coherence._window_knots(density.characteristic_width)
+        knots = window_quadrature._window_knots(density.characteristic_width)
         f = density.evaluate  # centred on 0
     widths = np.diff(knots)
     # +-0.0; the widest interval split k ways at the 1.5-rad piece bound,
@@ -687,9 +742,9 @@ def _quadrature_reference(density, delay):
     if not (math.isinf(lo) or math.isinf(hi)):
         return _segmented_fourier_listcomp(density.evaluate, density.grid, delay)[0]
     center = density.center
-    knots = coherence._window_knots(density.characteristic_width)
+    knots = window_quadrature._window_knots(density.characteristic_width)
     z, _ = _segmented_fourier_listcomp(lambda u: density.evaluate(center + u), knots, delay)
-    z += density.oscillatory_tail(float(knots[-1]), delay)
+    z += window_quadrature.oscillatory_tail(density, float(knots[-1]), delay)
     if center != 0.0:
         z *= complex(math.cos(center * delay), -math.sin(center * delay))
     return z
@@ -748,7 +803,7 @@ class TestBatchedQuadrature:
         if isinstance(density, Tabulated):
             knots, unit = density.grid, 1.0 / float(np.median(np.diff(density.grid)))
         else:
-            knots = coherence._window_knots(density.characteristic_width)
+            knots = window_quadrature._window_knots(density.characteristic_width)
             unit = 1.0 / density.characteristic_width
         delays = np.array([0.0, 3.7, -0.0, 0.01, 3.7, -3.7, 9.0, 0.3, 9.0]) * unit
         layouts = {np.maximum(1, np.ceil(abs(t) * np.diff(knots)
