@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .constants import SPEED_OF_LIGHT
 from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
-                     IntegrationError, NormalizationError, ParseError,
-                     ValidationError)
+                     NormalizationError, ParseError, ValidationError)
 from .spectra import (Gaussian, JointSpectralDensity, Lorentzian, Separable,
                       SincSquared, SpectralDensity, Tabulated, Tabulated2D)
 from .pathgeom import (CentralFrequencies, PathConfiguration, ReducedParameters,
@@ -36,8 +35,7 @@ from .experiments import (DipMetrics, DipProfile, ExtremumKind, FringeMetrics,
 __all__ = [
     "SPEED_OF_LIGHT", "__version__",
     # errors
-    "CarrierPhaseOverflowError", "InsufficientSamplingError", "IntegrationError",
-    "NormalizationError",
+    "CarrierPhaseOverflowError", "InsufficientSamplingError", "NormalizationError",
     "ParseError", "ValidationError",
     # spectra
     "Gaussian", "JointSpectralDensity", "Lorentzian", "Separable", "SincSquared",

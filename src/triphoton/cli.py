@@ -50,8 +50,7 @@ import numpy as np
 from . import __version__
 from .coherence import DelayTriple
 from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
-                     IntegrationError, NormalizationError, ParseError,
-                     ValidationError)
+                     NormalizationError, ParseError, ValidationError)
 from .experiments import (SweepSpec, SweepTable, SweepVariable,
                           extract_dip_profile, extract_fringe_metrics, run_sweep)
 from .oracle import (LinearShift, OracleConfig, _pump_rescale_factor,
@@ -543,8 +542,8 @@ def main(argv=None) -> int:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
         out_dir = Path(args.out or config.out_dir or "triphoton_out")
         run(args.subcommand, config, out_dir)
-    except (ParseError, ValidationError, IntegrationError,
-            InsufficientSamplingError, NormalizationError) as e:
+    except (ParseError, ValidationError, InsufficientSamplingError,
+            NormalizationError) as e:
         message = " ".join(str(e).split())
         print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
         return 1

@@ -29,8 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import (CarrierPhaseOverflowError, InsufficientSamplingError,
-                     IntegrationError)
+from .errors import CarrierPhaseOverflowError, InsufficientSamplingError
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
 from .rates import (AlternativeAmplitudes, SourceModel, _carrier_phase,
@@ -128,11 +127,10 @@ _SWEEP_ROWS = 4096
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the rate across the sweep; aborts on the first bad row.
+    """Evaluate the rate across the sweep.
 
     The rate core that :func:`rate_length` views one row of makes every
-    row, a block of rows per call, so each equals it bit for bit, and a
-    failing sweep names the row where :func:`rate_length` fails first.
+    row, a block of rows per call, so each equals it bit for bit.
     """
     values = np.linspace(spec.start, spec.stop, spec.n_points)
     columns = [np.empty(values.size) for _ in range(5)]
@@ -140,14 +138,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for start in range(0, values.size, _SWEEP_ROWS):
         block = values[start:start + _SWEEP_ROWS]
         *lengths, dphi = _parameter_columns(spec, block)
-        try:
-            parts = _rate_columns(spec.source, [x / SPEED_OF_LIGHT for x in lengths],
-                                  dphi, spec.amps, spec.fixed.topdc_choice, fixed)
-        except IntegrationError as e:
-            i = start + e.index
-            raise IntegrationError(
-                f"sweep row {i} ({spec.variable.value} = {float(values[i])!r}): {e}",
-                value=e.value, error_estimate=e.error_estimate) from e
+        parts = _rate_columns(spec.source, [x / SPEED_OF_LIGHT for x in lengths],
+                              dphi, spec.amps, spec.fixed.topdc_choice, fixed)
         for column, part in zip(columns, parts):
             column[start:start + block.size] = part
     return SweepTable(spec.variable, values, *columns, float(spec.amps.baseline))

@@ -57,7 +57,6 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .coherence import DelayTriple, _polar, joint_transforms, transforms
-from .errors import IntegrationError
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
                     _carrier_phase, rate_time)
@@ -310,8 +309,7 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     :func:`interference_term_3d` at its ratio and delay bit for bit: g' is
     computed once per delay, g once per ratio, and the oracle builds each
     ratio's grids once. An overflowing carrier phase raises before any sum
-    runs; a transform failure raises the error of the first failing row in
-    ratio-major order, g before g' within a row.
+    runs.
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
@@ -323,11 +321,7 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
     for ratio in ratios:
         src = source.with_pump(source.pump.with_width_scaled(_pump_rescale_factor(source, ratio)))
         if gp is None:  # g' does not depend on the pump
-            try:
-                gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))
-            except IntegrationError as e:  # unless g fails first, at or before that row
-                transforms(src.pump, columns[0][:e.index + 1])
-                raise
+            gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))
         g = _polar(transforms(src.pump, columns[0]))
         _, arg, _ = _assemble_rate(phase, *g, *gp, 1.0, 1.0)  # the argument only
         terms = _interference_terms(src, delays, phase, cfg)

@@ -31,7 +31,7 @@ import numpy as np
 from . import pathgeom
 from .coherence import DelayTriple, _polar, joint_transforms, transforms
 from .coherence import gamma_prime  # noqa: F401  (bench/spans.py traces rates.gamma_prime)
-from .errors import CarrierPhaseOverflowError, IntegrationError
+from .errors import CarrierPhaseOverflowError
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind, carrier_omegas
 from .spectra import JointSpectralDensity, SpectralDensity
 
@@ -138,19 +138,12 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
 def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int,
                   fixed: dict | None = None):
     """The :class:`RateResult` columns but the baseline at the delay columns
-    ``(dt, dt', dt'')`` (s) and ``delta_phi``; a transform failure re-raises the
-    first failing row's error (g before g') with that row as ``index``.
-    ``fixed`` keeps the factors at fixed delays for the next call on this
-    source (see :func:`_factor_columns`)."""
+    ``(dt, dt', dt'')`` (s) and ``delta_phi``. ``fixed`` keeps the factors at
+    fixed delays for the next call on this source (see :func:`_factor_columns`)."""
     carriers = carrier_omegas(source.centrals, source.kind, choice)
     phase = _carrier_phase(carriers, delays, delta_phi)
     u, v = pathgeom._native_pm_delays(source.kind, choice, delays[1], delays[2])
-    try:
-        g = _factor_columns(transforms, source.pump, delays[0], fixed=fixed)
-    except IntegrationError as e:  # unless g' fails in an earlier row
-        _factor_columns(joint_transforms, source.phase_matching, u[:e.index], v[:e.index],
-                        fixed=fixed)
-        raise
+    g = _factor_columns(transforms, source.pump, delays[0], fixed=fixed)
     gp = _factor_columns(joint_transforms, source.phase_matching, u, v, fixed=fixed)
     rate, arg, vis = _assemble_rate(phase, *g, *gp, amps.amplitude_visibility,
                                     amps.baseline)
@@ -161,10 +154,9 @@ def _factor_columns(core, density, *columns: np.ndarray, fixed: dict | None = No
     """``core`` at the one or two delay columns of a block of rows, in polar
     form per row. A sweep leaves a factor's columns fixed or sweeps them, so
     columns that hold the same delays on every row of the block (``==``: +0.0
-    and -0.0 alike) are computed once, on its first row, and a failure there
-    names row 0; otherwise every row is computed in order and a failure names
-    its own row. ``fixed`` keeps the first row's polar values by core and
-    delays, so a caller that passes one dict to every block of a sweep
+    and -0.0 alike) are computed once, on its first row; otherwise every row
+    is computed in order. ``fixed`` keeps the first row's polar values by core
+    and delays, so a caller that passes one dict to every block of a sweep
     computes a fixed factor once per sweep."""
     n = columns[0].size
     if n == 0 or any((c != c[0]).any() for c in columns):

@@ -57,7 +57,10 @@ class SpectralDensity:
 
     def analytic_transform(self, delays: np.ndarray) -> np.ndarray | None:
         """Closed-form ``integral of f(w) exp(-i w delay) dw`` at each of the
-        float array ``delays``, as a complex array; None if unknown."""
+        float array ``delays``, as a complex array. The coherence transforms
+        call it only where a class overrides it: a table has its own exact
+        transform, and any other density is rejected before a call, so this
+        base returns None."""
         return None
 
     def with_width_scaled(self, factor: float) -> "SpectralDensity":
@@ -229,10 +232,13 @@ class SincSquared(_AnalyticShape):
 
 
 class Tabulated(SpectralDensity):
-    """Piecewise-linear density on a strictly increasing grid.
+    """Piecewise-linear density on a strictly increasing grid: the linear
+    interpolant of its samples, zero outside the grid support. The coherence
+    transforms take exactly this function, in closed form, so a table's g is
+    its interpolant's transform, not that of the function it samples.
 
-    Zero outside the grid support. Construct with raw samples and call
-    :meth:`normalize` before feeding it to the coherence engine.
+    Construct with raw samples and call :meth:`normalize` before feeding it
+    to the coherence transforms.
     """
 
     def __init__(self, grid, values, center_offset: float = 0.0):

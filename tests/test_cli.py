@@ -849,7 +849,7 @@ def test_cli_import_loads_neither_argparse_nor_json():
 
 
 def test_cli_import_loads_no_numpy_polynomial():
-    # the quadrature rules are literals (1.8 MB resident and about 2 ms saved)
+    # no transform needs numpy.polynomial (1.8 MB resident and about 2 ms)
     assert _modules_after_cli_import(
         "sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))") == "[]"
 

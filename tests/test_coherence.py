@@ -1,23 +1,26 @@
 import cmath
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import window_quadrature
+import triphoton
 from triphoton import coherence
 from triphoton.coherence import (CoherenceValue, DelayTriple, coherence_surface,
                                  gamma_prime, gamma_pump, joint_transforms,
                                  transform_1d, transforms)
 from triphoton.constants import SPEED_OF_LIGHT
-from triphoton.errors import IntegrationError
 from triphoton.spectra import (Gaussian, Lorentzian, Separable, SincSquared,
                                SpectralDensity, Tabulated, Tabulated2D)
 
@@ -176,7 +179,7 @@ def _unnormalized():
 
 
 def _forbid_sums(monkeypatch):
-    # the quadrature engine and the 2D table transform fail the test if run
+    # the 1D and 2D table transforms fail the test if run
     def no_sum(*args):
         raise AssertionError("a sum ran before the input was rejected")
 
@@ -228,16 +231,16 @@ def test_separable_factors_checked_before_either_quadrature(entry, monkeypatch):
 
 
 def _kinds_and_their_sums():
-    """Each density kind, with the numerical sums its transform runs: none
-    for a closed form, the quadrature engine for a table (or a separable
-    factor that is one), the exact table transform for a 2D table."""
+    """Each density kind, with the table sums its transform runs: none for an
+    analytic shape, the exact 1D table transform for a table (or a separable
+    factor that is one), the exact 2D table transform for a 2D table."""
     g = np.linspace(-4, 4, 97)
     table2d = Tabulated2D(g, g, np.outer(np.exp(-g ** 2), np.exp(-g ** 2))).normalize()
     return [(d, set()) for d in ANALYTIC] + [
-        (asym_tabulated(), {"quadrature"}),
+        (asym_tabulated(), {"table1d"}),
         (Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.0)), set()),
-        (Separable(asym_tabulated(), SincSquared(width=1.0)), {"quadrature"}),
-        (Separable(Gaussian(sigma=1.0), asym_tabulated()), {"quadrature"}),
+        (Separable(asym_tabulated(), SincSquared(width=1.0)), {"table1d"}),
+        (Separable(Gaussian(sigma=1.0), asym_tabulated()), {"table1d"}),
         (table2d, {"table2d"}),
     ]
 
@@ -261,7 +264,7 @@ _DISPATCH_2D = {
                   else _DISPATCH_1D)])
 def test_density_kind_alone_picks_the_transform(entry, density, sums, monkeypatch):
     ran = set()
-    for name, label in (("_segmented_fourier", "quadrature"),
+    for name, label in (("_segmented_fourier", "table1d"),
                         ("_tabulated2d_transform", "table2d")):
         engine = getattr(coherence, name)
         monkeypatch.setattr(coherence, name,
@@ -364,11 +367,11 @@ class TestGammaPrime:
         assert z == pytest.approx(z1 * z2, rel=1e-12)
 
     @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
-    def test_product_tables_equal_the_1d_engines_product(self, jittered):
+    def test_product_tables_equal_the_1d_engines_product(self, jittered, quadrature):
         # one model for both containers: a product table transforms as the
-        # product of its two 1D tables, the 1D engine's piecewise-linear
-        # interpolants, from |tau| h = 0 through the series switch (p = tau h / 2
-        # at 0.1) to 150
+        # product of the quadrature engine's integrals of its two 1D tables'
+        # piecewise-linear interpolants, from |tau| h = 0 through the series
+        # switch (p = tau h / 2 at 0.1) to 150
         rng = np.random.default_rng(5)
         if jittered:
             g1, g2 = (np.cumsum(rng.uniform(0.05, 0.15, n)) for n in (161, 241))
@@ -378,14 +381,14 @@ class TestGammaPrime:
         v1 = np.exp(-g1 ** 2 / 2) * (1 + 0.3 * np.tanh(g1))
         v2 = np.exp(-g2 ** 2 / (2 * 1.5 ** 2))
         table = Tabulated2D(g1, g2, np.outer(v1, v2)).normalize()
-        tables = Separable(Tabulated(g1, v1).normalize(), Tabulated(g2, v2).normalize())
+        t1, t2 = Tabulated(g1, v1).normalize(), Tabulated(g2, v2).normalize()
         tau_h = np.array([0.0, 1e-3, 0.05, 0.19, 0.2, 0.21, 0.5, 1.0, 3.0, 10.0, 30.0,
                           100.0, 150.0])
         h = 0.1  # mean spacing on both axes
         for taus_prime, taus_dprime in ((tau_h / h, -tau_h[::-1] / h),
                                         (-tau_h / h, np.full_like(tau_h, 3.0))):
-            gap = joint_transforms(table, taus_prime, taus_dprime) - joint_transforms(
-                tables, taus_prime, taus_dprime)
+            gap = joint_transforms(table, taus_prime, taus_dprime) - (
+                quadrature(t1, taus_prime) * quadrature(t2, taus_dprime))
             assert np.max(np.abs(gap)) <= 1e-13
 
     def test_table_to_continuum_gap_is_the_interpolation_term(self):
@@ -446,7 +449,8 @@ class TestGammaPrime:
         (correlated_table(0.4), -8.0),
         (Separable(Gaussian(sigma=1.0, center_offset=8.0), Gaussian(sigma=1.0)), 8.0),
         (Separable(Lorentzian(gamma=1.0, center_offset=-8.0), Gaussian(sigma=1.0)), -8.0),
-        (Separable(Lorentzian(gamma=1.0), SincSquared(width=1.0, center_offset=-8.0)), -8.0)])
+        (Separable(Lorentzian(gamma=1.0), SincSquared(width=1.0, center_offset=-8.0)), -8.0),
+        (Separable(asym_tabulated(), Gaussian(sigma=1.0)), 3.0)])
     def test_overflowing_phase_named(self, density, knot):
         message = f"the phase of {knot!r} rad/s overflows at delay 1.7e+308 s"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -508,196 +512,62 @@ class TestOscillatorySafeguard:
         z = transform_1d(asym_tabulated(), 2e4)
         assert abs(z) <= 1e-6  # coherence long gone at such delays
 
-    @pytest.mark.parametrize("density, delay", [
-        (Tabulated([-0.5, 0.5], [1.0, 1.0]), 1e12),
-        (Tabulated([-1e13, 1e13], [1.0, 1.0]), 1e300),  # the count overflows
-        # mass on one knot: a rounding-noise width, one over it a huge delay
-        (Tabulated([-0.499528127250639, 0.4995281272506391],
-                   [0.3131155348796092, 0.0]), None),
-    ])
-    def test_piece_count_capped(self, density, delay):
-        # the piece layout would need terabytes; it must fail by name instead
-        density = density.normalize()
-        delay = delay or 1.0 / density.characteristic_width
-        with pytest.raises(IntegrationError, match=re.escape(f"at delay {delay!r} s ")):
-            transform_1d(density, delay)
 
 
-def _per_knot_pieces(knots, delay):
-    # the piece layout built by a Python loop over the knots: starts and half-widths
-    widths = np.diff(knots)
-    n_sub = np.maximum(1, np.ceil(np.abs(delay) * widths
-                                  / coherence._MAX_PHASE_PER_PIECE).astype(int))
-    piece_lo = np.repeat(knots[:-1], n_sub) + np.concatenate(
-        [w * np.arange(k) / k for w, k in zip(widths, n_sub)])
-    return piece_lo, 0.5 * np.repeat(widths / n_sub, n_sub)
+class TestTableTransform:
+    """A 1D table transforms as its piecewise-linear interpolant, in closed
+    form, in blocks of ``_BLOCK_CELLS // intervals`` delays."""
+
+    @pytest.mark.parametrize("cells", [100, None])
+    def test_blocked_delays_equal_lone_delays_bit_for_bit(self, cells, monkeypatch):
+        if cells:
+            monkeypatch.setattr(coherence, "_BLOCK_CELLS", cells)
+        density = _jittered_table(11, 41)
+        step = coherence._BLOCK_CELLS // 40  # delays per block of 40 intervals
+        assert step >= 2
+        # tau a from 0 through the series switch at 0.1 to about 3
+        reach = 6.0 / float(np.diff(density.grid).max())
+        delays = [0.0, -0.0] + np.random.default_rng(2).uniform(-reach, reach, 3 * step).tolist()
+        assert len(delays) > 3 * step  # at least three blocks, the last one short
+        lone = [transforms(density, t) for t in delays]
+        assert _bits(transforms(density, delays)) == _bits(lone)
+
+    @pytest.mark.parametrize("delay", [1e150, 1e300, -1e300])
+    def test_huge_delays_stay_finite_and_bounded(self, delay):
+        # the quadrature engine needed more pieces than memory holds; the
+        # closed form's series never sees such p = tau a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = transforms(asym_tabulated(), [delay, 0.3, -delay, 0.0])
+        assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= 1.0)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # numpy's reductions, not BLAS, sum a table's intervals: OpenBLAS
+        # splits its work by thread and adds the parts in another order
+        code = ("import sys, numpy as np\n"
+                "from triphoton.coherence import transforms\n"
+                "from triphoton.spectra import Tabulated\n"
+                "g = np.linspace(-8.0, 8.0, 401) + 0.01 * np.sin(np.arange(401.0))\n"
+                "t = Tabulated(g, np.exp(-g * g / 2) * (1.2 + np.tanh(g))).normalize()\n"
+                "sys.stdout.write(transforms(t, np.linspace(-30.0, 30.0, 501)).tobytes().hex())")
+        src = Path(triphoton.__file__).resolve().parents[1]
+        outputs = set()
+        for threads in ("1", "2"):  # no more than two BLAS threads
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            outputs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(outputs) == 1 and len(next(iter(outputs))) == 501 * 32
 
 
-def _segmented_fourier_listcomp(f, knots, delay):
-    # the per-knot layout under the moment sums; the array layout must
-    # reproduce its nodes, and so its sums, bit for bit
-    piece_lo, half = _per_knot_pieces(knots, delay)
-    origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])
-    [z], [err] = coherence._layout_sums(f, piece_lo, half, origin, np.array([delay]))
-    return complex(z), float(err)
-
-
-def _direct_gauss_legendre(f, knots, delay):
-    # the same two rules on the same layout, one complex exp per node
-    piece_lo, half = _per_knot_pieces(knots, delay)
-
-    def rule(nodes_weights):
-        x_ref, w_ref = nodes_weights
-        x = piece_lo[:, None] + half[:, None] * (x_ref[None, :] + 1.0)
-        w = half[:, None] * w_ref[None, :]
-        vals = np.asarray(f(x)) * np.exp(-1j * x * delay)
-        return complex(np.sum(w * vals))
-
-    z_hi = rule(coherence._GL_HI)
-    z_lo = rule(coherence._GL_LO)
-    return z_hi, abs(z_hi - z_lo)
-
-
-@pytest.mark.parametrize("rule, n", [("_GL_HI", 12), ("_GL_LO", 6)])
-def test_gauss_legendre_literals_are_leggauss(rule, n):
-    # the rules are written out so importing triphoton skips numpy.polynomial
-    for got, want in zip(getattr(coherence, rule), np.polynomial.legendre.leggauss(n),
-                         strict=True):
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-class TestSegmentedFourierLayout:
-    def test_matches_per_knot_layout_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        grid = np.cumsum(rng.uniform(0.5, 1.5, 61)) * 0.1
-        grid -= grid[0] + 2.0
-        vals = np.exp(-grid ** 2) * (1.0 + rng.uniform(0.0, 0.3, grid.size))
-        density = Tabulated(grid, vals).normalize()
-        widths = np.diff(density.grid)
-        mixed = 1.6 / float(np.median(widths))  # splits only the wider pieces
-        n_sub = np.ceil(mixed * widths / coherence._MAX_PHASE_PER_PIECE)
-        assert n_sub.min() == 1 and n_sub.max() > 1
-        for delay in (0.0, -0.0, 0.3, mixed, -mixed, 3.7 * mixed, 2e4):
-            z, err = coherence._segmented_fourier(density.evaluate, density.grid,
-                                                  np.array([delay]))
-            assert ((z[0], err[0])
-                    == _segmented_fourier_listcomp(density.evaluate, density.grid,
-                                                   delay))
-
-
-@st.composite
-def _accuracy_cases(draw):
-    # unit-mass densities at three scales: jittered tables of spacing ~0.1,
-    # some off centre by 3 or 10, so |x * delay| reaches ~2e3 rad (the
-    # direct sum rounds each node's phase, up to ~3e-17 |x * delay|, which
-    # sets that reach); tables whose spacings run over three decades, so
-    # pieces of h << s sit beside the widest; the analytic shapes on their
-    # graded window
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e12]))
-    kind = draw(st.sampled_from(["table", "mixed", "gaussian", "lorentzian",
-                                 "sinc_squared"]))
-    if kind in ("table", "mixed"):
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        n = draw(st.integers(2, 40))
-        steps = (10.0 ** rng.uniform(-3.0, 0.0, n - 1) if kind == "mixed"
-                 else rng.uniform(0.05, 0.15, n - 1))
-        grid = np.concatenate([[0.0], np.cumsum(steps)])
-        if kind == "table":
-            grid += draw(st.sampled_from([0.0, 3.0, -10.0]))
-        density = Tabulated(grid * scale, rng.uniform(0.1, 1.0, n)).normalize()
-        f, knots = density.evaluate, density.grid
-    else:
-        shape = {"gaussian": Gaussian, "lorentzian": Lorentzian,
-                 "sinc_squared": SincSquared}[kind]
-        density = shape(draw(st.floats(0.5, 2.0)) * scale)
-        knots = window_quadrature._window_knots(density.characteristic_width)
-        f = density.evaluate  # centred on 0
-    widths = np.diff(knots)
-    # +-0.0; the widest interval split k ways at the 1.5-rad piece bound,
-    # where the series argument delay * s peaks at 0.75; multiples of the
-    # inverse median spacing
-    boundary = 1.5 * draw(st.integers(1, 8)) / float(widths.max())
-    fractions = draw(st.lists(st.floats(-9.0, 9.0), max_size=4))
-    delays = [0.0, -0.0, boundary, -boundary] + [
-        t / float(np.median(widths)) for t in fractions]
-    return f, knots, np.array(delays)
-
-
-class TestMomentSumAccuracy:
-    @settings(max_examples=80, deadline=None)
-    @given(_accuracy_cases())
-    def test_matches_direct_gauss_legendre_sum(self, case):
-        f, knots, delays = case
-        z, err = coherence._segmented_fourier(f, knots, delays)
-        for k, delay in enumerate(delays.tolist()):
-            z_direct, err_direct = _direct_gauss_legendre(f, knots, delay)
-            assert z[k] == pytest.approx(z_direct, rel=0, abs=1e-13)
-            assert err[k] == pytest.approx(err_direct, rel=0, abs=1e-13)
-
-
-_moderate = st.floats(1e-100, 1e100).flatmap(lambda x: st.sampled_from([x, -x]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_moderate | st.sampled_from([0.0, -0.0]), _moderate)
-def test_two_product_is_exact(a, b):
-    # the common phase of a layout carries the product's rounding error
-    p, e = coherence._two_product(a, b)
-    assert p == a * b
-    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
-
-
-class _CountingNumpy:
-    # numpy as `coherence` sees it, counting the elements sent to exp, cos and sin
-    def __init__(self):
-        self.elements = 0
-
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if name not in ("exp", "cos", "sin"):
-            return attr
-
-        def counted(x, *args, **kwargs):
-            self.elements += np.size(x)
-            return attr(x, *args, **kwargs)
-        return counted
-
-
-class TestQuadratureCost:
-    def test_one_phase_per_piece_and_delay(self, monkeypatch):
-        density = _jittered_table(7, 401)
-        widths = np.diff(density.grid)
-        delays = np.linspace(-8.0, 8.0, 201) / float(np.median(widths))
-        counts = [np.maximum(1, np.ceil(abs(t) * widths / coherence._MAX_PHASE_PER_PIECE))
-                  for t in delays]
-        layouts = {c.tobytes() for c in counts}
-        proxy = _CountingNumpy()
-        monkeypatch.setattr(coherence, "np", proxy)
-        transforms(density, delays)
-        # a cos and a sin per piece and delay, plus at most 64 per layout
-        assert proxy.elements <= 2 * sum(c.sum() for c in counts) + 64 * len(layouts)
-
-    def test_memory_per_piece(self):
-        density = _jittered_table(7, 401)
-        widths = np.diff(density.grid)
-        delay = coherence._MAX_PHASE_PER_PIECE * 65000 / float(widths.sum())
-        pieces = np.maximum(1, np.ceil(delay * widths / coherence._MAX_PHASE_PER_PIECE)).sum()
-        assert 65000 <= pieces <= 66000
-        tracemalloc.start()
-        try:
-            coherence._segmented_fourier(density.evaluate, density.grid, np.array([delay]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / pieces <= 840  # bytes, as the comment on _MAX_PIECES states
-
-    @pytest.mark.parametrize("kind", ["quadrature", "tabulated2d"])
+class TestTableTransformCost:
+    @pytest.mark.parametrize("kind", ["table", "tabulated2d"])
     def test_memory_bounded_by_the_block(self, kind):
-        # the 1D delays share one layout of 400 pieces; their array passes run
-        # in blocks of _BLOCK_CELLS delay x piece cells, and a Tabulated2D sums
-        # its pairs in blocks of _BLOCK_CELLS pair x knot cells, so what grows
-        # with the delay count is only each delay's output and bookkeeping
-        if kind == "quadrature":
+        # a 1D table's delays run in blocks of _BLOCK_CELLS delay x interval
+        # cells, and a Tabulated2D sums its pairs in blocks of _BLOCK_CELLS
+        # pair x knot cells, so what grows with the delay count is only each
+        # delay's output and bookkeeping
+        if kind == "table":
             density = _jittered_table(7, 401)
             delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
             run = lambda n: transforms(density, delays[:n])  # noqa: E731
@@ -715,13 +585,12 @@ class TestQuadratureCost:
             finally:
                 tracemalloc.stop()
         per_delay = (peaks[10000] - peaks[5000]) / 5000
-        assert per_delay <= 400  # bytes: a z, an error, a delay and their tuples
+        assert per_delay <= 400  # bytes: each delay's z, zero and bookkeeping
         assert peaks[5000] - 5000 * per_delay <= 8 * cell_bytes * coherence._BLOCK_CELLS
 
     def test_memory_per_delay(self):
-        # the delays share one layout of 400 pieces; each keeps its position,
-        # z, error and gathered delay in arrays, not in Python tuples (those
-        # took about 260 bytes a delay)
+        # each delay keeps its z and its zero in arrays, not in Python tuples
+        # (those took about 260 bytes a delay)
         density = _jittered_table(7, 401)
         delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
         peaks = {}
@@ -735,21 +604,6 @@ class TestQuadratureCost:
         assert (peaks[10000] - peaks[5000]) / 5000 <= 128  # bytes
 
 
-def _quadrature_reference(density, delay):
-    # the quadrature at one delay: the per-knot layout, then for infinite
-    # support the oscillatory tail and the centre phase
-    lo, hi = density.support()
-    if not (math.isinf(lo) or math.isinf(hi)):
-        return _segmented_fourier_listcomp(density.evaluate, density.grid, delay)[0]
-    center = density.center
-    knots = window_quadrature._window_knots(density.characteristic_width)
-    z, _ = _segmented_fourier_listcomp(lambda u: density.evaluate(center + u), knots, delay)
-    z += window_quadrature.oscillatory_tail(density, float(knots[-1]), delay)
-    if center != 0.0:
-        z *= complex(math.cos(center * delay), -math.sin(center * delay))
-    return z
-
-
 def _jittered_table(seed, n=61):
     rng = np.random.default_rng(seed)
     grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 0.1
@@ -758,164 +612,8 @@ def _jittered_table(seed, n=61):
     return Tabulated(grid, vals).normalize()
 
 
-@st.composite
-def _quadrature_cases(draw):
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e12]))
-    kind = draw(st.sampled_from(["table", "gaussian", "lorentzian", "sinc_squared"]))
-    if kind == "table":
-        density = _jittered_table(draw(st.integers(0, 2 ** 32 - 1)),
-                                  draw(st.integers(2, 40)))
-        density = Tabulated(density.grid * scale, density.values / scale,
-                            center_offset=draw(st.floats(-5.0, 5.0)) * scale)
-        unit = 1.0 / float(np.median(np.diff(density.grid)))
-    else:
-        shape = {"gaussian": Gaussian, "lorentzian": Lorentzian,
-                 "sinc_squared": SincSquared}[kind]
-        density = shape(draw(st.floats(0.5, 2.0)) * scale,
-                        center_offset=draw(st.sampled_from([0.0, 3.0, -40.0])) * scale)
-        unit = 1.0 / density.characteristic_width
-    # multiples of the inverse knot spacing or width that split the pieces
-    # differently, signed, with repeats, +0.0 and -0.0
-    steps = st.sampled_from([0.3, 1.0, 1.6, 3.7, 9.0]).flatmap(
-        lambda m: st.floats(0.9 * m, 1.1 * m)).map(lambda t: t * unit)
-    picked = draw(st.lists(st.tuples(steps, st.sampled_from([1.0, -1.0])),
-                           min_size=1, max_size=5))
-    delays = [t * sign for t, sign in picked]
-    delays += draw(st.lists(st.sampled_from(delays), max_size=3)) + [0.0, -0.0]
-    return density, np.array(draw(st.permutations(delays)))
-
-
-class TestBatchedQuadrature:
-    @settings(max_examples=60, deadline=None)
-    @given(_quadrature_cases())
-    def test_equals_per_delay_quadrature_bit_for_bit(self, quadrature, case):
-        density, delays = case
-        z = quadrature(density, delays)
-        assert z.tolist() == [_quadrature_reference(density, t) for t in delays.tolist()]
-
-    @pytest.mark.parametrize("density", [_jittered_table(5), Gaussian(sigma=1.0),
-                                         SincSquared(width=2.0, center_offset=7.0)])
-    def test_one_evaluation_per_rule_and_layout(self, density, monkeypatch, quadrature):
-        calls = []
-        evaluate = type(density).evaluate
-        monkeypatch.setattr(type(density), "evaluate",
-                            lambda self, x: calls.append(np.shape(x)) or evaluate(self, x))
-        if isinstance(density, Tabulated):
-            knots, unit = density.grid, 1.0 / float(np.median(np.diff(density.grid)))
-        else:
-            knots = window_quadrature._window_knots(density.characteristic_width)
-            unit = 1.0 / density.characteristic_width
-        delays = np.array([0.0, 3.7, -0.0, 0.01, 3.7, -3.7, 9.0, 0.3, 9.0]) * unit
-        layouts = {np.maximum(1, np.ceil(abs(t) * np.diff(knots)
-                                         / coherence._MAX_PHASE_PER_PIECE)).tobytes()
-                   for t in delays}
-        assert 3 <= len(layouts) < len(delays)
-        quadrature(density, delays)
-        assert len(calls) == 2 * len(layouts)
-
-
 def _bits(sums):
     return np.array(sums, dtype=complex).view(np.int64).tolist()
-
-
-class TestDelayBlocks:
-    # 40 knot intervals; 100 delay x piece cells make blocks of two delays
-    density = _jittered_table(11, 41)
-
-    @pytest.mark.parametrize("cells", [100, None])
-    def test_blocked_sums_equal_lone_sums_bit_for_bit(self, cells, monkeypatch):
-        if cells:
-            monkeypatch.setattr(coherence, "_BLOCK_CELLS", cells)
-        knots = self.density.grid
-        piece_lo, half = _per_knot_pieces(knots, 0.0)  # one piece per interval
-        origin = 0.5 * float(knots[0]) + 0.5 * float(knots[-1])
-        step = coherence._BLOCK_CELLS // piece_lo.size
-        assert step >= 2
-        rng = np.random.default_rng(2)
-        reach = coherence._MAX_PHASE_PER_PIECE / float(np.diff(knots).max())
-        delays = [0.0, -0.0] + rng.uniform(-reach, reach, 3 * step).tolist()
-        assert len(delays) > 3 * step  # at least three blocks, the last one short
-        sums = np.column_stack(coherence._layout_sums(self.density.evaluate, piece_lo,
-                                                      half, origin, np.array(delays)))
-        lone = [np.column_stack(coherence._layout_sums(self.density.evaluate, piece_lo, half,
-                                                       origin, np.array([t])))[0]
-                for t in delays]
-        assert _bits(sums) == _bits(lone)
-
-    def test_one_evaluation_per_rule_and_layout(self, monkeypatch):
-        knots = self.density.grid
-        unit = 1.0 / float(np.median(np.diff(knots)))
-        delays = np.array([0.0, 0.3, -0.3, 3.7, 0.2, -3.7, 3.7, 0.1, 9.0, -9.0]) * unit
-        z, err = coherence._segmented_fourier(self.density.evaluate, knots, delays)
-        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 100)
-        calls = []
-        f = lambda x: calls.append(x.shape) or self.density.evaluate(x)  # noqa: E731
-        z_blocked, err_blocked = coherence._segmented_fourier(f, knots, delays)
-        layouts = {np.maximum(1, np.ceil(abs(t) * np.diff(knots)
-                                         / coherence._MAX_PHASE_PER_PIECE)).tobytes()
-                   for t in delays}
-        assert len(layouts) == 3 and len(calls) == 2 * len(layouts)
-        assert _bits(z_blocked) == _bits(z) and err_blocked.tolist() == err.tolist()
-
-    def test_capped_delay_in_a_later_block_evaluates_nothing(self, monkeypatch):
-        monkeypatch.setattr(coherence, "_BLOCK_CELLS", 100)
-        calls = []
-        delays = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 1e300, 0.6, 1e300])
-        with pytest.raises(IntegrationError,
-                           match=re.escape("at delay 1e+300 s needs ")) as info:
-            coherence._segmented_fourier(calls.append, self.density.grid, delays)
-        assert info.value.index == 5 and calls == []
-
-
-class _Stepped(Tabulated):
-    # a jump at 0.5 on one knot interval [-1, 1]: a piece boundary only when
-    # the interval is split four ways, so 2 < |delay| <= 3 converges and a
-    # delay that leaves one piece (|delay| <= 0.75) does not
-    def evaluate(self, x):
-        return super().evaluate(x) * (1.0 + 0.5 * (np.asarray(x) > 0.5))
-
-
-class TestQuadratureErrorOrder:
-    density = _Stepped([-1.0, 1.0], [0.5, 0.5])
-    capped = ("coherence quadrature at delay 1e+300 s needs 1.33e+300 pieces, "
-              "more than the 262144 allowed")
-
-    def _raised(self, delays):
-        with pytest.raises(IntegrationError) as info:
-            transforms(self.density, np.array(delays))
-        return info.value
-
-    def test_unresolved_delay_before_capped_one(self):
-        z, err = _segmented_fourier_listcomp(self.density.evaluate, self.density.grid, 0.3)
-        assert err > 1e-8
-        transform_1d(self.density, 2.5)  # four pieces: converges
-        e = self._raised([2.5, 0.3, 1e300, 0.3])
-        assert str(e) == f"coherence quadrature did not converge (estimated error {err:.3e})"
-        assert (e.index, e.value, e.error_estimate) == (1, z, err)
-
-    def test_capped_delay_before_unresolved_one(self):
-        e = self._raised([2.5, 1e300, 0.3])
-        assert str(e) == self.capped
-        assert (e.index, e.value, e.error_estimate) == (1, None, None)
-
-    def test_capped_first_delay_evaluates_nothing(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(self.density, "evaluate", calls.append)
-        e = self._raised([1e300, 0.3, 2.5])
-        assert str(e) == self.capped and e.index == 0 and calls == []
-
-
-class TestSurfaceErrors:
-    def test_separable_axis_reported(self, monkeypatch):
-        fourier = coherence._segmented_fourier
-        monkeypatch.setattr(coherence, "_segmented_fourier", lambda f, knots, delays: (
-            fourier(f, knots, delays)[0], np.where(delays == 0.5, 1.0, 0.0)))
-        pm = Separable(asym_tabulated(), _jittered_table(3))  # tables take the engine
-        with pytest.raises(IntegrationError, match=r"^surface column 2 \(all cells\): "):
-            coherence_surface(pm, [0.0, 0.25], [0.0, 0.25, 0.5])
-        # the rows are evaluated first
-        with pytest.raises(IntegrationError, match=r"^surface row 1 \(all cells\): "):
-            coherence_surface(pm, [0.0, 0.5], [0.5])
 
 
 _delays = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6)
@@ -946,7 +644,7 @@ class TestTabulated2DPairs:
 
     def test_blocked_pairs_equal_lone_pairs_bit_for_bit(self):
         pm = correlated_table(0.5, 161)
-        assert coherence._BLOCK_CELLS // pm.grid1.size == 101  # 250 pairs: three blocks
+        assert coherence._BLOCK_CELLS // pm.grid1.size == 50  # 250 pairs: five blocks
         u, v = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 250))
         lone = [joint_transforms(pm, a, b) for a, b in zip(u.tolist(), v.tolist())]
         assert _bits(joint_transforms(pm, u, v)) == _bits(lone)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from triphoton import coherence, oracle
 from triphoton.coherence import DelayTriple
-from triphoton.errors import CarrierPhaseOverflowError, IntegrationError
+from triphoton.errors import CarrierPhaseOverflowError
 from triphoton.oracle import (INTERFERENCE_SCALE, LinearShift, OracleConfig,
                               factorization_error_sweep,
                               factorized_interference_term,
@@ -103,7 +103,7 @@ class TestUncoupledAgreement:
 class TestConvergence:
     def test_order_two_on_kinked_density(self):
         # a triangle table makes the trapezoid error genuinely h^2; the
-        # reference is the factorized engine's knot-exact quadrature
+        # reference is the factorized term's exact transform of the table
         src = triangle_source()
         w = 2e12
         d = DelayTriple(0.6 / w, 0.45 / w, 0.3 / w)
@@ -499,7 +499,7 @@ _delay_widths = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.5, 1.5))
 @st.composite
 def _sweep_sources(draw):
     kind = draw(st.sampled_from([*_SHAPES, Tabulated]))
-    if kind is Tabulated:  # the quadrature path
+    if kind is Tabulated:  # the exact 1D table transform
         pump = Tabulated([-SIGMA_PM, 0.0, 0.5 * SIGMA_PM, SIGMA_PM],
                          [0.0, 1.0, 0.6, 0.0], center_offset=draw(_offsets)).normalize()
     else:
@@ -643,44 +643,6 @@ def test_overflowing_pump_rescale_named():
     with pytest.raises(ValueError, match="^factor must be finite and positive, got inf$"):
         factorization_error_sweep(gaussian_source(1e-300), [DelayTriple(0.0, 0.0, 0.0)],
                                   [1.0], OracleConfig())
-
-
-class TestSweepErrorOrder:
-    """A failing sweep raises what the per-row evaluation raises first: ratio
-    by ratio, delay by delay, g before g' (messages as the row-by-row sweep
-    raised them)."""
-
-    PUMP_MESSAGE = "coherence quadrature at delay 1e-06 s needs 2.67e+06 pieces, more than the 262144 allowed"
-    TABLE_MESSAGE = "coherence quadrature at delay 2e-08 s needs 3.2e+05 pieces, more than the 262144 allowed"
-
-    def _sweep(self, delays, ratios=(1.0, 0.5)):
-        # the tables fail past |delay| ~ 3.3e4 / SIGMA_PM, over the piece cap
-        g = np.linspace(-6 * SIGMA_PM, 6 * SIGMA_PM, 49)
-        table = Tabulated(g, np.exp(-g ** 2 / (2 * SIGMA_PM ** 2))).normalize()
-        pm = Separable(table, table)
-        pump = Tabulated([-SIGMA_PM, 0.0, SIGMA_PM], [0.0, 1.0, 0.0]).normalize()
-        source = SourceModel.cpdc(pump, pm, CENTRALS)
-        cfg = OracleConfig(n_pump=32, n_prime=32, n_dprime=32)
-        with pytest.raises(IntegrationError) as info:
-            factorization_error_sweep(source, delays, list(ratios), cfg)
-        return str(info.value)
-
-    def test_pump_too_coarse_for_largest_delay(self):
-        # the table fails at the same delay; g comes first in the row
-        s = SIGMA_PM
-        delays = [DelayTriple(0, 0, 0), DelayTriple(0, 0.3 / s, 0.2 / s),
-                  DelayTriple(1e-6, 4e4 / s, 4e4 / s)]
-        assert self._sweep(delays) == self.PUMP_MESSAGE
-
-    def test_pump_fails_at_a_later_ratio_only(self):
-        s = SIGMA_PM
-        delays = [DelayTriple(0, 0, 0), DelayTriple(1e-6, 0.1 / s, 0.0)]
-        assert self._sweep(delays, ratios=(0.01, 1.0)) == self.PUMP_MESSAGE
-
-    def test_table_fails_first(self):
-        s = SIGMA_PM
-        delays = [DelayTriple(0, 0, 0), DelayTriple(0, 4e4 / s, 4e4 / s), DelayTriple(1e-6, 0, 0)]
-        assert self._sweep(delays) == self.TABLE_MESSAGE
 
 
 class TestTruncation:

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from triphoton import rates
+from triphoton import coherence, rates
 from triphoton.coherence import DelayTriple, _polar, joint_transforms, transforms
 from triphoton.constants import SPEED_OF_LIGHT
-from triphoton.errors import CarrierPhaseOverflowError, IntegrationError
+from triphoton.errors import CarrierPhaseOverflowError
 from triphoton.pathgeom import (CentralFrequencies, ReducedParameters,
                                 SourceKind, reduce_topdc)
 from triphoton.rates import (AlternativeAmplitudes, SourceModel, rate_length,
@@ -200,19 +200,23 @@ def test_cpdc_rejects_topdc_choices():
         rate_length(src, params, AlternativeAmplitudes.balanced(1.0))
 
 
-def test_cpdc_labeling_rejected_before_coherence_factors():
-    # a 1e-9 s delay puts the 65-knot tables past the quadrature's piece cap,
-    # so computing g' first would raise IntegrationError instead of the
-    # labeling error
+def test_cpdc_labeling_rejected_before_coherence_factors(monkeypatch):
+    # the labeling is checked before any table transform runs
     g = np.linspace(-3e14, 3e14, 65)
     table = Tabulated(g, np.exp(-g ** 2 / 9e13 ** 2)).normalize()
-    src = SourceModel.cpdc(Gaussian(sigma=1e12), Separable(table, table),
+    src = SourceModel.cpdc(table, Separable(table, table),
                            CentralFrequencies(2.4e15, 1.3e15, 1.1e15))
+    calls = []
+    fourier = coherence._segmented_fourier
+    monkeypatch.setattr(coherence, "_segmented_fourier",
+                        lambda *a: calls.append(a) or fourier(*a))
     delays = DelayTriple(0.0, 0.0, 1e-9)
-    with pytest.raises(IntegrationError):
-        rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0))
+    rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0))
+    assert len(calls) == 3  # pump, then both phase-matching axes
+    calls.clear()
     with pytest.raises(ValueError, match="CPDC"):
         rate_time(src, delays, 0.0, AlternativeAmplitudes.balanced(1.0), choice=2)
+    assert calls == []
 
 
 class TestCarrierPhaseOverflow:
@@ -260,24 +264,15 @@ def _factor(source: str, joint: bool):
 
 
 def _alone(core, density, columns):
-    """Each row's polar form computed alone, up to the first row that fails."""
-    rows = []
-    for i in range(columns[0].size):
-        try:
-            rows.append(_polar(core(density, *(c[i:i + 1] for c in columns))))
-        except IntegrationError:
-            break
-    return rows
-
-
-_CAP = 1e-8  # s: over the 1D quadrature's piece cap on these tables
+    """Each row's polar form computed alone."""
+    return [_polar(core(density, *(c[i:i + 1] for c in columns)))
+            for i in range(columns[0].size)]
 
 
 class TestFactorColumns:
     """``rates._factor_columns`` computes columns that hold one delay pair on
     every row once, and any others row by row in one call; either way each
-    row gets the bits its delays give alone, and a failure names the first
-    row that fails alone."""
+    row gets the bits its delays give alone."""
 
     @pytest.mark.parametrize("source", list(SOURCES))
     @pytest.mark.parametrize("columns, calls", [
@@ -300,21 +295,6 @@ class TestFactorColumns:
         assert [(m.tobytes(), p.tobytes()) for m, p in zip(mag, phase)] == [
             (m.tobytes(), p.tobytes()) for m, p in _alone(core, density, columns)]
 
-    @pytest.mark.parametrize("source, columns", [
-        ("tabulated", [[0.0, 3e-15, 0.0, _CAP, 3e-15, _CAP]]),
-        ("tabulated", [[_CAP, _CAP, _CAP]]),
-        ("tabulated", [[0.0, 0.0, 0.0, _CAP], [0.0, _CAP, 0.0, 0.0]]),  # d2 first
-        ("tabulated", [[0.0, 3e-15, _CAP, 3e-15, _CAP], [0.0] * 5]),
-        ("tabulated", [[_CAP, _CAP, _CAP], [0.0, -0.0, 0.0]]),
-    ], ids=["repeated", "fixed", "separable_pairs", "table_pairs", "fixed_table_pair"])
-    def test_failure_names_the_first_failing_row(self, source, columns):
-        core, density = _factor(source, joint=len(columns) == 2)
-        columns = [np.array(c) for c in columns]
-        first = len(_alone(core, density, columns))
-        assert first < columns[0].size
-        with pytest.raises(IntegrationError) as info:
-            rates._factor_columns(core, density, *columns)
-        assert info.value.index == first
 
 
 def test_sourcekind_tag():

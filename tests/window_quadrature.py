@@ -2,8 +2,8 @@
 
 The library transforms the analytic shapes only in closed form. This is
 the generic quadrature's infinite-support half, kept as an independent
-reference for them: ``coherence._segmented_fourier`` (the engine a table
-takes) integrates the shape over a graded window (dense inner core,
+reference for them: ``quadrature_engine._segmented_fourier`` (the engine
+tables took) integrates the shape over a graded window (dense inner core,
 one-width outer steps, out to ``WINDOW_WIDTHS`` characteristic widths) in
 centered coordinates, so large carrier offsets never inflate the
 oscillation count; the remainder beyond the window is added back
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from triphoton import coherence
-from triphoton.errors import IntegrationError
+import quadrature_engine
 from triphoton.spectra import Lorentzian, SincSquared, _sine_integral
 
 # Half-width of the quadrature window in characteristic widths. Wide
@@ -86,28 +85,18 @@ def _window_knots(width: float) -> np.ndarray:
 
 def transform(density, delays: np.ndarray) -> np.ndarray:
     """Fourier integrals of an analytic shape at the 1D float array ``delays``,
-    accepted as the library's quadrature accepts a table's; the first failure
-    gets its ``index``."""
+    accepted as the engine accepts a table's; the first failure gets its
+    ``index``."""
     # centered coordinates keep the oscillation count proportional to
     # delay * width rather than delay * carrier offset
     center = density.center
     knots = _window_knots(density.characteristic_width)
     f = lambda u: density.evaluate(center + u)  # noqa: E731
-    try:
-        z, err = coherence._segmented_fourier(f, knots, delays)
-    except IntegrationError as e:  # unless an earlier delay fails to converge
-        transform(density, delays[:e.index])
-        raise
+    z, err = quadrature_engine._segmented_fourier(f, knots, delays)
     # the remainder beyond the window, then the centre phase
     for k, delay in enumerate(delays.tolist()):
         zk = complex(z[k]) + oscillatory_tail(density, float(knots[-1]), delay)
         if center != 0.0:
             zk *= complex(math.cos(center * delay), -math.sin(center * delay))
         z[k] = zk
-    bad = np.flatnonzero(err > coherence._QUAD_ACCEPT * np.fmax(1.0, np.hypot(z.real, z.imag)))
-    if bad.size:
-        k = int(bad[0])
-        raise IntegrationError(
-            f"coherence quadrature did not converge (estimated error {err[k]:.3e})",
-            value=complex(z[k]), error_estimate=float(err[k]), index=k)
-    return z
+    return quadrature_engine._accept(z, err)
