@@ -513,7 +513,6 @@ class TestOscillatorySafeguard:
         assert abs(z) <= 1e-6  # coherence long gone at such delays
 
 
-
 class TestTableTransform:
     """A 1D table transforms as its piecewise-linear interpolant, in closed
     form, in blocks of ``_BLOCK_CELLS // intervals`` delays."""

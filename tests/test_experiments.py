@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadrature_engine as engine
+from quadrature_engine import IntegrationError
 from triphoton import coherence, experiments, pathgeom, rates
 from triphoton.constants import SPEED_OF_LIGHT
 from triphoton.coherence import gamma_pump
@@ -62,6 +64,24 @@ class TestRunSweep:
         mid = len(table) // 2
         assert table.rates[mid] == pytest.approx(2.0, abs=1e-9)
         assert np.argmax(table.rates) == mid
+
+    def test_sweep_past_the_engines_piece_cap_matches_the_exact_transform(self):
+        # the quadrature engine refused these delays (over 3e5 pieces at
+        # 10 m); a triangle table is its own piecewise-linear interpolant,
+        # so g' on the prime axis is exactly sinc^2(delay * 1e13 / 2)
+        g = np.linspace(-1e13, 1e13, 9)
+        tri = Tabulated(g, 1 - np.abs(g) / 1e13).normalize()
+        src = SourceModel.cpdc(Gaussian(sigma=1e11), Separable(tri, tri),
+                               CentralFrequencies(2.4e15, 1.2e15, 1.2e15))
+        spec = SweepSpec(SweepVariable.DELTA_L_PRIME, -10.0, 10.0, 5,
+                         ReducedParameters(0.0, 0.0, 0.0, 0.0), src, AMPS)
+        with pytest.raises(IntegrationError, match="more than the 262144 allowed"):
+            engine.transform(tri, np.array([10.0 / SPEED_OF_LIGHT]))
+        assert_sweep_matches_rate_length(spec)
+        u = np.linspace(-10.0, 10.0, 5) / SPEED_OF_LIGHT * 5e12
+        exact = np.ones_like(u)
+        exact[u != 0] = (np.sin(u[u != 0]) / u[u != 0]) ** 2
+        assert np.abs(run_sweep(spec).gamma_prime_mag - exact).max() <= 1e-15
 
     def test_phase_sweep_computes_each_factor_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,6 @@
-"""The quadrature engine's own tests (its layouts, moment sums, blocks and
-cost, against direct Gauss-Legendre sums and per-delay layouts), and the
-library's exact table transform against it."""
+"""The quadrature engine's own tests (its layouts, moment sums, blocks,
+cost, piece cap and error order, against direct Gauss-Legendre sums and
+per-delay layouts), and the library's exact table transform against it."""
 
 import math
 import re
@@ -202,6 +202,55 @@ class TestQuadratureCost:
             tracemalloc.stop()
         assert peak / pieces <= 840  # bytes, as the comment on _MAX_PIECES states
 
+    def test_memory_bounded_by_the_block(self):
+        # the delays share one layout of 400 pieces; their array passes run in
+        # blocks of _BLOCK_CELLS delay x piece cells, so what grows with the
+        # delay count is only each delay's output and bookkeeping
+        density = _jittered_table(7, 401)
+        delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+        peaks = _peaks(lambda n: engine.transform(density, delays[:n]))
+        per_delay = (peaks[10000] - peaks[5000]) / 5000
+        assert per_delay <= 400  # bytes: a z, an error, a delay and their tuples
+        assert peaks[5000] - 5000 * per_delay <= 8 * 8 * engine._BLOCK_CELLS
+
+    def test_memory_per_delay(self):
+        # the delays share one layout of 400 pieces; each keeps its position,
+        # z, error and gathered delay in arrays, not in Python tuples (those
+        # took about 260 bytes a delay)
+        density = _jittered_table(7, 401)
+        delays = np.linspace(-1.0, 1.0, 10000) / float(np.median(np.diff(density.grid)))
+        peaks = _peaks(lambda n: engine.transform(density, delays[:n]))
+        assert (peaks[10000] - peaks[5000]) / 5000 <= 128  # bytes
+
+
+def _peaks(run):
+    """Peak traced bytes of ``run(n)`` at 5000 and 10000 delays."""
+    peaks = {}
+    for n in (5000, 10000):
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+class TestOscillatorySafeguard:
+    @pytest.mark.parametrize("density, delay", [
+        (Tabulated([-0.5, 0.5], [1.0, 1.0]), 1e12),
+        (Tabulated([-1e13, 1e13], [1.0, 1.0]), 1e300),  # the count overflows
+        # mass on one knot: a rounding-noise width, one over it a huge delay
+        (Tabulated([-0.499528127250639, 0.4995281272506391],
+                   [0.3131155348796092, 0.0]), None),
+    ])
+    def test_piece_count_capped(self, density, delay):
+        # the piece layout would need terabytes; it must fail by name instead
+        density = density.normalize()
+        delay = delay or 1.0 / density.characteristic_width
+        with pytest.raises(IntegrationError, match=re.escape(f"at delay {delay!r} s ")):
+            engine.transform(density, np.array([delay]))
+
 
 def _quadrature_reference(density, delay):
     # the quadrature at one delay: the per-knot layout, then for infinite
@@ -292,9 +341,9 @@ class TestDelayBlocks:
         delays = [0.0, -0.0] + rng.uniform(-reach, reach, 3 * step).tolist()
         assert len(delays) > 3 * step  # at least three blocks, the last one short
         sums = np.column_stack(engine._layout_sums(self.density.evaluate, piece_lo,
-                                                      half, origin, np.array(delays)))
+                                                   half, origin, np.array(delays)))
         lone = [np.column_stack(engine._layout_sums(self.density.evaluate, piece_lo, half,
-                                                       origin, np.array([t])))[0]
+                                                    origin, np.array([t])))[0]
                 for t in delays]
         assert _bits(sums) == _bits(lone)
 
@@ -321,3 +370,43 @@ class TestDelayBlocks:
                            match=re.escape("at delay 1e+300 s needs ")) as info:
             engine._segmented_fourier(calls.append, self.density.grid, delays)
         assert info.value.index == 5 and calls == []
+
+
+class _Stepped(Tabulated):
+    # a jump at 0.5 on one knot interval [-1, 1]: a piece boundary only when
+    # the interval is split four ways, so 2 < |delay| <= 3 converges and a
+    # delay that leaves one piece (|delay| <= 0.75) does not
+    def evaluate(self, x):
+        return super().evaluate(x) * (1.0 + 0.5 * (np.asarray(x) > 0.5))
+
+
+class TestQuadratureErrorOrder:
+    density = _Stepped([-1.0, 1.0], [0.5, 0.5])
+    capped = ("coherence quadrature at delay 1e+300 s needs 1.33e+300 pieces, "
+              "more than the 262144 allowed")
+
+    def _raised(self, delays):
+        with pytest.raises(IntegrationError) as info:
+            engine.transform(self.density, np.array(delays))
+        return info.value
+
+    def test_first_unresolved_delay_named(self):
+        z, err = _segmented_fourier_listcomp(self.density.evaluate, self.density.grid, 0.3)
+        assert err > 1e-8
+        engine.transform(self.density, np.array([2.5]))  # four pieces: converges
+        e = self._raised([2.5, 0.3, -0.3, 0.3])
+        assert str(e) == f"coherence quadrature did not converge (estimated error {err:.3e})"
+        assert e.index == 1
+
+    def test_capped_delay_raised_before_any_sum(self):
+        # the piece counts are checked first, so a cap wins over an earlier
+        # delay that would not converge
+        for delays in ([2.5, 1e300, 0.3], [2.5, 0.3, 1e300]):
+            e = self._raised(delays)
+            assert str(e) == self.capped and e.index == delays.index(1e300)
+
+    def test_capped_first_delay_evaluates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(self.density, "evaluate", calls.append)
+        e = self._raised([1e300, 0.3, 2.5])
+        assert str(e) == self.capped and e.index == 0 and calls == []

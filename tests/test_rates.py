@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import quadrature_engine as engine
+from quadrature_engine import IntegrationError
 from triphoton import coherence, rates
 from triphoton.coherence import DelayTriple, _polar, joint_transforms, transforms
 from triphoton.constants import SPEED_OF_LIGHT
@@ -269,6 +271,9 @@ def _alone(core, density, columns):
             for i in range(columns[0].size)]
 
 
+_CAP = 1e-8  # s: over the quadrature engine's piece cap on these tables
+
+
 class TestFactorColumns:
     """``rates._factor_columns`` computes columns that hold one delay pair on
     every row once, and any others row by row in one call; either way each
@@ -295,6 +300,24 @@ class TestFactorColumns:
         assert [(m.tobytes(), p.tobytes()) for m, p in zip(mag, phase)] == [
             (m.tobytes(), p.tobytes()) for m, p in _alone(core, density, columns)]
 
+    @pytest.mark.parametrize("source, columns", [
+        ("tabulated", [[0.0, 3e-15, 0.0, _CAP, 3e-15, _CAP]]),
+        ("tabulated", [[_CAP, _CAP, _CAP]]),
+        ("tabulated", [[0.0, 0.0, 0.0, _CAP], [0.0, _CAP, 0.0, 0.0]]),
+        ("tabulated", [[0.0, 3e-15, _CAP, 3e-15, _CAP], [0.0] * 5]),
+        ("tabulated", [[_CAP, _CAP, _CAP], [0.0, -0.0, 0.0]]),
+    ], ids=["repeated", "fixed", "separable_pairs", "table_pairs", "fixed_table_pair"])
+    def test_rows_past_the_engines_piece_cap_equal_their_values_alone(self, source, columns):
+        # the quadrature engine refused these delays; the closed form gives
+        # every row, and a row's bits do not depend on its neighbours
+        core, density = _factor(source, joint=len(columns) == 2)
+        columns = [np.array(c) for c in columns]
+        with pytest.raises(IntegrationError):
+            engine.transform(density.d1 if len(columns) == 2 else density, columns[0])
+        mag, phase = rates._factor_columns(core, density, *columns)
+        assert np.all(np.isfinite(phase)) and np.all(mag <= 1.0 + 1e-12)
+        assert [(m.tobytes(), p.tobytes()) for m, p in zip(mag, phase)] == [
+            (m.tobytes(), p.tobytes()) for m, p in _alone(core, density, columns)]
 
 
 def test_sourcekind_tag():
