@@ -23,7 +23,7 @@ from triphoton import cli
 from triphoton.cli import main, parse_config, run_sweep_cmd
 from triphoton.errors import ParseError, ValidationError
 from triphoton.experiments import SweepVariable, run_sweep
-from triphoton.oracle import factorization_error_sweep
+from triphoton.oracle import OracleConfig, factorization_error_sweep
 from triphoton.pathgeom import SourceKind
 from triphoton.rates import rate_length
 
@@ -263,6 +263,13 @@ def write_config(tmp_path, text, name="run.cfg"):
     return path
 
 
+def run_both(cfg, out):
+    """``sweep`` and then ``validate`` into ``out``; every output's bytes."""
+    for subcommand in ("sweep", "validate"):
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestSweepCommand:
     def test_category_i_csv(self, tmp_path):
         cfg = write_config(tmp_path, CATEGORY_I)
@@ -311,6 +318,46 @@ class TestSweepCommand:
         main(["sweep", "--config", str(cfg), "--out", str(out2)])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+    def test_rerun_writes_each_output_as_a_new_file(self, tmp_path):
+        # a rerun into the same directory replaces each output by a new
+        # file: a hard link to the first run's output keeps its bytes
+        cfg = write_config(tmp_path, CATEGORY_I + (
+            "validate.ratios = 0.3,0.1\nvalidate.n_delays = 2\n"
+            "validate.n_pump = 33\nvalidate.n_prime = 33\nvalidate.n_dprime = 33\n"))
+        out, links, fresh = tmp_path / "out", tmp_path / "links", tmp_path / "fresh"
+        first = run_both(cfg, out)
+        links.mkdir()
+        for name in first:
+            os.link(out / name, links / name)
+        second = run_both(cfg, out)
+        assert {name: (links / name).read_bytes() for name in first} == first
+        assert all(not (out / name).samefile(links / name) for name in first)
+        new = run_both(cfg, fresh)
+        assert set(second) == set(new) == {"sweep.csv", "metrics.csv", "validate.csv",
+                                           "run_meta.json"}
+        metas = [json.loads(o.pop("run_meta.json")) for o in (second, new)]
+        assert second == new
+        for meta in metas:  # the manifests differ only in their wall times
+            del meta["wall_time_s"]
+        assert metas[0] == metas[1]
+
+    @pytest.mark.parametrize("kind", ["symlink", "read_only"])
+    def test_output_path_is_replaced_not_written_through(self, tmp_path, kind):
+        cfg = write_config(tmp_path, CATEGORY_I)
+        out, target = tmp_path / "out", tmp_path / "target.csv"
+        out.mkdir()
+        target.write_text("kept\n", encoding="utf-8")
+        if kind == "symlink":
+            (out / "sweep.csv").symlink_to(target)
+        else:  # a read-only file in a writable directory
+            (out / "sweep.csv").write_text("old\n", encoding="utf-8")
+            (out / "sweep.csv").chmod(0o444)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert target.read_text(encoding="utf-8") == "kept\n"
+        path = out / "sweep.csv"
+        assert not path.is_symlink() and path.stat().st_mode & 0o200
+        assert path.read_text(encoding="utf-8").startswith("parameter_name,")
 
     def test_dip_metrics_for_asymmetry_sweep(self, tmp_path):
         text = MINIMAL_SOURCE.replace("777.6", "781.25").replace("1555.2", "1562.5")
@@ -774,6 +821,29 @@ class TestValidateCommand:
                 r.delays.delta_tau_dprime, r.factorized, r.oracle, r.rel_error)))
         assert len(expected) == 1 + 2 * n_delays
         assert (out / "validate.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the oracle's separable tensor sum contracts through BLAS; on a
+        # coupled closed-form source at the oracle's default 129^3 grid,
+        # validate.csv is the same at one and at two OpenBLAS threads
+        grid = OracleConfig()
+        text = MINIMAL_SOURCE + (
+            "geometry.delta_l_m = 0\nvalidate.coupling_slope = 1.0\n"
+            f"validate.n_pump = {grid.n_pump}\nvalidate.n_prime = {grid.n_prime}\n"
+            f"validate.n_dprime = {grid.n_dprime}\n")
+        cfg = write_config(tmp_path, text)
+        src = Path(triphoton.__file__).resolve().parents[1]
+        outputs = set()
+        for threads in ("1", "2"):  # no more than two BLAS threads
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "triphoton.cli", "validate",
+                            "--config", str(cfg), "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            outputs.add((out / "validate.csv").read_bytes())
+        assert len(outputs) == 1
+        assert next(iter(outputs)).count(b"\n") == 1 + 5 * 3  # default ratios x delays
 
     def test_narrowband_errors_small(self, tmp_path):
         text = MINIMAL_SOURCE + (
