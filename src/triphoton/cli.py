@@ -35,16 +35,16 @@ it can be pasted back as a direct-reduced geometry. Every run writes
 run_meta.json (config hash, tool version, wall time). Runs are
 deterministic: identical configs give byte-identical CSVs.
 
-Every output is a new file: whatever is at its path (a symlink, a hard
-link, a read-only file) is removed, never truncated or written through.
-A run removes any run_meta.json before its work and writes its own last,
-so an interrupted run leaves none.
+Every output is written as a new file, never truncated in place
+(``_new_file``). A run removes any run_meta.json first and writes its own
+last, so an interrupted run leaves none.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -363,22 +363,24 @@ class _Lines:
 
 
 def _new_file(path: Path):
-    """Open a new file at ``path`` for UTF-8 text with ``\\n`` line ends: the
-    one place that opens an output. Whatever is at ``path`` is removed first,
-    never truncated in place, so a symlink or hard link there is replaced,
-    not written through, and so is a read-only file in a writable directory.
-    On ext4 (default ``auto_da_alloc``) this also spares a rerun into the
-    same directory the flush of each truncated file on close. Mode ``"x"``
-    fails rather than open a file that is already there."""
-    path.unlink(missing_ok=True)
-    return open(path, "x", encoding="utf-8", newline="\n")
+    """Open ``path`` for UTF-8 text with ``\\n`` line ends: the one place
+    that opens an output. A file there that this process may write (an
+    earlier run's output) is removed first, so the output is a new file,
+    never truncated in place: a link there is replaced, not written
+    through. Anything else is left to ``open``, which creates a missing
+    file and refuses a read-only one as it always did. On ext4 this spares
+    a rerun the write-back that closing a truncated file starts
+    (``auto_da_alloc``); the price is that a machine crash soon after a
+    rerun can leave its outputs empty."""
+    if os.access(path, os.W_OK):
+        path.unlink()
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write the header, then the text that iterating ``rows`` gives: whole
     lines, newline included, one or a block of them at a time, so a
-    ``_Lines`` table is never held as text at once. The file is new
-    (``_new_file``)."""
+    ``_Lines`` table is never held as text at once."""
     with _new_file(path) as f:
         f.write(",".join(header) + "\n")
         f.writelines(rows)

@@ -342,22 +342,48 @@ class TestSweepCommand:
             del meta["wall_time_s"]
         assert metas[0] == metas[1]
 
-    @pytest.mark.parametrize("kind", ["symlink", "read_only"])
-    def test_output_path_is_replaced_not_written_through(self, tmp_path, kind):
+    @pytest.mark.parametrize("dangling", [False, True], ids=["to_a_file", "dangling"])
+    def test_output_symlink_is_replaced_unless_dangling(self, tmp_path, dangling):
+        # a link to a file is replaced, not written through; a dangling link
+        # leaves nothing to remove, and open creates its target as before
         cfg = write_config(tmp_path, CATEGORY_I)
         out, target = tmp_path / "out", tmp_path / "target.csv"
         out.mkdir()
-        target.write_text("kept\n", encoding="utf-8")
-        if kind == "symlink":
-            (out / "sweep.csv").symlink_to(target)
-        else:  # a read-only file in a writable directory
-            (out / "sweep.csv").write_text("old\n", encoding="utf-8")
-            (out / "sweep.csv").chmod(0o444)
+        if not dangling:
+            target.write_text("kept\n", encoding="utf-8")
+        link = out / "sweep.csv"
+        link.symlink_to(target)
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert target.read_text(encoding="utf-8") == "kept\n"
+        assert link.is_symlink() == dangling
+        assert link.read_text(encoding="utf-8").startswith("parameter_name,")
+        if not dangling:
+            assert target.read_text(encoding="utf-8") == "kept\n"
+
+    def test_a_file_the_process_may_not_write_is_left_to_open(self, tmp_path, monkeypatch):
+        # the writer removes only a file this process may write; a read-only
+        # one is left to open(path, "w"), which refuses it to any user but
+        # root and writes it in place for root, as it always did. os.access
+        # answers here as it would for another user, so this runs as root too
+        cfg = write_config(tmp_path, CATEGORY_I)
+        out = tmp_path / "out"
+        out.mkdir()
         path = out / "sweep.csv"
-        assert not path.is_symlink() and path.stat().st_mode & 0o200
-        assert path.read_text(encoding="utf-8").startswith("parameter_name,")
+        path.write_text("old\n", encoding="utf-8")
+        path.chmod(0o444)
+        kept = tmp_path / "kept.csv"
+        os.link(path, kept)  # holds the inode, so a new file cannot take its number
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+            Path(p) != path and access(p, mode, **kw)))
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        if os.geteuid() == 0:
+            assert main(argv) == 0
+            assert path.read_text(encoding="utf-8").startswith("parameter_name,")
+        else:
+            with pytest.raises(PermissionError):
+                main(argv)
+            assert path.read_text(encoding="utf-8") == "old\n"
+        assert path.samefile(kept)
 
     def test_dip_metrics_for_asymmetry_sweep(self, tmp_path):
         text = MINIMAL_SOURCE.replace("777.6", "781.25").replace("1555.2", "1562.5")
