@@ -191,7 +191,7 @@ def _build_density(store: _KeyStore, prefix: str, base_dir: Path):
             raise ValidationError(f"{prefix}.file: no such file: {path}")
         try:
             return Tabulated.from_file(path, center_offset=offset).normalize()
-        except (ValueError, NormalizationError) as e:
+        except (OSError, ValueError, NormalizationError) as e:  # a directory, say
             raise ValidationError(f"{prefix}.file: {e}") from e
     raise ValidationError(f"{prefix}.shape: unknown shape {shape!r}")
 
@@ -553,19 +553,18 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    failing = "ConfigFileError"  # what an OSError names: the config file, then the output
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"error: ConfigFileError: {e}", file=sys.stderr)
-        return 1
-    try:
+        failing = "OutputError"  # parse_config names a table file's OSError itself
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
         out_dir = Path(args.out or config.out_dir or "triphoton_out")
         run(args.subcommand, config, out_dir)
     except (ParseError, ValidationError, InsufficientSamplingError,
-            NormalizationError) as e:
+            NormalizationError, OSError) as e:
+        name = failing if isinstance(e, OSError) else type(e).__name__
         message = " ".join(str(e).split())
-        print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
+        print(f"error: {name}: {message}", file=sys.stderr)
         return 1
     return 0
 

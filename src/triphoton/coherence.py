@@ -5,10 +5,10 @@ density; the 2D factor is the analogous double integral over the joint
 phase-matching density. With unit-area densities both factors equal 1 at
 zero delay and their magnitudes never exceed 1.
 
-Two array cores compute them: :func:`transforms` over a 1D delay array
-and :func:`joint_transforms` over delay pairs. The scalar entry points
-(:func:`transform_1d`, :func:`gamma_pump`, :func:`gamma_prime`) are their
-one-row views, so a sweep's columns equal the scalar values bit for bit.
+Two array cores compute them: :func:`transforms` over a delay array and
+:func:`joint_transforms` over the broadcast of two, each axis on its own
+delays; :func:`coherence_surface` and the scalar :func:`transform_1d`,
+:func:`gamma_pump` and :func:`gamma_prime` are their views, bit for bit.
 
 Numerical strategy
 ------------------
@@ -21,8 +21,8 @@ centre m and half-width a gives ``a exp(-i delay m)`` times ``sinc p`` and
 table sums its intervals per delay in bounded blocks by numpy's own
 reductions, not BLAS, so a delay's bits depend neither on its block nor on
 the thread count. A 2D table is its bilinear interpolant, each axis's hat
-transforms around the value matrix; each element of a pair array or a
-surface is summed alone, so a surface cell equals the pair at its delays.
+transforms at its own delays around the value matrix; each element of the
+broadcast is summed alone, so its bits depend only on its own delay pair.
 2D separable densities factor into two 1D transforms. Any other 1D density
 and a non-finite delay are rejected by name before any sum, and so is a
 delay at which ``delay * x`` overflows on a table's knot.
@@ -233,20 +233,25 @@ def joint_transforms(pm: JointSpectralDensity, taus_prime, taus_dprime) -> np.nd
     a numpy complex scalar; shapes that do not broadcast raise numpy's
     ``ValueError``), after :func:`_check`.
 
-    Separable densities factor exactly into two 1D transforms; a ``Tabulated2D``
-    sums each pair alone, in blocks of about ``_BLOCK_CELLS`` pair x knot cells.
+    Each axis is transformed on its own delays, as given, and only the results
+    are broadcast, so an n x m grid ``(a[:, None], b[None, :])`` costs n + m
+    transforms per axis, not n m. Separable densities factor exactly into two
+    1D transforms; a ``Tabulated2D`` sums each pair alone, in blocks of
+    ``_BLOCK_CELLS // grid1.size`` along the longest broadcast axis.
     """
-    tp, td = np.broadcast_arrays(np.asarray(taus_prime, dtype=float),
-                                 np.asarray(taus_dprime, dtype=float))
+    tp, td = np.asarray(taus_prime, dtype=float), np.asarray(taus_dprime, dtype=float)
+    shape = np.broadcast_shapes(tp.shape, td.shape)
     _check(pm, tp, td, joint=True)
     if isinstance(pm, Separable):
         return transforms(pm.d1, tp) * transforms(pm.d2, td)
-    u, v = tp.ravel(), td.ravel()
-    z = np.empty(u.size, dtype=complex)
-    step = max(1, _BLOCK_CELLS // pm.grid1.size)
-    for i in range(0, u.size, step):
-        z[i:i + step] = _tabulated2d_transform(pm, u[i:i + step], v[i:i + step])
-    return z.reshape(tp.shape)[()]
+    tp, td = (x.reshape((1,) * (max(len(shape), 1) - x.ndim) + x.shape) for x in (tp, td))
+    z = np.empty(shape or (1,), dtype=complex)  # both on its axes: a block cuts them alike
+    axis, step = int(np.argmax(z.shape)), max(1, _BLOCK_CELLS // pm.grid1.size)
+    for i in range(0, z.shape[axis], step):
+        cut = (slice(None),) * axis + (slice(i, i + step),)
+        z[cut] = _tabulated2d_transform(pm, *(x[cut] if x.shape[axis] > 1 else x
+                                              for x in (tp, td)))
+    return z.reshape(shape)[()]
 
 
 def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
@@ -260,19 +265,9 @@ def gamma_prime(pm: JointSpectralDensity, delta_tau_prime: float,
 def coherence_surface(pm: JointSpectralDensity, grid_prime,
                       grid_dprime) -> list[list[CoherenceValue]]:
     """``gamma_prime`` over a delay grid; element [i][j] is the value at
-    (grid_prime[i], grid_dprime[j]).
-
-    Separable densities are evaluated once per axis and combined, so the
-    cost is linear rather than quadratic in the grid sizes.
-    """
-    gp = np.asarray(grid_prime, dtype=float).ravel()
-    gd = np.asarray(grid_dprime, dtype=float).ravel()
-    _check(pm, gp, gd, joint=True)
-    if isinstance(pm, Separable):
-        z = np.outer(transforms(pm.d1, gp), transforms(pm.d2, gd))
-    else:
-        z = _tabulated2d_transform(pm, gp[:, None], gd[None, :])
+    (grid_prime[i], grid_dprime[j]): the polar form of the broadcast call
+    ``joint_transforms(pm, grid_prime[:, None], grid_dprime[None, :])``."""
+    z = joint_transforms(pm, np.ravel(grid_prime)[:, None], np.ravel(grid_dprime)[None, :])
     mag, phase = _polar(z)
     return [[CoherenceValue(*cell) for cell in zip(*row)]
             for row in zip(mag.tolist(), phase.tolist())]
-

@@ -13,10 +13,10 @@ equal alternative amplitudes the bracket reduces to C [1 + g g' cos], a
 textbook visibility form, because the densities are unit-area.
 
 One column core computes a block of rows at once, after rejecting an
-overflowing carrier phase: a coherence factor whose delays a sweep leaves
-fixed is computed once per sweep (the sweep hands the core one dict of
-such factors from block to block), a swept one once per row, in row order;
-the entry points are its one-row views, so they equal a sweep bit for bit.
+overflowing carrier phase. It computes a factor that a sweep holds fixed once
+per sweep (the sweep hands the core one dict of them from block to block), and
+a swept one once per row, in row order, with any axis the sweep holds fixed once
+per block; the entry points are its one-row views, equal to a sweep bit for bit.
 They accept either a delay triple (seconds) or reduced lengths (meters);
 the two agree exactly since the length form just divides by c.
 """
@@ -152,20 +152,21 @@ def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int,
 
 def _factor_columns(core, density, *columns: np.ndarray, fixed: dict | None = None):
     """``core`` at the one or two delay columns of a block of rows, in polar
-    form per row. A sweep leaves a factor's columns fixed or sweeps them, so
-    columns that hold the same delays on every row of the block (``==``: +0.0
-    and -0.0 alike) are computed once, on its first row; otherwise every row
-    is computed in order. ``fixed`` keeps the first row's polar values by core
-    and delays, so a caller that passes one dict to every block of a sweep
-    computes a fixed factor once per sweep."""
-    n = columns[0].size
-    if n == 0 or any((c != c[0]).any() for c in columns):
-        return _polar(core(density, *columns))
+    form per row. A column that holds one delay on every row of the block
+    (``==``: +0.0 and -0.0 alike) is passed as its first row, which ``core``
+    broadcasts against a swept one, so a fixed axis is transformed once per
+    block. If every column is held, ``fixed`` keeps the first row's polar
+    values by core and delays, so a caller that passes one dict to every
+    block of a sweep computes a fixed factor once per sweep."""
+    held = [c.size > 0 and not (c != c[0]).any() for c in columns]
+    args = [c[:1] if h else c for c, h in zip(columns, held)]
+    if not all(held):
+        return _polar(core(density, *args))
     fixed = {} if fixed is None else fixed
     key = (core, *(float(c[0]) for c in columns))
     if key not in fixed:
-        fixed[key] = [x[0] for x in _polar(core(density, *(c[:1] for c in columns)))]
-    return tuple(np.full(n, x) for x in fixed[key])
+        fixed[key] = [x[0] for x in _polar(core(density, *args))]
+    return tuple(np.full(columns[0].size, x) for x in fixed[key])
 
 
 def _carrier_phase(carriers: tuple[float, float, float], delays, delta_phi):

@@ -14,6 +14,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,7 +265,11 @@ class Tabulated(SpectralDensity):
     def from_file(cls, path, center_offset: float = 0.0) -> "Tabulated":
         """Load a two-column text file (detuning rad/s, value); the grid is
         shifted by ``center_offset``."""
-        data = np.loadtxt(path, dtype=float, ndmin=2)  # one row stays a row
+        with warnings.catch_warnings():  # a file with no data rows is rejected below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, dtype=float, ndmin=2)  # one row stays a row
+        if data.size == 0:
+            raise ValueError(f"{path}: no data rows")
         if data.shape[1] != 2:
             raise ValueError(f"{path}: expected two columns (detuning, value)")
         return cls(data[:, 0], data[:, 1], center_offset=center_offset)

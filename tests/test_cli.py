@@ -243,6 +243,29 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="no such file"):
             parse_config(text, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("content, message", [
+        (None, r"source\.pump\.file: \[Errno 21\] Is a directory: '.*pump\.txt'"),
+        ("", r"source\.pump\.file: .*pump\.txt: no data rows"),
+        ("# detuning, value\n\n", r"source\.pump\.file: .*pump\.txt: no data rows"),
+    ], ids=["directory", "empty", "comment_only"])
+    def test_unreadable_table_file_fails_in_one_named_line(self, tmp_path, capsys,
+                                                          content, message):
+        # before, a directory died with IsADirectoryError from np.loadtxt, and
+        # a file with no data rows printed numpy's warning, then a column error
+        if content is None:
+            (tmp_path / "pump.txt").mkdir()
+        else:
+            (tmp_path / "pump.txt").write_text(content, encoding="utf-8")
+        cfg = write_config(tmp_path, CATEGORY_I.replace(
+            "source.pump.shape = gaussian\nsource.pump.sigma_rad_s = 1e12",
+            "source.pump.shape = tabulated\nsource.pump.file = pump.txt"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(f"error: ValidationError: {message}\n", err)
+
     @pytest.mark.parametrize("form", ["eight_lengths", "direct"])
     def test_readme_example_parses(self, form):
         # pins the README's config example to the parser's key tables, with its
@@ -359,7 +382,8 @@ class TestSweepCommand:
         if not dangling:
             assert target.read_text(encoding="utf-8") == "kept\n"
 
-    def test_a_file_the_process_may_not_write_is_left_to_open(self, tmp_path, monkeypatch):
+    def test_a_file_the_process_may_not_write_is_left_to_open(self, tmp_path, monkeypatch,
+                                                              capsys):
         # the writer removes only a file this process may write; a read-only
         # one is left to open(path, "w"), which refuses it to any user but
         # root and writes it in place for root, as it always did. os.access
@@ -379,11 +403,33 @@ class TestSweepCommand:
         if os.geteuid() == 0:
             assert main(argv) == 0
             assert path.read_text(encoding="utf-8").startswith("parameter_name,")
-        else:
-            with pytest.raises(PermissionError):
-                main(argv)
+        else:  # open's PermissionError, in one line
+            assert main(argv) == 1
+            assert re.fullmatch(r"error: OutputError: \[Errno 13\] Permission denied: .*\n",
+                                capsys.readouterr().err)
             assert path.read_text(encoding="utf-8") == "old\n"
         assert path.samefile(kept)
+
+    def test_an_out_path_that_is_a_file_fails_in_one_line(self, tmp_path, capsys):
+        # before, out_dir.mkdir's FileExistsError reached the user as a traceback
+        cfg = write_config(tmp_path, CATEGORY_I)
+        out = tmp_path / "out"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: OutputError: [Errno 17] File exists: '{out}'\n")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("make", [None, Path.mkdir], ids=["missing", "directory"])
+    def test_an_unreadable_config_fails_in_one_line(self, tmp_path, capsys, make):
+        cfg = tmp_path / "run.cfg"
+        if make:
+            make(cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        errno = "[Errno 21] Is a directory" if make else "[Errno 2] No such file or directory"
+        assert capsys.readouterr().err == f"error: ConfigFileError: {errno}: '{cfg}'\n"
+        assert not out.exists()
 
     def test_dip_metrics_for_asymmetry_sweep(self, tmp_path):
         text = MINIMAL_SOURCE.replace("777.6", "781.25").replace("1555.2", "1562.5")

@@ -651,7 +651,8 @@ class TestTabulated2DPairs:
 
 class TestJointShapes:
     """joint_transforms takes the numpy broadcast of its two delay columns on
-    both density kinds; columns that do not broadcast raise numpy's error."""
+    both density kinds, transforming each axis on its own delays; columns that
+    do not broadcast raise numpy's error."""
 
     KINDS = {"separable": Separable(Gaussian(sigma=1.0), Lorentzian(gamma=1.3)),
              "separable_table": Separable(asym_tabulated(), Gaussian(sigma=0.8)),
@@ -670,6 +671,69 @@ class TestJointShapes:
         else:
             assert type(z) is np.complex128
         assert _bits(np.ravel(z)) == _bits(joint_transforms(pm, u.ravel(), v.ravel()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape_prime, shape_dprime", [
+        ((), ()), ((4, 1), (1, 3)), ((1, 3), (4, 1)), ((2, 1, 3), (1, 4, 1))])
+    def test_broadcast_equals_lone_pairs_bit_for_bit(self, kind, shape_prime,
+                                                      shape_dprime):
+        # each axis is transformed on its own delays; the broadcast of the
+        # results gives every pair the bits it has alone
+        pm = self.KINDS[kind]
+        rng = np.random.default_rng(len(shape_prime))
+        tp, td = rng.uniform(-1.5, 1.5, shape_prime), rng.uniform(-1.5, 1.5, shape_dprime)
+        z = joint_transforms(pm, tp, td)
+        u, v = np.broadcast_arrays(tp, td)
+        assert np.shape(z) == u.shape
+        assert _bits(np.ravel(z)) == _bits(
+            [joint_transforms(pm, a, b) for a, b in zip(u.ravel().tolist(), v.ravel().tolist())])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("long_axis", [0, 1])
+    def test_a_long_axis_spans_blocks_bit_for_bit(self, kind, long_axis):
+        # 2 x 20,000 pairs: a table blocks along the long axis
+        pm = self.KINDS[kind]
+        rng = np.random.default_rng(5)
+        short, long = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 20000)
+        tp, td = (long[:, None], short) if long_axis == 0 else (short[:, None], long)
+        z = joint_transforms(pm, tp, td)
+        u, v = np.broadcast_arrays(tp, td)
+        assert _bits(np.ravel(z)) == _bits(joint_transforms(pm, u.ravel(), v.ravel()))
+        picks = range(0, u.size, 397)
+        assert _bits(np.ravel(z)[picks]) == _bits(
+            [joint_transforms(pm, u.flat[i], v.flat[i]) for i in picks])
+
+    @pytest.mark.parametrize("surface", [False, True], ids=["broadcast", "surface"])
+    @pytest.mark.parametrize("pm", [Separable(asym_tabulated(), _jittered_table(1)),
+                                    correlated_table(0.3)], ids=["separable", "tabulated2d"])
+    def test_a_grid_transforms_n_plus_m_delays(self, pm, surface, monkeypatch):
+        # broadcasting the delays first transformed n m of them per axis
+        sent = []
+        for name in ("_segmented_fourier", "_hat_transforms"):
+            monkeypatch.setattr(coherence, name, lambda grid, *a, _core=getattr(
+                coherence, name): sent.append(np.size(a[-1])) or _core(grid, *a))
+        a, b = np.linspace(-1.5, 1.5, 7), np.linspace(-1.0, 1.0, 5)
+        if surface:
+            coherence_surface(pm, a, b)
+        else:
+            joint_transforms(pm, a[:, None], b[None, :])
+        assert sorted(sent) == [5, 7]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_grids_memory_grows_with_n_plus_m(self, kind):
+        # beyond its n x m result, a grid holds each axis's transforms and one
+        # block; broadcasting the delays first held several n x m arrays
+        pm, extra = self.KINDS[kind], {}
+        for n in (300, 600):
+            a, b = np.linspace(-1.5, 1.5, n), np.linspace(-1.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                z = joint_transforms(pm, a[:, None], b[None, :])
+                extra[2 * n] = tracemalloc.get_traced_memory()[1] - z.nbytes
+            finally:
+                tracemalloc.stop()
+            del z
+        assert extra[1200] - extra[600] <= 4096 * (1200 - 600)  # bytes
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_columns_that_do_not_broadcast_raise(self, kind):

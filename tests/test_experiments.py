@@ -119,8 +119,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("choice", [1, 2, 3])
     @pytest.mark.parametrize("variable", list(SweepVariable))
     def test_each_factor_is_computed_once(self, variable, choice, monkeypatch):
-        # a factor whose delays the sweep leaves fixed is computed at one delay,
-        # a swept one at every row in row order; either in one call
+        # a delay column the sweep leaves fixed is passed as its first row, a
+        # swept one whole, in row order; every factor in one call
         calls = {}
         for name in ("transforms", "joint_transforms"):
             monkeypatch.setattr(rates, name, lambda density, *columns, _name=name,
@@ -141,8 +141,32 @@ class TestRunSweep:
                 ("joint_transforms", pathgeom._native_pm_delays(
                     SourceKind.TOPDC, choice, dt_prime, dt_dprime), pm_swept)):
             (got,) = calls[name]
-            want = columns if swept else tuple(c[:1] for c in columns)
+            want = tuple(c if swept and (c != c[0]).any() else c[:1] for c in columns)
             assert [np.asarray(c).tobytes() for c in got] == [c.tobytes() for c in want]
+        # choice 1 maps each asymmetry length to one native axis, so a single
+        # asymmetry sweep holds the other axis fixed
+        held = {SweepVariable.DELTA_L_PRIME: [False, True],
+                SweepVariable.DELTA_L_DPRIME: [True, False]}.get(variable)
+        if choice == 1 and held:
+            assert [c.size == 1 for c in calls["joint_transforms"][0]] == held
+
+    def test_single_axis_table_sweep_transforms_the_fixed_axis_once(self, monkeypatch):
+        # a choice-1 delta_l_prime sweep holds the double-prime axis fixed: its
+        # table transforms one delay, the prime table every row, and each row
+        # keeps the bits it has alone
+        spec = SweepSpec(SweepVariable.DELTA_L_PRIME, -0.8 * _L, 0.8 * _L, 41,
+                         ReducedParameters(1.3 * _L, -0.4 * _L, 0.7 * _L, 0.5),
+                         tabulated_source(SourceKind.TOPDC), AMPS)
+        sizes = {}
+        fourier = coherence._segmented_fourier
+        monkeypatch.setattr(coherence, "_segmented_fourier", lambda grid, values, delays: (
+            sizes.setdefault(id(grid), []).append(delays.size)
+            or fourier(grid, values, delays)))
+        run_sweep(spec)
+        pm = spec.source.phase_matching
+        assert [sizes[id(d.grid)] for d in (spec.source.pump, pm.d1, pm.d2)] == [
+            [1], [41], [1]]
+        assert_sweep_matches_rate_length(spec)
 
     @pytest.mark.parametrize("n_points", [5.0, 5.5])
     def test_spec_rejects_non_integer_n_points(self, n_points):

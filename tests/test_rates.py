@@ -275,26 +275,30 @@ _CAP = 1e-8  # s: over the quadrature engine's piece cap on these tables
 
 
 class TestFactorColumns:
-    """``rates._factor_columns`` computes columns that hold one delay pair on
-    every row once, and any others row by row in one call; either way each
-    row gets the bits its delays give alone."""
+    """``rates._factor_columns`` passes a column that holds one delay on every
+    row as its first row, and any other whole, in one call; a factor whose
+    columns all hold is computed once. Either way each row gets the bits its
+    delays give alone."""
 
     @pytest.mark.parametrize("source", list(SOURCES))
     @pytest.mark.parametrize("columns, calls", [
-        ([[0.3, -1.1, 0.3, 0.3, 0.7, -1.1]], [6]),  # repeated, not all equal
-        ([[0.0, -0.0, 0.0, -0.0]], [1]),
-        ([[-0.0, 0.0, 0.0]], [1]),
-        ([[0.3, 0.3, -1.1, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7, -0.2]], [5]),
-        ([[0.3, 0.3, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7]], [4]),
-        ([[-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]], [1]),
-        ([[0.4, 0.4, 0.4, 0.4], [0.0, -0.0, -0.0, 0.0]], [1]),
+        ([[0.3, -1.1, 0.3, 0.3, 0.7, -1.1]], [(6,)]),  # repeated, not all equal
+        ([[0.0, -0.0, 0.0, -0.0]], [(1,)]),
+        ([[-0.0, 0.0, 0.0]], [(1,)]),
+        ([[0.3, 0.3, -1.1, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7, -0.2]], [(5, 5)]),
+        ([[0.3, 0.3, 0.3, 0.3], [0.7, -0.2, 0.7, 0.7]], [(1, 4)]),
+        ([[0.7, -0.2, 0.7, 0.7], [0.3, 0.3, 0.3, 0.3]], [(4, 1)]),
+        ([[-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]], [(1, 1)]),
+        ([[0.4, 0.4, 0.4, 0.4], [0.0, -0.0, -0.0, 0.0]], [(1, 1)]),
+        ([[0.0, -0.0, 0.0], [0.7, -0.2, 0.7]], [(1, 3)]),
     ], ids=["repeated", "signed_zeros", "signed_zeros_minus_first", "repeated_pairs",
-            "one_column_fixed", "signed_zero_pairs", "signed_zero_in_one_column"])
+            "one_column_fixed", "other_column_fixed", "signed_zero_pairs",
+            "signed_zero_in_one_column", "signed_zeros_in_the_fixed_column"])
     def test_rows_equal_their_values_alone(self, source, columns, calls):
         core, density = _factor(source, joint=len(columns) == 2)
         columns = [np.array(c) / _W for c in columns]
         sizes = []
-        spy = lambda d, *c: sizes.append(c[0].size) or core(d, *c)  # noqa: E731
+        spy = lambda d, *c: sizes.append(tuple(x.size for x in c)) or core(d, *c)  # noqa: E731
         mag, phase = rates._factor_columns(spy, density, *columns)
         assert sizes == calls
         assert [(m.tobytes(), p.tobytes()) for m, p in zip(mag, phase)] == [
