@@ -1,10 +1,10 @@
 """Command-line front end: config parsing, sweep/validate/reduce subcommands.
 
-Configuration format: flat ``key = value`` lines with dotted section
-prefixes, ``#`` comments, case-sensitive keys. Frequencies are declared
-as central wavelengths in nm, spectral widths in rad/s, lengths in
-meters, phases in radians; everything is converted to internal units at
-parse time.
+Configuration format: UTF-8 text (a leading byte-order mark is dropped),
+flat ``key = value`` lines with dotted section prefixes, ``#`` comments,
+case-sensitive keys. Frequencies are declared as central wavelengths in
+nm, spectral widths in rad/s, lengths in meters, phases in radians;
+everything is converted to internal units at parse time.
 
 Sections::
 
@@ -551,11 +551,23 @@ def _build_parser():
     return parser
 
 
+def _read_config(path: Path) -> str:
+    """The text of the config file at ``path``: UTF-8, a leading byte-order mark
+    (as some editors save) dropped. Bytes that are not UTF-8 raise an
+    ``OSError`` naming the first bad byte, its offset in the file and the path."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:  # a ValueError, which main's OSError rule would miss
+        offset = path.stat().st_size - len(e.object) + e.start  # counting any mark
+        raise OSError(f"not UTF-8: byte 0x{e.object[e.start]:02x} at offset {offset}: "
+                      f"{str(path)!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     failing = "ConfigFileError"  # what an OSError names: the config file, then the output
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = _read_config(Path(args.config))
         failing = "OutputError"  # parse_config names a table file's OSError itself
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
         out_dir = Path(args.out or config.out_dir or "triphoton_out")

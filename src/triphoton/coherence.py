@@ -20,8 +20,13 @@ centre m and half-width a gives ``a exp(-i delay m)`` times ``sinc p`` and
 ``j1(p)`` terms, p = delay a, with Taylor series where p is small. A 1D
 table sums its intervals per delay in bounded blocks by numpy's own
 reductions, not BLAS, so a delay's bits depend neither on its block nor on
-the thread count. A 2D table is its bilinear interpolant, each axis's hat
-transforms at its own delays around the value matrix; each element of the
+the thread count. Its cosines and sines all come from :func:`_cos_sin`, as
+rational functions of one ``tan`` of the half angle: numpy vectorizes
+float64 ``tan`` but calls libm's ``sin`` and ``cos`` element by element, at
+about eight times the cost, and the two agree within 4.4e-16 absolute. So
+a table's bits follow the ``tan`` kernel numpy dispatches for the CPU. A 2D
+table is its bilinear interpolant, each axis's hat transforms at its own
+delays around the value matrix; each element of the
 broadcast is summed alone, so its bits depend only on its own delay pair.
 2D separable densities factor into two 1D transforms. Any other 1D density
 and a non-finite delay are rejected by name before any sum, and so is a
@@ -133,10 +138,37 @@ def gamma_pump(pump: SpectralDensity, delta_tau: float) -> CoherenceValue:
     return CoherenceValue.from_complex(transform_1d(pump, delta_tau))
 
 
+def _cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos theta`` and ``sin theta`` elementwise, as ``(1 - t^2) / (1 + t^2)`` and
+    ``2 t / (1 + t^2)`` of ``t = tan(theta / 2)``, worked in place on three
+    arrays of ``theta``'s size.
+
+    numpy runs float64 ``tan`` as a SIMD kernel but ``sin`` and ``cos`` element
+    by element through libm: on an AVX-512 x86-64 CPU (numpy 2.4) this pair
+    costs about 5 ns an element against libm's 39 ns, and about 20 ns with
+    numpy held to AVX2. Halving is exact but for the smallest doubles, ``tan``
+    is odd bit for bit and no double's exceeds 2.2e18 in magnitude (so ``t * t``
+    cannot overflow): cos is even and sin odd bit for bit, ``sin(+-0.0) =
+    +-0.0``. Both stayed within 2.2e-16 of libm's on 2.4 M samples up to
+    |theta| = 1.7e308, under the AVX-512 and the AVX2 kernel alike; the tests
+    bound the gap by 4.4e-16."""
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    d = t * t
+    c = 1.0 - d
+    d += 1.0
+    c /= d
+    t *= 2.0
+    t /= d
+    return c, t
+
+
 def _sinc_j1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sin(p) / p`` and ``j1(p) = (sin(p) / p - cos(p)) / p`` elementwise. The
     difference cancels below |p| = 0.1, so there (and only there, as ``p * p``
-    may overflow far above) five terms of each Taylor series leave under 3e-18."""
+    may overflow far above) five terms of each Taylor series leave under 3e-18;
+    above, the cosine and sine come from :func:`_cos_sin`, and a block whose
+    cells all take the series makes no trigonometric call."""
     small = np.abs(p) < 0.1
     q = np.where(small, p, 0.0)
     q2 = q * q
@@ -152,12 +184,13 @@ def _sinc_j1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del q, q2
     big = ~small
     r = p[big]
-    x = np.sin(r)
-    x /= r
-    s[big] = x
-    x -= np.cos(r)
-    x /= r
-    j[big] = x
+    if r.size:
+        c, x = _cos_sin(r)
+        x /= r
+        s[big] = x
+        x -= c
+        x /= r
+        j[big] = x
     return s, j
 
 
@@ -207,7 +240,7 @@ def _segmented_fourier(grid: np.ndarray, values: np.ndarray,
         half, phase, s, j = _interval_terms(grid, delays[i:i + step, None])
         s *= half * v_sum
         j *= half * v_diff
-        cos, sin = np.cos(phase), np.sin(phase)
+        cos, sin = _cos_sin(phase)
         del phase  # real arrays only: (cos - i sin) (s + i j), part by part
         z.real[i:i + step] = (cos * s + sin * j).sum(axis=1)
         cos *= j

@@ -431,6 +431,33 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: ConfigFileError: {errno}: '{cfg}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_config_that_is_not_utf8_fails_in_one_line(self, tmp_path, capsys, mark):
+        # before, Path.read_text's UnicodeDecodeError reached the user as a traceback
+        text = CATEGORY_I.encode("utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(mark + b"# caf\xe9\n" + text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        offset = len(mark) + 5
+        assert capsys.readouterr().err == (
+            f"error: ConfigFileError: not UTF-8: byte 0xe9 at offset {offset}: '{cfg}'\n")
+        assert not out.exists()
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        # before, the first key read '\ufeffsource.type' and the run failed as
+        # "missing required key 'source.type'"
+        plain = write_config(tmp_path, CATEGORY_I)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + CATEGORY_I.encode("utf-8"))
+        outputs = []
+        for cfg in (plain, marked):
+            out = tmp_path / f"out_{cfg.stem}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert sorted(outputs[0]) == ["metrics.csv", "sweep.csv"]
+        assert outputs[0] == outputs[1]
+
     def test_dip_metrics_for_asymmetry_sweep(self, tmp_path):
         text = MINIMAL_SOURCE.replace("777.6", "781.25").replace("1555.2", "1562.5")
         width = 299792458.0 / 2e12

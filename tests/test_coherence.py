@@ -133,13 +133,15 @@ class TestClosedVsQuadrature:
 
 class TestProperties:
     def test_hermitian_symmetry_quadrature(self):
+        # bit for bit: negating a delay negates every phase and p exactly, and
+        # the table's cosines, sines, sinc and j1 are even or odd bit for bit
         rng = random.Random(23)
         d = asym_tabulated()
         for _ in range(100):
             tau = rng.uniform(-5.0, 5.0)
-            z_pos = transform_1d(d, tau)
-            z_neg = transform_1d(d, -tau)
-            assert z_neg == pytest.approx(z_pos.conjugate(), abs=1e-10)
+            z_pos = transforms(d, tau)
+            z_neg = transforms(d, -tau)
+            assert _bits([z_neg]) == _bits([np.conj(z_pos)])
 
     @pytest.mark.parametrize("density", ANALYTIC)
     def test_hermitian_symmetry_closed(self, density):
@@ -586,6 +588,27 @@ class TestTableTransformCost:
         per_delay = (peaks[10000] - peaks[5000]) / 5000
         assert per_delay <= 400  # bytes: each delay's z, zero and bookkeeping
         assert peaks[5000] - 5000 * per_delay <= 8 * cell_bytes * coherence._BLOCK_CELLS
+
+    @pytest.mark.parametrize("reach, tans_per_block", [(0.09, 1), (6.0, 2)],
+                             ids=["series", "closed"])
+    def test_trig_is_one_tan_per_phase_array(self, reach, tans_per_block, monkeypatch):
+        # the cells' phases take one tan per block; sinc and j1 take another
+        # only where some cell's |p| reaches the closed form's 0.1
+        density = _jittered_table(5, 41)
+        step = coherence._BLOCK_CELLS // 40
+        delays = np.linspace(-1.0, 1.0, 3 * step + 1) * reach / float(np.diff(density.grid).max())
+        calls = {"sin": 0, "cos": 0, "tan": 0}
+
+        def counted(name, f):
+            def g(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return g
+
+        for name in calls:
+            monkeypatch.setattr(coherence.np, name, counted(name, getattr(np, name)))
+        transforms(density, delays)
+        assert calls == {"sin": 0, "cos": 0, "tan": 4 * tans_per_block}  # four blocks
 
     def test_memory_per_delay(self):
         # each delay keeps its z and its zero in arrays, not in Python tuples
