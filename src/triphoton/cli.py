@@ -19,7 +19,7 @@ Sections::
     source.pm1.* / source.pm2.*      (same schema; separable joint density)
     geometry.length_a1_m ... length_p2_m, phase_a1_rad ... phase_p2_rad
         or geometry.delta_l_m / delta_l_prime_m / delta_l_dprime_m / delta_phi_rad
-    geometry.topdc_choice = 1 | 2 | 3
+    geometry.topdc_choice = 1 | 2 | 3  (cpdc: 1 only)
     amplitudes.k1 / k2 / c_mag_sq    (optional; default equal, baseline 1)
     sweep.variable = delta_phi | delta_l | delta_l_prime | delta_l_dprime | diagonal
     sweep.start / sweep.stop / sweep.n_points
@@ -140,7 +140,7 @@ class _KeyStore:
         raw = self.get(key)
         if raw is None:
             return default
-        return tuple(self._finite(key, t.strip()) for t in raw.split(",") if t.strip())
+        return tuple(self._finite(key, t.strip()) for t in raw.split(","))
 
     def _finite(self, key: str, raw: str) -> float:
         try:
@@ -202,6 +202,8 @@ def _build_geometry(store: _KeyStore, kind: SourceKind):
     choice = store.get_int("geometry.topdc_choice", default=1)
     if choice not in _TOPDC_LABELS:
         raise ValidationError("geometry.topdc_choice must be 1, 2 or 3")
+    if choice != 1 and kind is SourceKind.CPDC:
+        raise ValidationError("geometry.topdc_choice must be 1 for a cpdc source")
     if eight and direct:
         raise ValidationError(
             "geometry overspecified: give either the eight-length form or the "
@@ -214,7 +216,7 @@ def _build_geometry(store: _KeyStore, kind: SourceKind):
         return ReducedParameters(
             **{field: store.get_float(f"geometry.{k}", default=0.0)
                for k, field in _DIRECT_KEYS.items()},
-            topdc_choice=choice if kind is SourceKind.TOPDC else 1), None
+            topdc_choice=choice), None
     arms = {field: store.get_float(f"geometry.{k}", default=0.0)
             for k, field in _EIGHT_KEYS.items()}
     try:  # the reduced lengths and phase can overflow even when every input is finite
@@ -282,7 +284,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
 
     defaults = ValidateSpec()
     ratios = store.get_floats("validate.ratios", default=defaults.ratios)
-    if not ratios or any(r <= 0 for r in ratios):
+    if any(r <= 0 for r in ratios):
         raise ValidationError("validate.ratios must be positive numbers")
     slope = store.get_float("validate.coupling_slope", default=0.0)
     grid = {n: store.get_int(f"validate.{n}", default=getattr(defaults.oracle, n))

@@ -23,16 +23,17 @@ evaluates that profile at every shifted prime detuning with one complex
 interpolation, in one array, with no loop over the pump axis. Memory stays
 O(n_pump * n_prime).
 
-Everything but the three delay phase columns is delay-independent, so
-the core :func:`_triple_sum` builds the axes, the trapezoid weights, the
-weighted pump column and the density columns (or the table's knot-row
-matrix) once per grid and then sums delay by delay. The terms rotate those
-sums by the rate core's carrier-phase column (``rates._carrier_phase``,
-which rejects an overflowing phase before any sum), and
-:func:`interference_term_3d` is their one-row view. The factorization sweep
-builds each bandwidth ratio's grids once, computes the phase-matching factor
-and the carrier phase once per delay for all ratios, and returns, row for
-row, what the per-delay entry points return.
+The private cores take the delay columns ``(dt, dt', dt'')``, as the rate
+core does, and return columns. Everything but the three delay phase columns is
+delay-independent, so :func:`_triple_sum` builds the axes, the trapezoid
+weights, the weighted pump column and the density columns (or the table's
+knot-row matrix) once per grid and then sums row by row;
+:func:`_interference_terms` rotates the sums by the rate core's carrier-phase
+column (``rates._carrier_phase``, which rejects an overflowing phase before
+any sum). Only the public edges make row objects: :func:`interference_term_3d`,
+the one-row view, and the factorization sweep, which builds each ratio's grids
+once, computes the phase-matching factor and the carrier phase once per delay
+for all ratios, and returns, row for row, what the per-delay entry points return.
 
 The grid spans a fixed number of widths of an infinite-support shape, so
 the sum misses that shape's mass beyond the window. That mass is known
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -210,10 +210,10 @@ def _axes(source: SourceModel, cfg: OracleConfig):
     return pump_axis, prime_axis, dprime_axis
 
 
-def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
-                cfg: OracleConfig) -> np.ndarray:
+def _triple_sum(source: SourceModel, delays, cfg: OracleConfig) -> np.ndarray:
     """Tensor trapezoid of pump(w) pm(w'-s*w, w'') exp(-i(w dt + w' dt' + w'' dt''))
-    at each delay triple; the grid and its density columns are built once."""
+    at each row of the delay columns ``(dt, dt', dt'')`` (s); the grid and its
+    density columns are built once."""
     pump_axis, prime_axis, dprime_axis = _axes(source, cfg)
     weighted_pump = (_trapezoid_weights(pump_axis)
                      * np.asarray(source.pump.evaluate(pump_axis)))
@@ -240,34 +240,30 @@ def _triple_sum(source: SourceModel, delays: Sequence[DelayTriple],
         profile = lambda e2: np.interp(  # noqa: E731
             shifted, pm.grid1, knot_rows @ e2, left=0.0, right=0.0)
 
-    out = np.empty(len(delays), dtype=complex)
-    for k, d in enumerate(delays):
-        ep = weighted_pump * np.exp(-1j * pump_axis * d.delta_tau)
-        e1 = w1 * np.exp(-1j * prime_axis * d.delta_tau_prime)
-        e2 = w2 * np.exp(-1j * dprime_axis * d.delta_tau_dprime)
+    out = np.empty(len(delays[0]), dtype=complex)
+    for k, (dt, dt_prime, dt_dprime) in enumerate(zip(*delays)):
+        ep = weighted_pump * np.exp(-1j * pump_axis * dt)
+        e1 = w1 * np.exp(-1j * prime_axis * dt_prime)
+        e2 = w2 * np.exp(-1j * dprime_axis * dt_dprime)
         out[k] = ep @ (profile(e2) @ e1)
     return out
 
 
-def _interference_terms(source: SourceModel, delays: Sequence[DelayTriple],
-                        phase: np.ndarray, cfg: OracleConfig) -> list[OracleTerm]:
-    """:func:`interference_term_3d` at each delay triple and carrier ``phase``,
-    with each grid level's tensor sums taken in one :func:`_triple_sum` call."""
+def _interference_terms(source: SourceModel, delays, phase: np.ndarray, cfg: OracleConfig):
+    """The :class:`OracleTerm` fields at the delay columns and carrier ``phase``:
+    the ``value``, ``imag_residual`` and ``coarse_value`` columns and the one
+    ``tail_mass`` they share, each grid level's sums from one :func:`_triple_sum`."""
     raw = _triple_sum(source, delays, cfg)
     coarse_cfg = replace(cfg, **{n: max(32, getattr(cfg, n) // 2 + 1)
                                  for n in ("n_pump", "n_prime", "n_dprime")})
     raw_coarse = _triple_sum(source, delays, coarse_cfg)
-    tail = _tail_mass(source, cfg.support_multiplier)
-    terms = []
-    for arg0, fine, coarse in zip(phase.tolist(), raw.tolist(), raw_coarse.tolist()):
-        phase0 = complex(math.cos(arg0), -math.sin(arg0))
-        # the raw sum is real for even centered densities; its imaginary part is
-        # the numerical residue worth reporting (the carrier rotation mixes the two)
-        terms.append(OracleTerm(value=2.0 * (phase0 * fine).real,
-                                imag_residual=abs(fine.imag),
-                                coarse_value=2.0 * (phase0 * coarse).real,
-                                tail_mass=tail))
-    return terms
+    # 2 Re(exp(-i phase) z); the raw sum is real for even centered densities, so
+    # its imaginary part is the numerical residue worth reporting (the carrier
+    # rotation mixes the two)
+    cos, sin = np.cos(phase), np.sin(phase)
+    return (2.0 * (cos * raw.real + sin * raw.imag), np.abs(raw.imag),
+            2.0 * (cos * raw_coarse.real + sin * raw_coarse.imag),
+            _tail_mass(source, cfg.support_multiplier))
 
 
 def interference_term_3d(source: SourceModel, delays: DelayTriple,
@@ -278,9 +274,10 @@ def interference_term_3d(source: SourceModel, delays: DelayTriple,
     a large relative change flags the grid as too coarse to trust. The
     one-row view of :func:`_interference_terms`, at the rate core's carrier phase.
     """
-    phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1),
-                           [np.array([d]) for d in astuple(delays)], delta_phi)
-    return _interference_terms(source, [delays], phase, cfg)[0]
+    columns = [np.array([d]) for d in astuple(delays)]
+    phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1), columns, delta_phi)
+    *fields, tail = _interference_terms(source, columns, phase, cfg)
+    return OracleTerm(*(float(c[0]) for c in fields), tail)
 
 
 def factorized_interference_term(source: SourceModel, delays: DelayTriple,
@@ -317,22 +314,20 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
                     for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"))
     phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1), columns, 0.0)
     gp = None
-    rows: list[RatioErrorRow] = []
+    blocks = []
     for ratio in ratios:
         src = source.with_pump(source.pump.with_width_scaled(_pump_rescale_factor(source, ratio)))
         if gp is None:  # g' does not depend on the pump
             gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))
         g = _polar(transforms(src.pump, columns[0]))
         _, arg, _ = _assemble_rate(phase, *g, *gp, 1.0, 1.0)  # the argument only
-        terms = _interference_terms(src, delays, phase, cfg)
-        for d, g_mag, gp_mag, a, term in zip(delays, g[0].tolist(), gp[0].tolist(),
-                                             arg.tolist(), terms):
-            fac = 2.0 * g_mag * gp_mag * math.cos(a)
-            rows.append(RatioErrorRow(
-                ratio=ratio, delays=d, factorized=fac, oracle=term.value,
-                rel_error=abs(fac - term.value) / INTERFERENCE_SCALE,
-                tail_mass=term.tail_mass))
-    return rows
+        value, _, _, tail = _interference_terms(src, columns, phase, cfg)
+        fac = 2.0 * g[0] * gp[0] * np.cos(arg)
+        rel_error = np.abs(fac - value) / INTERFERENCE_SCALE
+        blocks.append((ratio, fac.tolist(), value.tolist(), rel_error.tolist(), tail))
+    return [RatioErrorRow(ratio, d, f, o, e, tail)
+            for ratio, fac, value, rel_error, tail in blocks
+            for d, f, o, e in zip(delays, fac, value, rel_error)]
 
 
 def max_error_by_ratio(rows: list[RatioErrorRow]) -> list[tuple[float, float]]:

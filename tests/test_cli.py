@@ -81,6 +81,26 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="overspecified"):
             parse_config(text)
 
+    @pytest.mark.parametrize("geometry", ["geometry.delta_l_m = 0",
+                                          "geometry.length_a1_m = 1"],
+                             ids=["direct", "eight-length"])
+    @pytest.mark.parametrize("choice", [2, 3])
+    def test_cpdc_rejects_topdc_choice(self, tmp_path, capsys, geometry, choice):
+        # the key was once replaced by 1, and a cpdc sweep wrote choice-1 CSVs
+        text = MINIMAL_SOURCE + f"{geometry}\ngeometry.topdc_choice = {{}}\n" + (
+            "sweep.variable = delta_phi\nsweep.start = 0\nsweep.stop = 1\n"
+            "sweep.n_points = 3\n")
+        assert parse_config(text.format(1)).geometry.topdc_choice == 1
+        text = text.format(choice)
+        message = "geometry.topdc_choice must be 1 for a cpdc source"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_config(text)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not (out / "sweep.csv").exists()
+
     def test_underspecified_geometry(self):
         with pytest.raises(ValidationError, match="underspecified"):
             parse_config(MINIMAL_SOURCE)
@@ -215,6 +235,10 @@ class TestParseConfig:
          "line 12: validate.ratios: 'inf' is not a finite number"),
         ("validate.ratios = nan", ParseError,
          "line 12: validate.ratios: 'nan' is not a finite number"),
+        ("validate.ratios = 1,,0.3", ParseError,
+         "line 12: validate.ratios: '' is not a finite number"),
+        ("validate.ratios = 1,0.3,", ParseError,
+         "line 12: validate.ratios: '' is not a finite number"),
     ])
     def test_bad_validate_key_named(self, tmp_path, capsys, line, error, message):
         text = MINIMAL_SOURCE + "geometry.delta_l_m = 0\n" + line + "\n"

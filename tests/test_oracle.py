@@ -26,6 +26,11 @@ CENTRALS = CentralFrequencies(2.4e15, 1.2e15, 1.2e15)
 SIGMA_PM = 2e12
 
 
+def _columns(delays):
+    """The delay columns ``(dt, dt', dt'')`` of a list of delay triples."""
+    return tuple(np.array(c, dtype=float) for c in zip(*map(astuple, delays)))
+
+
 def gaussian_source(sigma_pump=1e12):
     pm = Separable(Gaussian(sigma=SIGMA_PM), Gaussian(sigma=SIGMA_PM))
     return SourceModel.cpdc(Gaussian(sigma=sigma_pump), pm, CENTRALS)
@@ -323,7 +328,7 @@ class TestTabulated2DJoint:
             v = pm2d.evaluate(prime_axis[:, None] - slope * pump_axis[i], dprime_axis[None, :])
             ref += ep[i] * (e1 @ v @ e2)
 
-        got = oracle._triple_sum(src, [d], cfg)[0]
+        got = oracle._triple_sum(src, _columns([d]), cfg)[0]
         assert abs(ref) > 0.1
         assert abs(got - ref) <= 1e-12 * INTERFERENCE_SCALE
 
@@ -370,8 +375,9 @@ def _two_real_interpolation_sum(source, delays, cfg):
 
 def _each_delay(triple_sum):
     """A one-delay tensor sum in the signature of the oracle's ``_triple_sum``,
-    which takes a sequence of delay triples and returns their sums."""
-    return lambda source, delays, cfg: np.array([triple_sum(source, d, cfg) for d in delays])
+    which takes the delay columns ``(dt, dt', dt'')`` and returns their sums."""
+    return lambda source, delays, cfg: np.array(
+        [triple_sum(source, DelayTriple(*row), cfg) for row in zip(*delays)])
 
 
 def _jittered_grid(rng, n, span):
@@ -413,7 +419,7 @@ class TestKnotRowContraction:
             d = DelayTriple(*(rng.uniform(-1.5, 1.5, 3) / SIGMA_PM))
             phi = float(rng.uniform(0, 2 * math.pi))
 
-            total = oracle._triple_sum(src, [d], cfg)[0]
+            total = oracle._triple_sum(src, _columns([d]), cfg)[0]
             assert total == _knot_row_reference_sum(src, d, cfg)
             assert abs(total - _two_real_interpolation_sum(src, d, cfg)) <= 1e-15
             got = interference_term_3d(src, d, phi, cfg)
@@ -451,8 +457,9 @@ class TestInterpolationCost:
                   for k in range(5)]
         proxy = _CountingInterp()
         monkeypatch.setattr(oracle, "np", proxy)
-        oracle._triple_sum(src, delays, OracleConfig(n_pump=33, n_prime=48, n_dprime=40,
-                                                     pump_coupling=coupling))
+        oracle._triple_sum(src, _columns(delays),
+                           OracleConfig(n_pump=33, n_prime=48, n_dprime=40,
+                                        pump_coupling=coupling))
         assert proxy.calls == len(delays)
 
 
@@ -587,6 +594,48 @@ class TestBatchedSweep:
         factors = [] if tabulated else [pm.d1, pm.d2]
         assert [counts.pop(id(d)) for d in factors] == [4] * len(factors)
         assert sorted(counts.values()) == [2, 2]
+
+
+def test_sweep_builds_no_term_and_sums_delay_columns(monkeypatch):
+    # the sweep once built an OracleTerm per row and summed a list of triples
+    built, columns = [], []
+    term = oracle.OracleTerm
+    monkeypatch.setattr(oracle, "OracleTerm", lambda *a: built.append(a) or term(*a))
+    core = oracle._triple_sum
+    monkeypatch.setattr(oracle, "_triple_sum", lambda source, delays, cfg: columns.append(
+        [(type(c), np.shape(c)) for c in delays]) or core(source, delays, cfg))
+    delays = [DelayTriple(0.3e-12 * k, 0.2 / SIGMA_PM, -0.1 * k / SIGMA_PM) for k in range(3)]
+    rows = factorization_error_sweep(gaussian_source(), delays, [1.0, 0.3],
+                                     OracleConfig(n_pump=33, n_prime=33, n_dprime=33))
+    assert len(rows) == 6
+    assert built == []
+    assert columns == [[(np.ndarray, (3,))] * 3] * 4  # fine and coarse, per ratio
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros, every exponent
+
+
+@settings(max_examples=500, deadline=None)
+@given(phase=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300)),
+       fine=st.builds(complex, _finite, _finite), coarse=st.builds(complex, _finite, _finite))
+def test_vectorized_carrier_rotation_equals_complex_rotation(phase, fine, coarse):
+    # the terms rotate the sums as columns; the per-row form they replace was
+    # 2 Re(complex(cos, -sin) * z) in Python floats, and must agree bit for bit
+    def bits(x):
+        return np.float64(x).view(np.int64)
+
+    column = np.array([phase])
+    assert bits(np.cos(column)[0]) == bits(math.cos(phase))
+    assert bits(np.sin(column)[0]) == bits(math.sin(phase))
+    sums = iter([np.array([fine]), np.array([coarse])])
+    with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore"):
+        m.setattr(oracle, "_triple_sum", lambda *a: next(sums))
+        value, imag_residual, coarse_value, _ = oracle._interference_terms(
+            gaussian_source(), None, column, OracleConfig())
+    phasor = complex(math.cos(phase), -math.sin(phase))
+    assert bits(value[0]) == bits(2.0 * (phasor * fine).real)
+    assert bits(coarse_value[0]) == bits(2.0 * (phasor * coarse).real)
+    assert bits(imag_residual[0]) == bits(abs(fine.imag))
 
 
 def test_overflowing_carrier_phase_rejected_before_any_sum(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from triphoton import coherence
 from triphoton.coherence import _cos_sin
+from enclosing import enclosing_functions
 
 HOME = "_cos_sin"
 
@@ -57,19 +58,9 @@ class TestCosSin:
 def _trig_callers(source: str) -> list[str]:
     """The name of the function around each use of numpy's ``sin`` or ``cos``
     in ``source`` (``"<module>"`` outside any function)."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-            found.append(function)
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    return enclosing_functions(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")))
 
 
 @pytest.mark.parametrize("source, found", [

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import triphoton
+from enclosing import enclosing_functions
 
 WRITER = ("cli.py", "_new_file")
 
@@ -39,18 +40,8 @@ def _writes(call: ast.Call) -> bool:
 def _writers(source: str) -> list[str]:
     """The name of the function around each call in ``source`` that opens a
     file for writing (``"<module>"`` outside any function)."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and _writes(node):
-            found.append(function)
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    return enclosing_functions(source, lambda node: isinstance(node, ast.Call)
+                               and _writes(node))
 
 
 @pytest.mark.parametrize("source, found", [
