@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
+from .pathgeom import _as_float
 from .spectra import (JointSpectralDensity, Separable, SpectralDensity, Tabulated, Tabulated2D,
                       _phases)
 
@@ -76,9 +77,11 @@ class DelayTriple:
     delta_tau_dprime: float
 
     def __post_init__(self):
-        for v in (self.delta_tau, self.delta_tau_prime, self.delta_tau_dprime):
+        for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"):
+            v = _as_float(name, getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError("delays must be finite")
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_lengths(cls, delta_l, delta_l_prime, delta_l_dprime) -> "DelayTriple":

@@ -28,12 +28,12 @@ core does, and return columns. Everything but the three delay phase columns is
 delay-independent, so :func:`_triple_sum` builds the axes, the trapezoid
 weights, the weighted pump column and the density columns (or the table's
 knot-row matrix) once per grid and then sums row by row;
-:func:`_interference_terms` rotates the sums by the rate core's carrier-phase
-column (``rates._carrier_phase``, which rejects an overflowing phase before
-any sum). Only the public edges make row objects: :func:`interference_term_3d`,
-the one-row view, and the factorization sweep, which builds each ratio's grids
-once, computes the phase-matching factor and the carrier phase once per delay
-for all ratios, and returns, row for row, what the per-delay entry points return.
+:func:`_interference_terms` rotates one grid's sums by the rate core's
+carrier-phase column (``rates._carrier_phase``, which rejects an overflowing
+phase before any sum). Only the public edges make row objects: the one-row
+:func:`interference_term_3d`, which sums a fine and a coarse grid, and the
+factorization sweep, which sums one grid per ratio, computes g' and the carrier
+phase once per delay for all ratios, and equals the per-delay views row for row.
 
 The grid spans a fixed number of widths of an infinite-support shape, so
 the sum misses that shape's mass beyond the window. That mass is known
@@ -117,6 +117,9 @@ class OracleTerm:
     It and ``coarse_rel_change`` estimate the term's error but do not bound
     it: on coupled table sources the gap to the exact shifted product passed
     ``tail_mass + coarse_rel_change`` in 5 of 68 seeded cases, by up to 2.8x.
+    ``coarse_value`` (only :func:`interference_term_3d` makes one; ``validate`` and the
+    sweep do not) sums ``max(32, n // 2 + 1)`` of an axis's ``n`` points: an axis under 64
+    coarsens only to 32, one of 32 not at all, so at 32 per axis it equals ``value``.
     """
 
     value: float
@@ -250,34 +253,30 @@ def _triple_sum(source: SourceModel, delays, cfg: OracleConfig) -> np.ndarray:
 
 
 def _interference_terms(source: SourceModel, delays, phase: np.ndarray, cfg: OracleConfig):
-    """The :class:`OracleTerm` fields at the delay columns and carrier ``phase``:
-    the ``value``, ``imag_residual`` and ``coarse_value`` columns and the one
-    ``tail_mass`` they share, each grid level's sums from one :func:`_triple_sum`."""
+    """The ``value`` and ``imag_residual`` columns at the delay columns and
+    carrier ``phase``, from one :func:`_triple_sum` on ``cfg``'s grid."""
     raw = _triple_sum(source, delays, cfg)
-    coarse_cfg = replace(cfg, **{n: max(32, getattr(cfg, n) // 2 + 1)
-                                 for n in ("n_pump", "n_prime", "n_dprime")})
-    raw_coarse = _triple_sum(source, delays, coarse_cfg)
     # 2 Re(exp(-i phase) z); the raw sum is real for even centered densities, so
     # its imaginary part is the numerical residue worth reporting (the carrier
     # rotation mixes the two)
-    cos, sin = np.cos(phase), np.sin(phase)
-    return (2.0 * (cos * raw.real + sin * raw.imag), np.abs(raw.imag),
-            2.0 * (cos * raw_coarse.real + sin * raw_coarse.imag),
-            _tail_mass(source, cfg.support_multiplier))
+    return 2.0 * (np.cos(phase) * raw.real + np.sin(phase) * raw.imag), np.abs(raw.imag)
 
 
 def interference_term_3d(source: SourceModel, delays: DelayTriple,
                          delta_phi: float, cfg: OracleConfig) -> OracleTerm:
     """Interference term from the direct 3D sum, normalized like 2*g*g'*cos.
 
-    The same sum at roughly half resolution per axis is reported alongside;
-    a large relative change flags the grid as too coarse to trust. The
-    one-row view of :func:`_interference_terms`, at the rate core's carrier phase.
+    One-row calls of :func:`_interference_terms` at the rate core's carrier phase,
+    on the fine grid, then on the coarse one whose change flags a coarse grid.
     """
     columns = [np.array([d]) for d in astuple(delays)]
     phase = _carrier_phase(carrier_omegas(source.centrals, source.kind, 1), columns, delta_phi)
-    *fields, tail = _interference_terms(source, columns, phase, cfg)
-    return OracleTerm(*(float(c[0]) for c in fields), tail)
+    value, imag_residual = _interference_terms(source, columns, phase, cfg)
+    coarse_cfg = replace(cfg, **{n: max(32, getattr(cfg, n) // 2 + 1)
+                                 for n in ("n_pump", "n_prime", "n_dprime")})
+    coarse_value, _ = _interference_terms(source, columns, phase, coarse_cfg)
+    return OracleTerm(float(value[0]), float(imag_residual[0]), float(coarse_value[0]),
+                      _tail_mass(source, cfg.support_multiplier))
 
 
 def factorized_interference_term(source: SourceModel, delays: DelayTriple,
@@ -304,9 +303,9 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
 
     Each row equals :func:`factorized_interference_term` and
     :func:`interference_term_3d` at its ratio and delay bit for bit: g' is
-    computed once per delay, g once per ratio, and the oracle builds each
-    ratio's grids once. An overflowing carrier phase raises before any sum
-    runs.
+    computed once per delay, g once per ratio, and the oracle sums one grid
+    per ratio (no coarse level: rows carry no ``coarse_value``). An overflowing
+    carrier phase raises before any sum runs.
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("bandwidth ratios must be positive")
@@ -321,10 +320,11 @@ def factorization_error_sweep(source: SourceModel, delays: list[DelayTriple],
             gp = _polar(joint_transforms(source.phase_matching, *columns[1:]))
         g = _polar(transforms(src.pump, columns[0]))
         _, arg, _ = _assemble_rate(phase, *g, *gp, 1.0, 1.0)  # the argument only
-        value, _, _, tail = _interference_terms(src, columns, phase, cfg)
+        value, _ = _interference_terms(src, columns, phase, cfg)
         fac = 2.0 * g[0] * gp[0] * np.cos(arg)
         rel_error = np.abs(fac - value) / INTERFERENCE_SCALE
-        blocks.append((ratio, fac.tolist(), value.tolist(), rel_error.tolist(), tail))
+        blocks.append((ratio, fac.tolist(), value.tolist(), rel_error.tolist(),
+                       _tail_mass(src, cfg.support_multiplier)))
     return [RatioErrorRow(ratio, d, f, o, e, tail)
             for ratio, fac, value, rel_error, tail in blocks
             for d, f, o, e in zip(delays, fac, value, rel_error)]

@@ -48,6 +48,16 @@ Choice 2 swaps photons a and b of choice 1 and choice 3 swaps a and c: they are
 transpositions, not cyclic relabelings."""
 
 
+def _as_float(name: str, v) -> float:
+    """A real number ``v`` as a float; one too large for a float raises a
+    ValueError that names ``name`` and not its digits."""
+    try:
+        math.isfinite(v)  # a TypeError for what is not a real number
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    return float(v)
+
+
 def _topdc_photons(choice: int) -> str:
     """The (reference, prime, double-prime) photons of a labeling ``choice``."""
     if choice not in _TOPDC_LABELS:
@@ -115,9 +125,10 @@ class ReducedParameters:
         if self.topdc_choice not in _TOPDC_LABELS:
             raise ValueError("topdc_choice must be 1, 2 or 3")
         for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"):
-            v = getattr(self, name)
+            v = _as_float(name, getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -777,6 +778,27 @@ class TestValueTypes:
         assert d.delta_tau == pytest.approx(1.0)
         assert d.delta_tau_prime == pytest.approx(2.0)
         assert d.delta_tau_dprime == 0.0
+
+    @pytest.mark.parametrize("field", ["delta_tau", "delta_tau_prime", "delta_tau_dprime"])
+    @pytest.mark.parametrize("value", [2 ** 63, -(10 ** 20), np.int64(7), np.float32(0.1),
+                                       Fraction(1, 3)],
+                             ids=["2**63", "-10**20", "int64", "float32", "fraction"])
+    def test_delay_triple_stores_floats(self, field, value):
+        # an int beyond int64 once reached numpy as an object or uint64 column
+        d = DelayTriple(**{"delta_tau": 0, "delta_tau_prime": 0, "delta_tau_dprime": 0,
+                           field: value})
+        assert [type(v) for v in astuple(d)] == [float] * 3
+        assert getattr(d, field) == float(value)
+
+    @pytest.mark.parametrize("field", ["delta_tau", "delta_tau_prime", "delta_tau_dprime"])
+    def test_delay_triple_names_an_int_too_large_for_a_float(self, field):
+        # it once ended in a bare OverflowError
+        with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+            DelayTriple(**{"delta_tau": 0, "delta_tau_prime": 0, "delta_tau_dprime": 0,
+                           field: -(10 ** 400)})
+        with pytest.raises(TypeError):  # a number's text is not a number
+            DelayTriple(**{"delta_tau": 0, "delta_tau_prime": 0, "delta_tau_dprime": 0,
+                           field: "1e-12"})
 
     def test_delay_triple_rejects_nonfinite(self):
         with pytest.raises(ValueError):

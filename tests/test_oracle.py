@@ -588,12 +588,12 @@ class TestBatchedSweep:
         assert len(rows) == 6
         # g' once per delay: 3 pairs in all, whatever the calls
         assert sum(np.broadcast(*a[1:]).size for a in joint) == (3 if tabulated else 0)
-        # per ratio, the fine and the coarse grid evaluate each density once:
-        # the shared phase-matching factors twice per ratio, each ratio's pump twice
+        # per ratio, the one grid evaluates each density once: the shared
+        # phase-matching factors once per ratio, each ratio's pump once
         counts = Counter(map(id, evaluated))
         factors = [] if tabulated else [pm.d1, pm.d2]
-        assert [counts.pop(id(d)) for d in factors] == [4] * len(factors)
-        assert sorted(counts.values()) == [2, 2]
+        assert [counts.pop(id(d)) for d in factors] == [2] * len(factors)
+        assert sorted(counts.values()) == [1, 1]
 
 
 def test_sweep_builds_no_term_and_sums_delay_columns(monkeypatch):
@@ -609,7 +609,21 @@ def test_sweep_builds_no_term_and_sums_delay_columns(monkeypatch):
                                      OracleConfig(n_pump=33, n_prime=33, n_dprime=33))
     assert len(rows) == 6
     assert built == []
-    assert columns == [[(np.ndarray, (3,))] * 3] * 4  # fine and coarse, per ratio
+    assert columns == [[(np.ndarray, (3,))] * 3] * 2  # one grid per ratio
+
+
+@pytest.mark.parametrize("sizes", [(129, 129, 129), (33, 64, 40), (32, 32, 32)])
+def test_term_sums_the_fine_then_the_coarse_grid(monkeypatch, sizes):
+    # the coarse level is this view's alone: max(32, n // 2 + 1) per axis
+    grids = []
+    core = oracle._triple_sum
+    monkeypatch.setattr(oracle, "_triple_sum", lambda source, delays, cfg: grids.append(
+        (cfg.n_pump, cfg.n_prime, cfg.n_dprime)) or core(source, delays, cfg))
+    term = interference_term_3d(gaussian_source(), DelayTriple(1e-13, 0.0, 0.0), 0.0,
+                                OracleConfig(*sizes))
+    assert grids == [sizes, tuple(max(32, n // 2 + 1) for n in sizes)]
+    if sizes == (32, 32, 32):  # no axis coarsens, so neither does the term
+        assert term.coarse_value == term.value and not term.coarse_grid_warning
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros, every exponent
@@ -627,14 +641,18 @@ def test_vectorized_carrier_rotation_equals_complex_rotation(phase, fine, coarse
     column = np.array([phase])
     assert bits(np.cos(column)[0]) == bits(math.cos(phase))
     assert bits(np.sin(column)[0]) == bits(math.sin(phase))
-    sums = iter([np.array([fine]), np.array([coarse])])
+    sums = iter([np.array([fine]), np.array([fine]), np.array([coarse])])
     with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore"):
         m.setattr(oracle, "_triple_sum", lambda *a: next(sums))
-        value, imag_residual, coarse_value, _ = oracle._interference_terms(
+        value, imag_residual = oracle._interference_terms(
             gaussian_source(), None, column, OracleConfig())
+        # the term's coarse value is its second call of the same rotation
+        m.setattr(oracle, "_carrier_phase", lambda *a: column)
+        term = interference_term_3d(gaussian_source(), DelayTriple(0.0, 0.0, 0.0), 0.0,
+                                    OracleConfig())
     phasor = complex(math.cos(phase), -math.sin(phase))
-    assert bits(value[0]) == bits(2.0 * (phasor * fine).real)
-    assert bits(coarse_value[0]) == bits(2.0 * (phasor * coarse).real)
+    assert bits(value[0]) == bits(term.value) == bits(2.0 * (phasor * fine).real)
+    assert bits(term.coarse_value) == bits(2.0 * (phasor * coarse).real)
     assert bits(imag_residual[0]) == bits(abs(fine.imag))
 
 
@@ -645,28 +663,54 @@ def test_overflowing_carrier_phase_rejected_before_any_sum(monkeypatch):
         core = getattr(oracle, name)
         monkeypatch.setattr(oracle, name,
                             lambda *a, _f=core, _n=name: calls.append(_n) or _f(*a))
-    delays = [DelayTriple(0.0, 0.0, 0.0), DelayTriple(1e300, 0.0, 0.0)]
-    with pytest.raises(CarrierPhaseOverflowError,
-                       match="^the carrier phase overflows at delta_tau = 1e\\+300, "):
-        factorization_error_sweep(gaussian_source(), delays, [1.0], OracleConfig())
+    for delay in (1e300, 10 ** 300):  # an int beyond int64 is its float
+        delays = [DelayTriple(0.0, 0.0, 0.0), DelayTriple(delay, 0, 0)]
+        with pytest.raises(CarrierPhaseOverflowError,
+                           match="^the carrier phase overflows at delta_tau = 1e\\+300, "):
+            factorization_error_sweep(gaussian_source(), delays, [1.0], OracleConfig())
     assert calls == []
 
 
 def test_interference_term_3d_rejects_overflowing_carrier_phase(monkeypatch):
     # before the check _triple_sum warned on the overflowing phase and the
-    # carrier rotation then died with "math domain error"
-    src, d = gaussian_source(), DelayTriple(1e300, 0, 0)
+    # carrier rotation then died with "math domain error"; an int beyond int64
+    # died in numpy's isfinite on an object column
     calls = []
     core = oracle._triple_sum
     monkeypatch.setattr(oracle, "_triple_sum", lambda *a: calls.append(a) or core(*a))
-    with pytest.raises(CarrierPhaseOverflowError) as direct:
-        interference_term_3d(src, d, 0.0, OracleConfig())
-    assert calls == []
-    with pytest.raises(CarrierPhaseOverflowError) as engine:
-        factorized_interference_term(src, d, 0.0)
-    assert str(direct.value) == str(engine.value) == (
-        "the carrier phase overflows at delta_tau = 1e+300, delta_tau_prime = 0.0, "
-        "delta_tau_dprime = 0.0 s, delta_phi = 0.0 rad")
+    for delay in (1e300, 10 ** 300):
+        src, d = gaussian_source(), DelayTriple(delay, 0, 0)
+        with pytest.raises(CarrierPhaseOverflowError) as direct:
+            interference_term_3d(src, d, 0.0, OracleConfig())
+        assert calls == []
+        with pytest.raises(CarrierPhaseOverflowError) as engine:
+            factorized_interference_term(src, d, 0.0)
+        assert str(direct.value) == str(engine.value) == (
+            "the carrier phase overflows at delta_tau = 1e+300, delta_tau_prime = 0.0, "
+            "delta_tau_dprime = 0.0 s, delta_phi = 0.0 rad")
+
+
+@pytest.mark.parametrize("big", [2 ** 63, -(10 ** 20)], ids=["2**63", "-10**20"])
+def test_int_beyond_int64_gives_its_floats_terms(big):
+    cfg = OracleConfig(n_pump=33, n_prime=33, n_dprime=33, pump_coupling=LinearShift(0.5))
+    cells = [(big, 0, 0), (0, big, 0), (0, 0, big)]
+    ints, floats = [DelayTriple(*c) for c in cells], [DelayTriple(*map(float, c)) for c in cells]
+    for i, f in zip(ints, floats):
+        assert (repr(interference_term_3d(gaussian_source(), i, 0, cfg))
+                == repr(interference_term_3d(gaussian_source(), f, 0.0, cfg)))
+    rows = factorization_error_sweep(gaussian_source(), ints, [1.0, 0.3], cfg)
+    assert repr(rows) == repr(factorization_error_sweep(gaussian_source(), floats,
+                                                        [1.0, 0.3], cfg))
+
+
+def test_int_too_large_for_a_float_named():
+    # it once ended in a bare OverflowError
+    with pytest.raises(ValueError, match="^delta_tau_dprime is too large for a float$"):
+        interference_term_3d(gaussian_source(), DelayTriple(0, 0, 10 ** 400), 0.0,
+                             OracleConfig())
+    with pytest.raises(ValueError, match="^delta_tau is too large for a float$"):
+        factorization_error_sweep(gaussian_source(), [DelayTriple(-(10 ** 400), 0, 0)],
+                                  [1.0], OracleConfig())
 
 
 @pytest.mark.parametrize("cfg, message", [

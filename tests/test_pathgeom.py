@@ -227,6 +227,12 @@ def test_reduced_parameters_reject_non_finite(field):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             ReducedParameters(**{**finite, field: bad})
+    # an int is stored as its float, and one too large for a float is named
+    # without its digits (it once ended in a bare OverflowError)
+    stored = ReducedParameters(**{**finite, field: -(10 ** 20)})
+    assert getattr(stored, field) == -1e20 and type(getattr(stored, field)) is float
+    with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+        ReducedParameters(**{**finite, field: 10 ** 400})
 
 
 # The rate from the eight lengths, end to end: the reference is a direct 3D

@@ -242,7 +242,12 @@ class TestCarrierPhaseOverflow:
         (DelayTriple(7e292, 0.0, 0.0), 1.7e308,
          "delta_tau = 7e+292, delta_tau_prime = 0.0, delta_tau_dprime = 0.0 s, "
          "delta_phi = 1.7e+308 rad"),
-    ], ids=["term_overflows", "sum_overflows"])
+        # an int beyond int64 is its float: it once made numpy's isfinite raise
+        # a TypeError on an object array
+        (DelayTriple(10 ** 300, 0, 0), 0.0,
+         "delta_tau = 1e+300, delta_tau_prime = 0.0, delta_tau_dprime = 0.0 s, "
+         "delta_phi = 0.0 rad"),
+    ], ids=["term_overflows", "sum_overflows", "int_term_overflows"])
     def test_rate_time_rejects_overflowing_phase(self, transform_calls, delays,
                                                  delta_phi, message):
         source = SourceModel.cpdc(Lorentzian(gamma=1e12),
@@ -254,10 +259,35 @@ class TestCarrierPhaseOverflow:
         assert transform_calls == []
 
     def test_rate_length_rejects_overflowing_phase(self, transform_calls):
-        with pytest.raises(CarrierPhaseOverflowError, match="^the carrier phase overflows"):
-            rate_length(gaussian_cpdc(), ReducedParameters(1e308, 0.0, 0.0),
-                        AlternativeAmplitudes.balanced())
+        for delta_l in (1e308, 10 ** 308):  # an int beyond int64 is its float
+            with pytest.raises(CarrierPhaseOverflowError, match="^the carrier phase overflows"):
+                rate_length(gaussian_cpdc(), ReducedParameters(delta_l, 0, 0),
+                            AlternativeAmplitudes.balanced())
         assert transform_calls == []
+
+
+@pytest.mark.parametrize("big", [2 ** 63, -(10 ** 20), 10 ** 30],
+                         ids=["2**63", "-10**20", "10**30"])
+def test_int_beyond_int64_gives_its_floats_rate(big):
+    # such an int reached numpy as an object or uint64 column
+    amps, src = AlternativeAmplitudes.balanced(), gaussian_cpdc()
+    for field in range(3):
+        ints, floats = [0] * 3, [0.0] * 3
+        ints[field], floats[field] = big, float(big)
+        assert (repr(rate_time(src, DelayTriple(*ints), 0, amps))
+                == repr(rate_time(src, DelayTriple(*floats), 0.0, amps)))
+        assert (repr(rate_length(src, ReducedParameters(*ints), amps))
+                == repr(rate_length(src, ReducedParameters(*floats), amps)))
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400)], ids=["10**400", "-10**400"])
+def test_int_too_large_for_a_float_named_by_both_entry_points(big):
+    # it once ended in a bare OverflowError
+    amps, src = AlternativeAmplitudes.balanced(), gaussian_cpdc()
+    with pytest.raises(ValueError, match="^delta_tau_prime is too large for a float$"):
+        rate_time(src, DelayTriple(0, big, 0), 0.0, amps)
+    with pytest.raises(ValueError, match="^delta_l is too large for a float$"):
+        rate_length(src, ReducedParameters(big, 0, 0), amps)
 
 
 def _factor(source: str, joint: bool):
