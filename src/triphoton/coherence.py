@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .pathgeom import _as_float
+from .errors import _real, _store_reals
 from .spectra import (JointSpectralDensity, Separable, SpectralDensity, Tabulated, Tabulated2D,
                       _phases)
 
@@ -77,16 +77,13 @@ class DelayTriple:
     delta_tau_dprime: float
 
     def __post_init__(self):
-        for name in ("delta_tau", "delta_tau_prime", "delta_tau_dprime"):
-            v = _as_float(name, getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("delays must be finite")
-            object.__setattr__(self, name, v)
+        _store_reals(self, ("delta_tau", "delta_tau_prime", "delta_tau_dprime"))
 
     @classmethod
     def from_lengths(cls, delta_l, delta_l_prime, delta_l_dprime) -> "DelayTriple":
         c = SPEED_OF_LIGHT
-        return cls(delta_l / c, delta_l_prime / c, delta_l_dprime / c)
+        return cls(_real("delta_l", delta_l) / c, _real("delta_l_prime", delta_l_prime) / c,
+                   _real("delta_l_dprime", delta_l_dprime) / c)
 
 
 # Delay x knot-interval cells in one array pass of a table transform: each of

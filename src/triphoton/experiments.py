@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import CarrierPhaseOverflowError, InsufficientSamplingError
+from .errors import CarrierPhaseOverflowError, InsufficientSamplingError, _store_reals
 from .pathgeom import (CentralFrequencies, ReducedParameters, SourceKind,
                        carrier_omegas)
 from .rates import (AlternativeAmplitudes, SourceModel, _carrier_phase,
@@ -62,10 +62,7 @@ class SweepSpec:
             raise ValueError("n_points must be an integer")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
-        for name in ("start", "stop"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        _store_reals(self, ("start", "stop"))
         if not self.start < self.stop:
             raise ValueError("start must be below stop")
         if not math.isfinite(self.stop - self.start):
@@ -97,7 +94,7 @@ def _parameter_columns(spec: SweepSpec, values: np.ndarray) -> tuple[np.ndarray,
     swept = (("delta_l_prime", "delta_l_dprime")
              if spec.variable is SweepVariable.DIAGONAL else (spec.variable.value,))
     return tuple(values if name in swept
-                 else np.full(values.size, float(getattr(spec.fixed, name)))
+                 else np.full(values.size, getattr(spec.fixed, name))
                  for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"))
 
 
@@ -142,7 +139,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                               dphi, spec.amps, spec.fixed.topdc_choice, fixed)
         for column, part in zip(columns, parts):
             column[start:start + block.size] = part
-    return SweepTable(spec.variable, values, *columns, float(spec.amps.baseline))
+    return SweepTable(spec.variable, values, *columns, spec.amps.baseline)
 
 
 @dataclass(frozen=True)

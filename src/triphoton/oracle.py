@@ -57,6 +57,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .coherence import DelayTriple, _polar, joint_transforms, transforms
+from .errors import _store_reals
 from .pathgeom import carrier_omegas
 from .rates import (AlternativeAmplitudes, RateResult, SourceModel, _assemble_rate,
                     _carrier_phase, rate_time)
@@ -77,8 +78,7 @@ class LinearShift:
     slope: float
 
     def __post_init__(self):
-        if not math.isfinite(self.slope):
-            raise ValueError("slope must be finite")
+        _store_reals(self, ("slope",))
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,9 @@ class OracleConfig:
                 raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 32:
                 raise ValueError(f"{name} must be at least 32")
+        _store_reals(self, ("support_multiplier",))
         if not self.support_multiplier >= 4:
             raise ValueError("support_multiplier must be at least 4")
-        if not math.isfinite(self.support_multiplier):
-            raise ValueError("support_multiplier must be finite")
 
     @property
     def slope(self) -> float:

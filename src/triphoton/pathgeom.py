@@ -27,10 +27,11 @@ under every choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 from .constants import SPEED_OF_LIGHT
+from .errors import _real, _store_reals
 
 
 class SourceKind(Enum):
@@ -46,16 +47,6 @@ _TOPDC_LABELS = {1: "abc", 2: "bac", 3: "cba"}
 """Each third-order labeling choice's (reference, prime, double-prime) photons.
 Choice 2 swaps photons a and b of choice 1 and choice 3 swaps a and c: they are
 transpositions, not cyclic relabelings."""
-
-
-def _as_float(name: str, v) -> float:
-    """A real number ``v`` as a float; one too large for a float raises a
-    ValueError that names ``name`` and not its digits."""
-    try:
-        math.isfinite(v)  # a TypeError for what is not a real number
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
-    return float(v)
 
 
 def _topdc_photons(choice: int) -> str:
@@ -90,14 +81,8 @@ class PathConfiguration:
     phi_p2: float = 0.0
 
     def __post_init__(self):
-        for name in _LENGTH_FIELDS:
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        for name in _PHASE_FIELDS:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        _store_reals(self, _LENGTH_FIELDS, ">= 0")
+        _store_reals(self, _PHASE_FIELDS)
 
     @property
     def delta_phi(self) -> float:
@@ -124,11 +109,7 @@ class ReducedParameters:
     def __post_init__(self):
         if self.topdc_choice not in _TOPDC_LABELS:
             raise ValueError("topdc_choice must be 1, 2 or 3")
-        for name in ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"):
-            v = _as_float(name, getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        _store_reals(self, ("delta_l", "delta_l_prime", "delta_l_dprime", "delta_phi"))
 
 
 @dataclass(frozen=True)
@@ -140,10 +121,7 @@ class CentralFrequencies:
     omega_c0: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be finite and positive")
+        _store_reals(self, ("omega_a0", "omega_b0", "omega_c0"), "positive")
 
     @property
     def omega_p0(self) -> float:
@@ -151,11 +129,10 @@ class CentralFrequencies:
 
     @classmethod
     def from_wavelengths_nm(cls, lambda_a_nm, lambda_b_nm, lambda_c_nm):
-        def w(lam):
-            if not lam > 0:
-                raise ValueError("wavelengths must be positive")
-            return 2.0 * math.pi * SPEED_OF_LIGHT / (lam * 1e-9)
-        return cls(w(lambda_a_nm), w(lambda_b_nm), w(lambda_c_nm))
+        def w(name, lam):
+            return 2.0 * math.pi * SPEED_OF_LIGHT / (_real(name, lam, "positive") * 1e-9)
+        return cls(w("lambda_a_nm", lambda_a_nm), w("lambda_b_nm", lambda_b_nm),
+                   w("lambda_c_nm", lambda_c_nm))
 
 
 def reduce_cpdc(p: PathConfiguration) -> ReducedParameters:

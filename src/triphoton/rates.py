@@ -31,7 +31,7 @@ import numpy as np
 from . import pathgeom
 from .coherence import DelayTriple, _polar, joint_transforms, transforms
 from .coherence import gamma_prime  # noqa: F401  (bench/spans.py traces rates.gamma_prime)
-from .errors import CarrierPhaseOverflowError
+from .errors import CarrierPhaseOverflowError, _real, _store_reals
 from .pathgeom import CentralFrequencies, ReducedParameters, SourceKind, carrier_omegas
 from .spectra import JointSpectralDensity, SpectralDensity
 
@@ -76,11 +76,9 @@ class AlternativeAmplitudes:
     c_mag_sq: float = 1.0
 
     def __post_init__(self):
+        _store_reals(self, ("k1_mag", "k2_mag"), ">= 0")
+        _store_reals(self, ("c_mag_sq",), "positive")
         k1, k2, c = self.k1_mag, self.k2_mag, self.c_mag_sq
-        if not (0 <= k1 < math.inf and 0 <= k2 < math.inf):
-            raise ValueError("amplitude magnitudes must be finite and nonnegative")
-        if not 0 < c < math.inf:
-            raise ValueError("c_mag_sq must be finite and positive")
         # the rate peaks at twice the baseline; x * x overflows to inf where x ** 2 raises
         if 2.0 * c * (k1 * k1 + k2 * k2) == math.inf:
             raise ValueError("the peak rate 2 * c_mag_sq * (k1_mag**2 + k2_mag**2) overflows")
@@ -88,9 +86,7 @@ class AlternativeAmplitudes:
     @classmethod
     def balanced(cls, total_scale: float = 1.0) -> "AlternativeAmplitudes":
         """Equal amplitudes normalized so the baseline rate equals ``total_scale``."""
-        if not total_scale > 0:
-            raise ValueError("total_scale must be positive")
-        k = math.sqrt(total_scale / 2.0)
+        k = math.sqrt(_real("total_scale", total_scale, "positive") / 2.0)
         return cls(k1_mag=k, k2_mag=k, c_mag_sq=1.0)
 
     @property
@@ -132,7 +128,7 @@ def rate_time(source: SourceModel, delays: DelayTriple, delta_phi: float,
     """
     columns = _rate_columns(source, [np.array([d]) for d in astuple(delays)],
                             delta_phi, amps, choice)
-    return RateResult(*(float(c[0]) for c in columns), float(amps.baseline))
+    return RateResult(*(float(c[0]) for c in columns), amps.baseline)
 
 
 def _rate_columns(source: SourceModel, delays, delta_phi, amps, choice: int,

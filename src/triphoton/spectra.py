@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NormalizationError
+from .errors import NormalizationError, _real, _store_reals
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -83,11 +83,6 @@ def _phases(freq: float, delays: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _check_width(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _sine_integral(x: float) -> float:
     """``Si(x)``, the integral of ``sin(t)/t`` from 0 to ``x`` (A&S 5.2.1).
 
@@ -130,16 +125,15 @@ class _AnalyticShape(SpectralDensity):
     _width_field: str
 
     def __post_init__(self):
-        _check_width(self._width_field, self.characteristic_width)
-        if not math.isfinite(self.center_offset):
-            raise ValueError("center_offset must be finite")
+        _store_reals(self, (self._width_field,), "positive")
+        _store_reals(self, ("center_offset",))
 
     @property
     def characteristic_width(self) -> float:
         return getattr(self, self._width_field)
 
     def with_width_scaled(self, factor: float) -> "_AnalyticShape":
-        _check_width("factor", factor)
+        factor = _real("factor", factor, "positive")
         return replace(self, **{self._width_field: self.characteristic_width * factor})
 
     def _centre_phase(self, delays: np.ndarray) -> np.ndarray:
@@ -243,7 +237,8 @@ class Tabulated(SpectralDensity):
     """
 
     def __init__(self, grid, values, center_offset: float = 0.0):
-        grid = np.asarray(grid, dtype=float) + center_offset  # checked once shifted
+        # the shifted grid is checked, so an offset that merges knots is caught
+        grid = np.asarray(grid, dtype=float) + _real("center_offset", center_offset)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be 1D with at least two points")
@@ -318,7 +313,7 @@ class Tabulated(SpectralDensity):
 
     def with_width_scaled(self, factor: float) -> "Tabulated":
         # scaled about the peak, like the analytic shapes, which keep their center
-        _check_width("factor", factor)
+        factor = _real("factor", factor, "positive")
         c = self.center
         return Tabulated(c + (self.grid - c) * factor, self.values / factor)
 

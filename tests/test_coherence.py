@@ -801,8 +801,8 @@ class TestValueTypes:
                            field: "1e-12"})
 
     def test_delay_triple_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta_tau must be finite, got nan$"):
             DelayTriple(math.nan, 0.0, 0.0)
         # 1e10 inverse widths of a 1e-300 rad/s pump: the product overflows
-        with pytest.raises(ValueError, match="^delays must be finite$"):
+        with pytest.raises(ValueError, match="^delta_tau must be finite, got inf$"):
             DelayTriple(1e10 * (1.0 / 1e-300), 0.0, 0.0)

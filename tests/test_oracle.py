@@ -67,7 +67,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [math.inf, np.float64(np.inf)])
     def test_infinite_support_rejected(self, value):
-        with pytest.raises(ValueError, match="^support_multiplier must be finite$"):
+        with pytest.raises(ValueError, match="^support_multiplier must be finite, got inf$"):
             OracleConfig(support_multiplier=value)
 
 

@@ -229,10 +229,13 @@ def test_reduced_parameters_reject_non_finite(field):
             ReducedParameters(**{**finite, field: bad})
     # an int is stored as its float, and one too large for a float is named
     # without its digits (it once ended in a bare OverflowError)
-    stored = ReducedParameters(**{**finite, field: -(10 ** 20)})
-    assert getattr(stored, field) == -1e20 and type(getattr(stored, field)) is float
+    for big in (2 ** 63, -(10 ** 20)):
+        stored = ReducedParameters(**{**finite, field: big})
+        assert getattr(stored, field) == float(big) and type(getattr(stored, field)) is float
     with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
         ReducedParameters(**{**finite, field: 10 ** 400})
+    with pytest.raises(TypeError):  # a number's text is not a number
+        ReducedParameters(**{**finite, field: "1e-6"})
 
 
 # The rate from the eight lengths, end to end: the reference is a direct 3D

@@ -143,11 +143,11 @@ class TestAmplitudeValidation:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: AlternativeAmplitudes(math.inf, 1.0),
-         "amplitude magnitudes must be finite and nonnegative"),
+         "k1_mag must be finite and >= 0, got inf"),
         (lambda: AlternativeAmplitudes.balanced(math.inf),
-         "amplitude magnitudes must be finite and nonnegative"),
+         "total_scale must be finite and positive, got inf"),
         (lambda: AlternativeAmplitudes(1.0, 1.0, math.inf),
-         "c_mag_sq must be finite and positive"),
+         "c_mag_sq must be finite and positive, got inf"),
         (lambda: AlternativeAmplitudes(1e200, 1e200), "the peak rate .* overflows"),
         (lambda: AlternativeAmplitudes(1.0, 1e154, 1.0), "the peak rate .* overflows"),
     ], ids=["k1_inf", "balanced_inf", "c_mag_sq_inf", "k1_k2_overflow", "twice_overflows"])

@@ -90,8 +90,8 @@ def test_tabulated_center_offset_shifts_grid():
 
 
 @pytest.mark.parametrize("offset, message", [
-    (math.inf, "grid and values must be finite"),
-    (math.nan, "grid and values must be finite"),
+    (math.inf, "center_offset must be finite, got inf"),
+    (math.nan, "center_offset must be finite, got nan"),
     (1e30, "grid must be strictly increasing"),  # knots merge at this magnitude
 ])
 def test_tabulated_checks_the_shifted_grid(offset, message):
